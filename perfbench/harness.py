@@ -8,7 +8,6 @@ checkout's ``src`` directory and nowhere else.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import os
 import platform
 import shutil
@@ -17,35 +16,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers in glibc's malloc.h
-MMAP_THRESHOLD = 16 << 20
 
 
 def configure_process() -> None:
-    """Pin BLAS to one thread and fix the allocator's mmap threshold.
-
-    One BLAS thread: on a small shared machine a second one measures the
-    scheduler.  glibc by default raises its mmap threshold as large blocks are
-    freed, so whether a later array of a few tens of MB is mapped or carved
-    from the heap depends on the address-space layout, and the peak memory of
-    identical runs differed by 30 MB.  With the threshold fixed, blocks of
-    MMAP_THRESHOLD or more are always mapped and returned when freed.  The
-    trim threshold is fixed at twice that, as glibc's own adjustment would
-    set it; left at its default, the heap shrinks and regrows around every
-    job and jobs ran 15% slower.
-    """
+    """Pin BLAS to one thread: on a small shared machine a second one measures the scheduler."""
     if "numpy" in sys.modules:
         raise RuntimeError("BLAS threads must be pinned before numpy is imported")
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-    except OSError:  # not glibc: nothing to fix
-        return
-    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    libc.mallopt.restype = ctypes.c_int
-    libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    libc.mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
 class SourceMissing(RuntimeError):
@@ -117,5 +95,4 @@ def environment() -> dict:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "cpu": cpu,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "malloc_mmap_threshold": MMAP_THRESHOLD,
     }

@@ -3,36 +3,37 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1 [--toy]
 
 Run from anywhere; kdm is imported from ``src`` next to this directory.  The
-run sets up the workload's inputs from ``--seed`` (three times, reporting the
-median set-up time), then runs jobs back to back for ``--seconds`` seconds on
-one BLAS thread, checking every job's outputs.  Human-readable lines come
-first; the last line of standard output is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``.
+run sets up the workload's inputs from ``--seed`` and runs one untimed warm-up
+job, then runs jobs back to back for ``--seconds`` seconds on one BLAS thread,
+checking every job's outputs.  Human-readable lines come first; the last line
+of standard output is one JSON object with the keys ``correct``,
+``attempted``, ``failed`` and ``metrics``.
 
-With ``--trace 0`` the metrics are the end-to-end ones.  With ``--trace 1``
-traced and untraced jobs alternate on the same inputs: the traced ones give
-the per-layer metrics (per job) and the pair gives the tracing overhead.
-``--toy`` shrinks every input for a quick check of the harness itself.
-Inputs and model bundles live in ``.perfbench_work/`` at the checkout root and
-are removed on exit.
+With ``--trace 0`` the metrics are the end-to-end ones.  ``setup_s`` is timed
+in SETUP_PROCESSES fresh processes started one after another with
+``--setup-only``: each is timed from its start to the point where its first
+timed job would begin, so interpreter start, imports and first-call costs
+count, and the median is reported.  With ``--trace 1`` traced and untraced
+jobs alternate on the same inputs: the traced ones give the per-layer metrics
+(per job) and the pair gives the tracing overhead.  ``--toy`` shrinks every
+input for a quick check of the harness itself.  Inputs and model bundles live
+in ``.perfbench_work/`` at the checkout root and are removed on exit.
 """
 
+import argparse
+import gc
+import json
+import resource
+import statistics
+import subprocess
+import sys
 import time
+import traceback
 
-_STARTED = time.perf_counter()
+import harness
 
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import traceback  # noqa: E402
-
-import harness  # noqa: E402
-
-SETUP_REPS = 3
+SETUP_PROCESSES = 4
+SETUP_TIMEOUT_S = 60
 P90_MIN_JOBS = 100  # a 90th percentile needs ten samples beyond it
 REFERENCES = harness.ROOT / "perfbench" / "references.json"
 
@@ -104,20 +105,39 @@ def _job(workload, checker, index, item, runner=None):
 
 
 def _setup(workload, checker, seed, workdir):
-    """Make the inputs and run one untimed warm-up job, SETUP_REPS times."""
-    times = []
-    for _ in range(SETUP_REPS):
-        for entry in os.scandir(workdir):
-            os.remove(entry.path)
-        t = time.perf_counter()
-        pool = workload.setup(seed, workdir)
-        _job(workload, checker, 0, pool[0])  # a failure is kept in checker.problems
-        times.append(time.perf_counter() - t)
+    """Make the inputs and run one untimed warm-up job."""
+    pool = workload.setup(seed, workdir)
+    _job(workload, checker, 0, pool[0])  # a failure is kept in checker.problems
     gc.freeze()  # the per-job collections then skip everything set-up made
-    return pool, statistics.median(times)
+    return pool
+
+
+def _setup_times(args, problems) -> list:
+    """Set-up seconds of SETUP_PROCESSES fresh processes, one after another.
+
+    Each is timed from just before it is started until it reads the clock
+    after its warm-up job.  ``time.monotonic`` is the system-wide
+    CLOCK_MONOTONIC on Linux, so the two readings compare across processes.
+    """
+    argv = [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", "0", "--setup-only"] + (["--toy"] if args.toy else [])
+    times = []
+    for _ in range(SETUP_PROCESSES):
+        started = time.monotonic()
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=SETUP_TIMEOUT_S)
+        except subprocess.TimeoutExpired:  # run() has killed and reaped the process
+            problems.append(f"a set-up process took over {SETUP_TIMEOUT_S} s")
+            continue
+        if proc.returncode != 0:
+            problems.append(f"a set-up process exited with {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+            continue
+        times.append(float(proc.stdout.split()[-1]) - started)
+    return times
 
 
 def _measure(workload, checker, pool, seconds):
+    """Jobs back to back for ``seconds``; returns (job times, failed, wall time of the loop)."""
     times, failed = [], 0
     start = time.perf_counter()
     while not times or time.perf_counter() - start < seconds:
@@ -125,7 +145,7 @@ def _measure(workload, checker, pool, seconds):
         ok, dt = _job(workload, checker, index, pool[index])
         times.append(dt)
         failed += not ok
-    return times, failed
+    return times, failed, time.perf_counter() - start
 
 
 def _measure_traced(workload, checker, pool, seconds):
@@ -183,6 +203,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--toy", action="store_true", help="tiny inputs, for checking the harness")
+    parser.add_argument("--setup-only", action="store_true",
+                        help="set up, run the warm-up job, print the monotonic clock and exit")
     args = parser.parse_args(argv)
 
     harness.configure_process()
@@ -193,7 +215,6 @@ def main(argv=None) -> int:
         return 2
     from workloads import WORKLOADS, Checker
 
-    import_s = time.perf_counter() - _STARTED
     if args.workload not in WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
@@ -205,12 +226,24 @@ def main(argv=None) -> int:
         print(f"note: no reference values for {workload.name} ({size}) seed {args.seed}; "
               "checking invariants and repeatability only", file=sys.stderr)
 
+    if args.setup_only:
+        with harness.work_dir(workload.name) as workdir:
+            _setup(workload, checker, args.seed, str(workdir))
+            ready = time.monotonic()
+        for problem in checker.problems:
+            print(f"check failed: {problem}", file=sys.stderr)
+        if checker.problems:
+            return 1
+        print(repr(ready))
+        return 0
+
+    setup_times = [] if args.trace else _setup_times(args, checker.problems)
     with harness.work_dir(workload.name) as workdir:
-        pool, setup_once = _setup(workload, checker, args.seed, str(workdir))
+        pool = _setup(workload, checker, args.seed, str(workdir))
         if args.trace:
             tracer, ratios, attempted, failed = _measure_traced(workload, checker, pool, args.seconds)
         else:
-            times, failed = _measure(workload, checker, pool, args.seconds)
+            times, failed, wall = _measure(workload, checker, pool, args.seconds)
             attempted = len(times)
 
     name = workload.name
@@ -226,12 +259,13 @@ def main(argv=None) -> int:
         ran = [t for t in times if t is not None]  # jobs that returned, right or wrong
         metrics = {
             "job_s_p50": {"value": statistics.median(ran) if ran else 0.0, "unit": "s"},
-            "jobs_per_s": {"value": len(ran) / sum(ran) if ran else 0.0, "unit": "1/s"},
-            "setup_s": {"value": import_s + setup_once, "unit": "s"},
+            "jobs_per_s": {"value": (attempted - failed) / wall, "unit": "1/s"},
+            "setup_s": {"value": statistics.median(setup_times) if setup_times else 0.0, "unit": "s"},
             "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "unit": "MB"},
         }
         for m, v in metrics.items():
             _print_metric(name, m, v["value"], v["unit"])
+        print(f"{name} set-up seconds of each process: {', '.join(f'{t:.4f}' for t in setup_times)}")
         if len(ran) >= P90_MIN_JOBS:
             p90 = statistics.quantiles(ran, n=10)[-1]
             _print_metric(name, "job_s_p90", p90, "s", f" (of {len(ran)} jobs)")
