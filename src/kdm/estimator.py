@@ -10,6 +10,8 @@ representer system over all 2n points for cross-checking at small scale.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -564,19 +566,67 @@ def save_model(model: KdmModel, path: str) -> None:
             fh.write(blob)
 
 
+def _check_remaining(fh, size: int, count: int, path: str, what: str) -> None:
+    remain = size - fh.tell()
+    if count > remain:
+        raise ValueError(f"{path}: truncated bundle: {what} needs {count} bytes, {remain} remain")
+
+
+def _read_array(fh, size: int, meta, path: str) -> tuple[str, np.ndarray]:
+    """One array of the bundle, checked against its declared name, dtype and shape."""
+    if not isinstance(meta, dict) or meta.get("name") not in _ARRAY_FIELDS:
+        raise ValueError(f"{path}: field 'arrays' has an entry that names no model array: {meta!r}")
+    name = meta["name"]
+    expected = "i8" if name == "pivots" else "f8"
+    if meta.get("dtype") != expected:
+        raise ValueError(f"{path}: array {name!r} has dtype {meta.get('dtype')!r}, expected {expected!r}")
+    shape = meta.get("shape")
+    if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
+        raise ValueError(f"{path}: array {name!r} has invalid shape {shape!r}")
+    _check_remaining(fh, size, 8 * math.prod(shape), path, f"array {name!r} of shape {shape}")
+    arr = np.empty(shape, dtype=np.int64 if expected == "i8" else np.float64)
+    if arr.nbytes:
+        fh.readinto(memoryview(arr).cast("B"))
+    return name, arr
+
+
 def load_model(path: str) -> KdmModel:
-    """Read a bundle written by :func:`save_model`."""
+    """Read a bundle written by :func:`save_model`.
+
+    Raises ValueError, naming the file and the offending field, when the
+    magic, the format, an array's dtype or shape, or the byte count differ
+    from what :func:`save_model` writes.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a model bundle")
+        _check_remaining(fh, size, 8, path, "header length")
         (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        arrays = {}
-        for meta in header["arrays"]:
-            dtype = np.int64 if meta["dtype"] == "i8" else np.float64
-            count = int(np.prod(meta["shape"])) if meta["shape"] else 1
-            buf = fh.read(count * 8)
-            arrays[meta["name"]] = np.frombuffer(buf, dtype=dtype).reshape(meta["shape"]).copy()
+        _check_remaining(fh, size, hlen, path, "header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        if header.get("format") != 1:
+            raise ValueError(f"{path}: field 'format' is {header.get('format')!r}; this version reads format 1")
+        metas = header.get("arrays")
+        if not isinstance(metas, list):
+            raise ValueError(f"{path}: field 'arrays' is missing or not a list")
+        arrays = dict(_read_array(fh, size, meta, path) for meta in metas)
+        if len(metas) != len(_ARRAY_FIELDS) or len(arrays) != len(_ARRAY_FIELDS):
+            raise ValueError(f"{path}: field 'arrays' must list {', '.join(_ARRAY_FIELDS)} once each")
+        if fh.tell() != size:
+            raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
+    try:
+        return _model_from_bundle(header, arrays)
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks field {exc.args[0]!r}") from exc
+
+
+def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
     prior = PriorSpec.one() if header["prior"]["kind"] == "one" else PriorSpec.zero()
     std = header["standardizer"]
     return KdmModel(

@@ -98,6 +98,8 @@ class TestResult:
     n: int
     rank: int
     eigenvalues: np.ndarray = field(repr=False, default=None)
+    residual_trace: float = 0.0
+    hit_rank_cap: bool = False
     h_norm: Optional[float] = None
     norm_bound: Optional[float] = None
     bound_holds: Optional[bool] = None
@@ -111,6 +113,8 @@ class TestResult:
             "threshold": self.threshold,
             "n": self.n,
             "rank": self.rank,
+            "residual_trace": self.residual_trace,
+            "hit_rank_cap": self.hit_rank_cap,
         }
         if self.h_norm is not None:
             out["h_norm"] = self.h_norm
@@ -148,7 +152,8 @@ def run_test(
     ("relative": eigenvalues >= t * largest; "explained": smallest count
     reaching a fraction t of the total).  A degenerate covariance yields
     statistic 0 with p-value 1.  Passing ``eta`` additionally reports the
-    finite-sample norm check at that confidence level.
+    finite-sample norm check at that confidence level, with the larger of the
+    requested tolerance and the residual trace reached as its epsilon.
     """
     v = sample_variable(model)
     sig = covariance_matrix(model)
@@ -176,10 +181,15 @@ def run_test(
         n=model.n,
         rank=model.rank,
         eigenvalues=eig,
+        residual_trace=model.residual_trace,
+        hit_rank_cap=model.hit_rank_cap,
     )
     if eta is not None:
+        # a capped decomposition stops above its requested tolerance; the
+        # bound must use the trace the factors actually reached
+        eps_reached = max(model.epsilon, model.residual_trace)
         bound = finite_sample_bound(
-            eta, model.lam, model.n, model.epsilon, model.kappa_inf, model.prior.pi_inf, s=0.0
+            eta, model.lam, model.n, eps_reached, model.kappa_inf, model.prior.pi_inf, s=0.0
         )
         result.h_norm = h_norm(model, method="weights")
         result.norm_bound = bound.rhs

@@ -118,10 +118,16 @@ def _as_points(data: Union[Dataset, np.ndarray]) -> np.ndarray:
     return pts
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_norms(points: Union[Dataset, np.ndarray]) -> np.ndarray:
+    """Squared Euclidean norm of each point, as the kernel formulas use it."""
+    pts = _as_points(points)
+    return np.sum(pts * pts, axis=1)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None) -> np.ndarray:
     # expanded form with a clamp at zero so duplicate points never go negative
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
+    aa = (sq_norms(a) if aa is None else aa)[:, None]
+    bb = sq_norms(b)[None, :]
     d2 = aa + bb - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
 
@@ -130,16 +136,23 @@ def cross_kernel_matrix(
     spec: KernelSpec,
     rows: Union[Dataset, np.ndarray],
     cols: Union[Dataset, np.ndarray],
+    *,
+    row_sq_norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Evaluate k(z_i, z'_j) for every row point against every column point."""
+    """Evaluate k(z_i, z'_j) for every row point against every column point.
+
+    ``row_sq_norms``, if given, must be ``sq_norms(rows)``; a caller that
+    evaluates many column blocks against the same rows passes it to skip
+    recomputing the norms.  The result is bitwise the same either way.
+    """
     a = _as_points(rows)
     b = _as_points(cols)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == "gaussian":
-        return np.exp(_sq_dists(a, b) / (-2.0 * spec.rho))
+        return np.exp(_sq_dists(a, b, row_sq_norms) / (-2.0 * spec.rho))
     if spec.family == "laplace":
-        return np.exp(-spec.rho * np.sqrt(_sq_dists(a, b)))
+        return np.exp(-spec.rho * np.sqrt(_sq_dists(a, b, row_sq_norms)))
     return (a @ b.T + spec.c) ** spec.q
 
 
@@ -157,7 +170,7 @@ def kernel_diagonal(spec: KernelSpec, data: Union[Dataset, np.ndarray]) -> np.nd
     pts = _as_points(data)
     if spec.family in ("gaussian", "laplace"):
         return np.ones(pts.shape[0])
-    return (np.sum(pts * pts, axis=1) + spec.c) ** spec.q
+    return (sq_norms(pts) + spec.c) ** spec.q
 
 
 def kernel_sup(spec: KernelSpec, data: Union[Dataset, np.ndarray, None] = None) -> float:

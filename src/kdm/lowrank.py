@@ -8,8 +8,13 @@ decomposition selects m pivot indices pi_1..pi_m and produces
   R^T L[piv, :] = I, hence R R^T = inv(K[piv, piv]).
 
 Only the diagonal of K plus one full column per pivot are ever requested, so
-the cost is O(m^2 N) time and O(m N) memory.  With ``epsilon=0`` the loop runs
-until the residual diagonal is exhausted and L L^T reproduces K to the
+the cost is O(m^2 N) time.  The loop keeps the factor rank-major, as L^T in a
+(cap, N) buffer: step i reads the rows of the i earlier steps as one
+contiguous block for its Schur update and writes its own column of L as one
+contiguous row.  The buffer is zero-filled lazily by the allocator, so the
+memory touched is O(m N) for the rank m reached, not for the cap; the
+returned ``L`` is a C-contiguous (N, m) copy.  With ``epsilon=0`` the loop
+runs until the residual diagonal is exhausted and L L^T reproduces K to the
 numerical rank.
 """
 
@@ -20,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernels import Dataset, KernelSpec, cross_kernel_matrix, kernel_diagonal
+from .kernels import Dataset, KernelSpec, cross_kernel_matrix, kernel_diagonal, sq_norms
 
 # residual diagonal entries below DIAG_FLOOR_REL * max(diag K) are treated as
 # exhausted; entries more negative than -PSD_TOL_REL * max(diag K) mean the
@@ -58,13 +63,18 @@ class MatrixOracle:
 
 
 class KernelOracle:
-    """Lazy columns of the kernel matrix of one point set against itself."""
+    """Lazy columns of the kernel matrix of one point set against itself.
+
+    The squared norms of the points are computed once; each column reuses
+    them and is bitwise equal to ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.
+    """
 
     def __init__(self, spec: KernelSpec, points: Union[Dataset, np.ndarray]):
         self._spec = spec
         self._pts = points.points if isinstance(points, Dataset) else np.asarray(points, dtype=np.float64)
         if self._pts.ndim == 1:
             self._pts = self._pts[:, None]
+        self._sq_norms = sq_norms(self._pts)
         self.queries = 0
 
     @property
@@ -76,7 +86,9 @@ class KernelOracle:
 
     def column(self, j: int) -> np.ndarray:
         self.queries += 1
-        return cross_kernel_matrix(self._spec, self._pts, self._pts[j : j + 1])[:, 0]
+        return cross_kernel_matrix(
+            self._spec, self._pts, self._pts[j : j + 1], row_sq_norms=self._sq_norms
+        )[:, 0]
 
 
 @dataclass
@@ -170,6 +182,11 @@ def pivoted_cholesky(
     max_rank : int, optional
         Hard cap on the number of pivots; hitting it is reported through
         ``hit_rank_cap``, not raised.
+
+    The working factor is L^T in a zero-initialized (cap, N) buffer, filled
+    one contiguous row per pivot; only the rows reached are ever written, so
+    the memory used is O(rank reached x N).  The returned ``L`` is copied out
+    as a C-contiguous (N, rank) array.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -194,7 +211,7 @@ def pivoted_cholesky(
     floor = DIAG_FLOOR_REL * dmax
     d[d <= floor] = 0.0
 
-    lbuf = np.zeros((n, cap))
+    lt = np.zeros((cap, n))  # L^T, one row per pivot
     rbuf = np.zeros((cap, cap))
     pivots: list[int] = []
     w = np.zeros(n) if strategy == "omp" else None
@@ -207,8 +224,8 @@ def pivoted_cholesky(
             piv = omp_pivot(d, target, w, omp_quantile)
         scale = 1.0 / np.sqrt(d[piv])
 
-        lrow = lbuf[piv, :i].copy()
-        ell = oracle.column(piv) - lbuf[:, :i] @ lrow
+        lrow = lt[:i, piv].copy()
+        ell = oracle.column(piv) - lt[:i].T @ lrow
         ell *= scale
         if pivots:
             ell[pivots] = 0.0  # Schur complement vanishes at previous pivots
@@ -226,14 +243,14 @@ def pivoted_cholesky(
             raise NumericsError("residual diagonal went negative; oracle is not PSD")
         d[d <= floor] = 0.0
 
-        lbuf[:, i] = ell
+        lt[i] = ell
         pivots.append(piv)
         i += 1
 
     residual = float(d.sum())
     return CholeskyFactors(
         pivots=np.asarray(pivots, dtype=np.intp),
-        L=lbuf[:, :i].copy(),
+        L=lt[:i].T.copy(),
         R=rbuf[:i, :i].copy(),
         residual_trace=residual,
         epsilon=float(epsilon),

@@ -130,7 +130,9 @@ def test_fit_then_test_flow(capsys, tmp_path):
     assert code == 0
     assert 0.0 <= result["p_value"] <= 1.0
     assert result["p_value"] < 0.01  # the samples really differ
-    assert {"statistic", "ell", "h_norm", "bound_holds"} <= set(result)
+    assert {"statistic", "ell", "h_norm", "bound_holds", "residual_trace", "hit_rank_cap"} <= set(result)
+    assert result["residual_trace"] == payload["residual_trace"]
+    assert result["hit_rank_cap"] == payload["hit_rank_cap"]
 
     out = str(tmp_path / "test.json")
     code, _, _ = run_cli(capsys, "test", "--model", model, "--out", out)
@@ -138,6 +140,17 @@ def test_fit_then_test_flow(capsys, tmp_path):
     first = open(out, "rb").read()
     code, _, _ = run_cli(capsys, "test", "--model", model, "--out", out, "--force")
     assert open(out, "rb").read() == first
+
+
+def test_test_rejects_damaged_bundle_exit_1(capsys, tmp_path):
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    raw = open(model, "rb").read()
+    with open(model, "wb") as fh:
+        fh.write(raw[:-3])
+    code, _, err = run_cli(capsys, "test", "--model", model)
+    assert code == 1
+    assert model in err and "truncated bundle" in err
 
 
 def test_fit_artifacts_are_deterministic(capsys, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -259,3 +262,80 @@ def test_save_custom_prior_rejected(tmp_path):
     model = fit(p, p, KernelSpec("gaussian"), lam=1e-2, prior=prior)
     with pytest.raises(ValueError):
         save_model(model, str(tmp_path / "m.kdm"))
+
+
+def _bundle(tmp_path):
+    rng = np.random.default_rng(21)
+    p, q = rng.normal(0, 1, (40, 2)), rng.normal(0.5, 1, (40, 2))
+    path = str(tmp_path / "model.kdm")
+    save_model(fit(p, q, KernelSpec("gaussian"), lam=1e-2), path)
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header, body = json.loads(raw[12 : 12 + hlen]), raw[12 + hlen :]
+    assert _pack(header, body) == raw  # the helpers below rebuild save_model's bytes
+    return path, raw, header, body
+
+
+def _pack(header, body):
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"KDM\x01" + struct.pack("<Q", len(head)) + head + body
+
+
+def _rewrite(path, header, body):
+    with open(path, "wb") as fh:
+        fh.write(_pack(header, body))
+
+
+def test_load_rejects_truncated_bundle(tmp_path):
+    path, raw, _, _ = _bundle(tmp_path)
+    for cut in (1, 8, len(raw) // 2, 10):
+        with open(path, "wb") as fh:
+            fh.write(raw[: len(raw) - cut] if cut != 10 else raw[:10])
+        with pytest.raises(ValueError, match=r"model\.kdm: truncated bundle"):
+            load_model(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path, raw, _, _ = _bundle(tmp_path)
+    with open(path, "wb") as fh:
+        fh.write(raw + b"\x00")
+    with pytest.raises(ValueError, match=r"model\.kdm: 1 trailing bytes"):
+        load_model(path)
+
+
+def test_load_rejects_wrong_format(tmp_path):
+    path, _, header, body = _bundle(tmp_path)
+    _rewrite(path, {**header, "format": 2}, body)
+    with pytest.raises(ValueError, match=r"model\.kdm: field 'format' is 2"):
+        load_model(path)
+    del header["format"]
+    _rewrite(path, header, body)
+    with pytest.raises(ValueError, match="field 'format'"):
+        load_model(path)
+
+
+def test_load_rejects_bad_dtype_and_shape(tmp_path):
+    path, _, header, body = _bundle(tmp_path)
+    arrays = [dict(meta) for meta in header["arrays"]]
+    arrays[0]["dtype"] = "f4"
+    _rewrite(path, {**header, "arrays": arrays}, body)
+    with pytest.raises(ValueError, match=r"model\.kdm: array 'pivot_points' has dtype 'f4'"):
+        load_model(path)
+    # a declared shape larger than the bytes that follow, or smaller
+    arrays = [dict(meta) for meta in header["arrays"]]
+    assert arrays[-1]["name"] == "p_star_train"
+    arrays[-1]["shape"] = [arrays[-1]["shape"][0] + 1]
+    _rewrite(path, {**header, "arrays": arrays}, body)
+    with pytest.raises(ValueError, match=r"truncated bundle: array 'p_star_train' of shape"):
+        load_model(path)
+    arrays = [dict(meta) for meta in header["arrays"]]
+    arrays[4]["shape"] = [arrays[4]["shape"][0] - 1, arrays[4]["shape"][1]]
+    _rewrite(path, {**header, "arrays": arrays}, body)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_model(path)
+    arrays = [dict(meta) for meta in header["arrays"]]
+    arrays[4]["shape"] = [-1, 3]
+    _rewrite(path, {**header, "arrays": arrays}, body)
+    with pytest.raises(ValueError, match="array 'L_P' has invalid shape"):
+        load_model(path)
+

@@ -158,5 +158,28 @@ def test_norm_check_reported_with_eta():
 
 
 def test_to_dict_without_norm_check():
-    res = run_test(fitted_model(seed=9))
-    assert "h_norm" not in res.to_dict()
+    model = fitted_model(seed=9)
+    d = run_test(model).to_dict()
+    assert "h_norm" not in d
+    assert d["hit_rank_cap"] is False
+    assert d["residual_trace"] == model.residual_trace <= model.epsilon
+
+
+def test_norm_bound_uses_residual_trace_when_rank_capped():
+    # with max_rank=20 the decomposition stops far above its requested
+    # tolerance; a bound computed from the requested epsilon came out 257x
+    # smaller than the one the achieved residual trace gives
+    rng = np.random.default_rng(0)
+    p = rng.normal(0.0, 1.0, (1500, 3))
+    q = rng.normal(0.0, 1.0, (1500, 3))
+    model = fit(p, q, KernelSpec("gaussian", rho=0.3), lam=1e-3, max_rank=20)
+    assert model.hit_rank_cap and model.residual_trace > 100 * model.epsilon
+    res = run_test(model, eta=0.1)
+    reached = finite_sample_bound(0.1, model.lam, model.n, model.residual_trace, model.kappa_inf, 1.0)
+    requested = finite_sample_bound(0.1, model.lam, model.n, model.epsilon, model.kappa_inf, 1.0)
+    assert res.norm_bound == pytest.approx(reached.rhs, rel=1e-12)
+    assert res.norm_bound > 200 * requested.rhs
+    d = res.to_dict()
+    assert d["hit_rank_cap"] is True
+    assert d["residual_trace"] == model.residual_trace
+

@@ -10,6 +10,7 @@ from kdm.kernels import (
     kernel_diagonal,
     kernel_sup,
     kernel_sup_is_empirical,
+    sq_norms,
 )
 
 
@@ -148,3 +149,26 @@ def test_standardizer_constant_column():
     out = Standardizer.from_points(pts).apply(pts)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec("gaussian", rho=0.8), KernelSpec("laplace", rho=1.7), KernelSpec("polynomial", c=1.0, q=3)],
+    ids=["gaussian", "laplace", "polynomial"],
+)
+def test_precomputed_row_norms_are_bitwise_identical(spec, d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(0.0, 2.0, (60, d))
+    pts = np.vstack([pts, pts[:7], pts[3:4]])  # exact duplicates
+    norms = sq_norms(pts)
+    for j in (0, 3, 17, 60, pts.shape[0] - 1):
+        col = pts[j : j + 1]
+        plain = cross_kernel_matrix(spec, pts, col)
+        cached = cross_kernel_matrix(spec, pts, col, row_sq_norms=norms)
+        assert cached.tobytes() == plain.tobytes()
+    block = pts[5:12]
+    assert (
+        cross_kernel_matrix(spec, pts, block, row_sq_norms=norms).tobytes()
+        == cross_kernel_matrix(spec, pts, block).tobytes()
+    )
