@@ -56,10 +56,8 @@ _EXPORTS = {
     "C_coefficients": "hypothesis",
     "TestResult": "hypothesis",
     "chi_square_upper_tail": "hypothesis",
-    "covariance_matrix": "hypothesis",
     "finite_sample_bound": "hypothesis",
     "run_test": "hypothesis",
-    "sample_variable": "hypothesis",
     # conditional
     "ConditionalModel": "conditional",
     "JointDataset": "conditional",

@@ -15,6 +15,7 @@ from .conditional import JointDataset, conditional_weights, fit_conditional, spl
 from .estimator import fit
 from .hypothesis import DEFAULT_TRUNCATION_T, TestResult, run_test
 from .kernels import KernelSpec
+from .metrics import energy_score
 from .simulate import MixtureConfig, draw_mixture_model, sample_distribution
 
 DEFAULT_EPS_REL = 1e-5
@@ -237,14 +238,8 @@ def mixture_energy_study(
 
         grid = cmodel.y_grid
         m = grid.shape[0]
-        gd = grid[:, None, :] - grid[None, :, :]
-        pair_dist = np.sqrt(np.sum(gd**2, axis=2))
-        gaps = np.empty(n_test)
-        for i in range(n_test):
-            w = conditional_weights(cmodel, test.x[i]) * m  # mean-one scaling
-            dist_to_y = np.linalg.norm(grid - test.y[i], axis=1)
-            es_cond = float(w @ dist_to_y) / m - float(w @ pair_dist @ w) / (2.0 * m**2)
-            es_unif = float(dist_to_y.sum()) / m - float(pair_dist.sum()) / (2.0 * m**2)
-            gaps[i] = es_unif - es_cond
-        diffs[r] = float(np.mean(gaps))
+        weights = np.array([conditional_weights(cmodel, x) * m for x in test.x])  # mean-one scaling
+        es_cond = energy_score(test.y, grid, weights)
+        es_unif = energy_score(test.y, grid)
+        diffs[r] = float(np.mean(es_unif - es_cond))
     return MixtureStudy(differentials=diffs, clusters=clusters)

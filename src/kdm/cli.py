@@ -29,7 +29,7 @@ from .bench import (
     mixture_energy_study,
     rejection_study,
 )
-from .conditional import JointDataset, conditional_weights, fit_conditional
+from .conditional import JointDataset, conditional_moments, fit_conditional
 from .estimator import (
     PriorSpec,
     cross_validate,
@@ -82,13 +82,11 @@ def parse_columns(text: Optional[str]) -> ColumnSelection:
     return parts
 
 
-def ingest_csv(path: str, columns: ColumnSelection = None, standardize: bool = False) -> Dataset:
+def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     """Read a headered CSV into a Dataset, rejecting non-numeric cells.
 
     ``columns`` selects by index or by header name; omitted keeps all
     columns.  Errors name the offending 1-based data row and the column.
-    With ``standardize`` each retained column is shifted and scaled to mean
-    zero and unit variance.
     """
     try:
         with open(path, newline="") as fh:
@@ -134,13 +132,7 @@ def ingest_csv(path: str, columns: ColumnSelection = None, standardize: bool = F
         raise UsageError(f"cannot read {path}: {exc}")
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    pts = np.asarray(rows, dtype=np.float64)
-    if standardize:
-        mean = pts.mean(axis=0)
-        std = pts.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
-        pts = (pts - mean) / std
-    return Dataset(pts)
+    return Dataset(np.asarray(rows, dtype=np.float64))
 
 
 def _fmt(v) -> str:
@@ -400,10 +392,7 @@ def _cmd_condexp(args) -> dict:
     rows = np.empty((queries.shape[0], d_y + d_y * d_y + 1))
     n_degenerate = 0
     for i, x in enumerate(queries):
-        w, degenerate = conditional_weights(cmodel, x, return_degenerate=True)
-        mean = w @ cmodel.y_grid
-        centered = cmodel.y_grid - mean
-        cov = (centered * w[:, None]).T @ centered
+        mean, cov, degenerate = conditional_moments(cmodel, x, return_degenerate=True)
         rows[i] = np.concatenate([mean, cov.reshape(-1), [float(degenerate)]])
         n_degenerate += int(degenerate)
     _write_csv(args.out, header, rows)

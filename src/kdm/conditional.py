@@ -196,10 +196,18 @@ def conditional_expectation(cmodel: ConditionalModel, x: np.ndarray, f_values: n
     return float(out) if out.ndim == 0 else out
 
 
-def conditional_moments(cmodel: ConditionalModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional mean vector and covariance matrix of Y given X = x."""
-    w = conditional_weights(cmodel, x)
+def conditional_moments(
+    cmodel: ConditionalModel,
+    x: np.ndarray,
+    return_degenerate: bool = False,
+) -> Union[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, bool]]:
+    """Conditional mean vector and covariance matrix of Y given X = x.
+
+    With ``return_degenerate`` the flag of :func:`conditional_weights` comes
+    third: set when the moments are those of the uniform fallback weights.
+    """
+    w, degenerate = conditional_weights(cmodel, x, return_degenerate=True)
     mean = w @ cmodel.y_grid
     centered = cmodel.y_grid - mean
     cov = (centered * w[:, None]).T @ centered
-    return mean, cov
+    return (mean, cov, degenerate) if return_degenerate else (mean, cov)

@@ -28,7 +28,7 @@ from .kernels import (
     kernel_sup,
     kernel_sup_is_empirical,
 )
-from .lowrank import CholeskyFactors, KernelOracle, NumericsError, pivoted_cholesky
+from .lowrank import KernelOracle, NumericsError, pivoted_cholesky
 
 DEFAULT_EPSILON_REL = 1e-6
 
@@ -85,8 +85,8 @@ class KdmModel:
 
     ``pivot_points`` are stored in the kernel's coordinate system (after the
     optional standardization); queries are transformed the same way before
-    kernel evaluation.  ``p_star_train`` keeps the prior values at the first
-    sample so the hypothesis test can be rerun without the evaluator.
+    kernel evaluation.  The test reads ``moment_gap`` (L_Q^T 1 - L_P^T p*) and
+    its plug-in ``covariance``; no array has a row per training point.
     """
 
     kernel: KernelSpec
@@ -96,10 +96,8 @@ class KdmModel:
     pivots: np.ndarray
     beta: np.ndarray
     w: np.ndarray
-    L_P: np.ndarray
-    L_Q: np.ndarray
-    R: np.ndarray
-    p_star_train: np.ndarray
+    moment_gap: np.ndarray
+    covariance: np.ndarray
     n: int
     epsilon: float
     residual_trace: float
@@ -122,21 +120,32 @@ def _as_dataset(sample) -> Dataset:
     return sample if isinstance(sample, Dataset) else Dataset(np.asarray(sample))
 
 
+def _common_size(sample_p, sample_q) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples' points cut to the smaller sample size, warning when they differ."""
+    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
+    if sp.d != sq.d:
+        raise ValueError(f"sample dimensions differ: {sp.d} vs {sq.d}")
+    n = min(sp.n, sq.n)
+    if sp.n != sq.n:
+        warnings.warn(
+            f"sample sizes differ ({sp.n} vs {sq.n}); truncating both to {n}",
+            RuntimeWarning,
+        )
+    return sp.points[:n], sq.points[:n]
+
+
 @dataclass
 class _Decomposition:
-    """Kernel-dependent part of a fit, reusable across lambda values."""
+    """Kernel-dependent part of a fit, reusable across lambda values.
 
-    kernel: KernelSpec
-    factors: CholeskyFactors
-    points: np.ndarray  # stacked, in kernel coordinates
-    L_P: np.ndarray
-    L_Q: np.ndarray
-    p_star: np.ndarray
-    prior: PriorSpec
-    n: int
-    kappa_inf: float
-    standardizer: Optional[Standardizer]
-    seed: Optional[int]
+    ``gram`` (L_P^T L_P) and ``R`` are m x m and ``fields`` holds the
+    lambda-independent fields of the model: no array has a row per training
+    point.  Every solve shares ``gram``, so it must not be modified.
+    """
+
+    gram: np.ndarray
+    R: np.ndarray
+    fields: dict
 
 
 def _decompose(
@@ -154,16 +163,8 @@ def _decompose(
     standardize: bool = False,
     seed: Optional[int] = None,
 ) -> _Decomposition:
-    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
-    if sp.d != sq.d:
-        raise ValueError(f"sample dimensions differ: {sp.d} vs {sq.d}")
-    n = min(sp.n, sq.n)
-    if sp.n != sq.n:
-        warnings.warn(
-            f"sample sizes differ ({sp.n} vs {sq.n}); truncating both to {n}",
-            RuntimeWarning,
-        )
-    pts_p, pts_q = sp.points[:n], sq.points[:n]
+    pts_p, pts_q = _common_size(sample_p, sample_q)
+    n = pts_p.shape[0]
     prior = prior if prior is not None else PriorSpec.one()
 
     stacked = np.vstack([pts_p, pts_q])
@@ -186,55 +187,54 @@ def _decompose(
     )
     if factors.rank == 0:
         raise NumericsError("decomposition selected no pivots; kernel matrix is numerically zero")
+
+    # reduce the n x m blocks to lambda-independent statistics: the Gram and
+    # the moment gap of the ridge system, and the plug-in covariance of the
+    # scaled gap n^{-1/2} (L_Q^T 1 - L_P^T p*) that the test reads
+    l_p, l_q, p_star = factors.L[:n], factors.L[n:], prior.evaluate(pts_p)
+    lq1 = l_q.T @ np.ones(n)
+    lpp = l_p.T @ p_star
+    sig = (
+        l_q.T @ l_q / n
+        - np.outer(lq1, lq1) / n**2
+        + (l_p * p_star[:, None] ** 2).T @ l_p / n
+        - np.outer(lpp, lpp) / n**2
+    )
     return _Decomposition(
-        kernel=kernel,
-        factors=factors,
-        points=zs,
-        L_P=factors.L[:n],
-        L_Q=factors.L[n:],
-        p_star=prior.evaluate(pts_p),
-        prior=prior,
-        n=n,
-        kappa_inf=kernel_sup(kernel, zs),
-        standardizer=standardizer,
-        seed=seed,
+        gram=l_p.T @ l_p,
+        R=factors.R,
+        fields=dict(
+            kernel=kernel,
+            prior=prior,
+            pivot_points=zs[factors.pivots],
+            pivots=factors.pivots,
+            moment_gap=lq1 - lpp,
+            covariance=0.5 * (sig + sig.T),
+            n=n,
+            epsilon=factors.epsilon,
+            residual_trace=factors.residual_trace,
+            kappa_inf=kernel_sup(kernel, zs),
+            kappa_empirical=kernel_sup_is_empirical(kernel),
+            standardizer=standardizer,
+            hit_rank_cap=factors.hit_rank_cap,
+            seed=seed,
+        ),
     )
 
 
 def _solve(dec: _Decomposition, lam: float) -> KdmModel:
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    n, m = dec.n, dec.factors.rank
-    # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed
-    a = dec.L_P.T @ dec.L_P + n * lam * np.eye(m)
-    rhs = dec.L_Q.T @ np.ones(n) - dec.L_P.T @ dec.p_star
+    n, m = dec.fields["n"], len(dec.fields["pivots"])
+    # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed.
+    # The sum is a new array: the cached Gram serves every lambda of the path.
+    a = dec.gram + n * lam * np.eye(m)
     try:
         cf = scipy.linalg.cho_factor(a, lower=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericsError(f"ridge system not SPD: {exc}") from exc
-    w = scipy.linalg.cho_solve(cf, rhs)
-    beta = dec.factors.R @ w
-    return KdmModel(
-        kernel=dec.kernel,
-        lam=float(lam),
-        prior=dec.prior,
-        pivot_points=dec.points[dec.factors.pivots].copy(),
-        pivots=dec.factors.pivots.copy(),
-        beta=beta,
-        w=w,
-        L_P=dec.L_P,
-        L_Q=dec.L_Q,
-        R=dec.factors.R,
-        p_star_train=dec.p_star,
-        n=n,
-        epsilon=dec.factors.epsilon,
-        residual_trace=dec.factors.residual_trace,
-        kappa_inf=dec.kappa_inf,
-        kappa_empirical=kernel_sup_is_empirical(dec.kernel),
-        standardizer=dec.standardizer,
-        hit_rank_cap=dec.factors.hit_rank_cap,
-        seed=dec.seed,
-    )
+    w = scipy.linalg.cho_solve(cf, dec.fields["moment_gap"])
+    return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, **dec.fields)
 
 
 def fit(
@@ -279,19 +279,19 @@ def fit(
     return _solve(dec, lam)
 
 
-def _query_points(model, z) -> tuple[np.ndarray, bool]:
+def _query_points(d: int, z) -> tuple[np.ndarray, bool]:
     pts = np.asarray(z, dtype=np.float64)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
-    if pts.shape[1] != model.pivot_points.shape[1]:
-        raise ValueError(f"query dimension {pts.shape[1]} != model dimension {model.pivot_points.shape[1]}")
+    if pts.shape[1] != d:
+        raise ValueError(f"query dimension {pts.shape[1]} != model dimension {d}")
     return pts, single
 
 
 def eval_h(model: KdmModel, z) -> Union[float, np.ndarray]:
     """RKHS correction h at one point (1-d input) or a batch (2-d input)."""
-    pts, single = _query_points(model, z)
+    pts, single = _query_points(model.d, z)
     zs = model.standardizer.apply(pts) if model.standardizer is not None else pts
     vals = cross_kernel_matrix(model.kernel, zs, model.pivot_points) @ model.beta
     return float(vals[0]) if single else vals
@@ -299,7 +299,7 @@ def eval_h(model: KdmModel, z) -> Union[float, np.ndarray]:
 
 def eval_density_ratio(model: KdmModel, z, clip: bool = False) -> Union[float, np.ndarray]:
     """Estimated dQ/dP at z; ``clip`` truncates negatives at zero."""
-    pts, single = _query_points(model, z)
+    pts, single = _query_points(model.d, z)
     vals = model.prior.evaluate(pts) + eval_h(model, pts)
     if clip:
         vals = np.maximum(vals, 0.0)
@@ -348,24 +348,17 @@ def fit_full(
     """Dense 2n x 2n reference fit; quadratic memory, for validation scale."""
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
-    if sp.d != sq.d:
-        raise ValueError(f"sample dimensions differ: {sp.d} vs {sq.d}")
-    n = min(sp.n, sq.n)
-    if sp.n != sq.n:
-        warnings.warn(
-            f"sample sizes differ ({sp.n} vs {sq.n}); truncating both to {n}",
-            RuntimeWarning,
-        )
+    pts_p, pts_q = _common_size(sample_p, sample_q)
+    n = pts_p.shape[0]
     if 2 * n > max_points:
         raise ValueError(f"dense fit limited to {max_points} stacked points, got {2 * n}")
     prior = prior if prior is not None else PriorSpec.one()
-    stacked = np.vstack([sp.points[:n], sq.points[:n]])
+    stacked = np.vstack([pts_p, pts_q])
     standardizer = Standardizer.from_points(stacked) if standardize else None
     zs = standardizer.apply(stacked) if standardizer is not None else stacked
 
     k = cross_kernel_matrix(kernel, zs, zs)
-    p_star = prior.evaluate(sp.points[:n])
+    p_star = prior.evaluate(pts_p)
     q_star = np.concatenate([-p_star, np.ones(n)])
     # minimizer of the regularized empirical loss solves (K D_P K + n lam K) b
     # = K q; any solution of (D_P K + n lam I) b = q works and that system is
@@ -390,10 +383,7 @@ def fit_full(
 
 def eval_h_full(full: FullRankModel, z) -> Union[float, np.ndarray]:
     """Correction h of the dense fit at one point or a batch."""
-    pts = np.asarray(z, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    pts, single = _query_points(full.points.shape[1], z)
     zs = full.standardizer.apply(pts) if full.standardizer is not None else pts
     vals = cross_kernel_matrix(full.kernel, zs, full.points) @ full.beta
     return float(vals[0]) if single else vals
@@ -474,8 +464,8 @@ def cross_validate(
     dense in lambda cost little extra.  Ties resolve to the earliest grid
     entry.
     """
-    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
-    n = min(sp.n, sq.n)
+    pts_p, pts_q = _common_size(sample_p, sample_q)
+    n = pts_p.shape[0]
     if folds < 2 or folds > n:
         raise ValueError("folds must lie in [2, n]")
     if len(grid) == 0:
@@ -494,8 +484,8 @@ def cross_validate(
         val_p_idx, val_q_idx = chunks_p[f], chunks_q[f]
         tr_p_idx = np.concatenate([chunks_p[j] for j in range(folds) if j != f])
         tr_q_idx = np.concatenate([chunks_q[j] for j in range(folds) if j != f])
-        tr_p, tr_q = sp.points[:n][tr_p_idx], sq.points[:n][tr_q_idx]
-        va_p, va_q = sp.points[:n][val_p_idx], sq.points[:n][val_q_idx]
+        tr_p, tr_q = pts_p[tr_p_idx], pts_q[tr_q_idx]
+        va_p, va_q = pts_p[val_p_idx], pts_q[val_q_idx]
         for kern in kernels_in_order:
             dec = _decompose(
                 tr_p,
@@ -524,15 +514,25 @@ def cross_validate(
 # field order) so identical fits produce identical bytes
 
 _MAGIC = b"KDM\x01"
-_ARRAY_FIELDS = ("pivot_points", "pivots", "beta", "w", "L_P", "L_Q", "R", "p_star_train")
+_FORMAT = 2
+# name -> (dtype, axes): "m" is the rank, len(pivots), and "d" the data
+# dimension; no array grows with the training sample size n
+_ARRAYS = {
+    "pivot_points": ("f8", ("m", "d")),
+    "pivots": ("i8", ("m",)),
+    "beta": ("f8", ("m",)),
+    "w": ("f8", ("m",)),
+    "moment_gap": ("f8", ("m",)),
+    "covariance": ("f8", ("m", "m")),
+}
 
 
 def save_model(model: KdmModel, path: str) -> None:
-    """Write the model as a self-contained binary bundle."""
+    """Write the model as a self-contained binary bundle of O(m^2 + md) bytes."""
     if model.prior.kind == "custom":
         raise ValueError("custom prior evaluators cannot be serialized; refit with zero/one prior")
     header = {
-        "format": 1,
+        "format": _FORMAT,
         "kernel": model.kernel.to_dict(),
         "lam": model.lam,
         "prior": {"kind": model.prior.kind, "pi_inf": model.prior.pi_inf},
@@ -551,10 +551,8 @@ def save_model(model: KdmModel, path: str) -> None:
         "arrays": [],
     }
     blobs = []
-    for name in _ARRAY_FIELDS:
-        arr = np.ascontiguousarray(getattr(model, name))
-        dtype = "i8" if name == "pivots" else "f8"
-        arr = arr.astype(np.int64 if dtype == "i8" else np.float64)
+    for name, (dtype, _) in _ARRAYS.items():
+        arr = np.ascontiguousarray(getattr(model, name), dtype=np.int64 if dtype == "i8" else np.float64)
         header["arrays"].append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -574,15 +572,19 @@ def _check_remaining(fh, size: int, count: int, path: str, what: str) -> None:
 
 def _read_array(fh, size: int, meta, path: str) -> tuple[str, np.ndarray]:
     """One array of the bundle, checked against its declared name, dtype and shape."""
-    if not isinstance(meta, dict) or meta.get("name") not in _ARRAY_FIELDS:
+    if not isinstance(meta, dict) or meta.get("name") not in _ARRAYS:
         raise ValueError(f"{path}: field 'arrays' has an entry that names no model array: {meta!r}")
     name = meta["name"]
-    expected = "i8" if name == "pivots" else "f8"
+    expected, axes = _ARRAYS[name]
     if meta.get("dtype") != expected:
         raise ValueError(f"{path}: array {name!r} has dtype {meta.get('dtype')!r}, expected {expected!r}")
     shape = meta.get("shape")
-    if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
-        raise ValueError(f"{path}: array {name!r} has invalid shape {shape!r}")
+    if (
+        not isinstance(shape, list)
+        or len(shape) != len(axes)
+        or not all(type(k) is int and k >= 0 for k in shape)
+    ):
+        raise ValueError(f"{path}: array {name!r} has invalid shape {shape!r}, expected {len(axes)} sizes")
     _check_remaining(fh, size, 8 * math.prod(shape), path, f"array {name!r} of shape {shape}")
     arr = np.empty(shape, dtype=np.int64 if expected == "i8" else np.float64)
     if arr.nbytes:
@@ -590,12 +592,31 @@ def _read_array(fh, size: int, meta, path: str) -> tuple[str, np.ndarray]:
     return name, arr
 
 
+def _check_consistency(header: dict, arrays: dict, path: str) -> None:
+    """The arrays against each other and against the header fields they share a size with."""
+    m = arrays["pivots"].shape[0]
+    for name, (_, axes) in _ARRAYS.items():
+        shape = arrays[name].shape
+        if any(axis == "m" and size != m for size, axis in zip(shape, axes)):
+            raise ValueError(f"{path}: array {name!r} has shape {list(shape)}, but the rank is {m}")
+    std, d = header.get("standardizer"), arrays["pivot_points"].shape[1]
+    if std is not None and (
+        not isinstance(std, dict) or [np.shape(std.get("mean")), np.shape(std.get("scale"))] != [(d,), (d,)]
+    ):
+        raise ValueError(f"{path}: field 'standardizer' must hold a mean and a scale for each of the {d} columns")
+    n = header.get("n")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{path}: field 'n' is {n!r}; expected an integer >= 1")
+
+
 def load_model(path: str) -> KdmModel:
     """Read a bundle written by :func:`save_model`.
 
     Raises ValueError, naming the file and the offending field, when the
-    magic, the format, an array's dtype or shape, or the byte count differ
-    from what :func:`save_model` writes.
+    magic, the format, an array's dtype or shape, the byte count, or the
+    sizes the arrays and the header share differ from what
+    :func:`save_model` writes.  Bundles of the older format 1, which stored
+    n-row factor blocks, are rejected: refit the model to write format 2.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -610,16 +631,20 @@ def load_model(path: str) -> KdmModel:
             raise ValueError(f"{path}: header is not valid JSON: {exc}") from exc
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is not a JSON object")
-        if header.get("format") != 1:
-            raise ValueError(f"{path}: field 'format' is {header.get('format')!r}; this version reads format 1")
+        if header.get("format") != _FORMAT:
+            raise ValueError(
+                f"{path}: field 'format' is {header.get('format')!r}; this version reads format {_FORMAT} "
+                "only, so refit the model to write a new bundle"
+            )
         metas = header.get("arrays")
         if not isinstance(metas, list):
             raise ValueError(f"{path}: field 'arrays' is missing or not a list")
         arrays = dict(_read_array(fh, size, meta, path) for meta in metas)
-        if len(metas) != len(_ARRAY_FIELDS) or len(arrays) != len(_ARRAY_FIELDS):
-            raise ValueError(f"{path}: field 'arrays' must list {', '.join(_ARRAY_FIELDS)} once each")
+        if len(metas) != len(_ARRAYS) or len(arrays) != len(_ARRAYS):
+            raise ValueError(f"{path}: field 'arrays' must list {', '.join(_ARRAYS)} once each")
         if fh.tell() != size:
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
+    _check_consistency(header, arrays, path)
     try:
         return _model_from_bundle(header, arrays)
     except KeyError as exc:
@@ -633,15 +658,7 @@ def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
         kernel=KernelSpec.from_dict(header["kernel"]),
         lam=float(header["lam"]),
         prior=prior,
-        pivot_points=arrays["pivot_points"],
-        pivots=arrays["pivots"],
-        beta=arrays["beta"],
-        w=arrays["w"],
-        L_P=arrays["L_P"],
-        L_Q=arrays["L_Q"],
-        R=arrays["R"],
-        p_star_train=arrays["p_star_train"],
-        n=int(header["n"]),
+        n=header["n"],
         epsilon=float(header["epsilon"]),
         residual_trace=float(header["residual_trace"]),
         kappa_inf=float(header["kappa_inf"]),
@@ -651,4 +668,5 @@ def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
         ),
         hit_rank_cap=bool(header["hit_rank_cap"]),
         seed=header["seed"],
+        **arrays,
     )

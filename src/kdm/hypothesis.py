@@ -1,11 +1,12 @@
 """Chi-square test of a prior density-ratio guess against two samples.
 
 Under the null dQ/dP = prior, the scaled moment-gap vector of a fitted model
-is asymptotically Gaussian with a covariance that can be estimated from the
-same decomposition.  Summing squared standardized principal components gives
-a statistic with a chi-square(ell) limit, where ell counts the eigenvalues
-kept by a truncation rule.  Neither the vector nor the covariance depends on
-the ridge parameter, so the test needs no lambda tuning.
+is asymptotically Gaussian with a covariance estimated from the same
+decomposition; the fit keeps both, as ``moment_gap`` and ``covariance``.
+Summing squared standardized principal components gives a statistic with a
+chi-square(ell) limit, where ell counts the eigenvalues kept by a truncation
+rule.  Neither the vector nor the covariance depends on the ridge parameter,
+so the test needs no lambda tuning.
 """
 
 from __future__ import annotations
@@ -30,26 +31,6 @@ def chi_square_upper_tail(x: float, dof: int) -> float:
     if x < 0:
         raise ValueError("x must be >= 0")
     return float(scipy.special.gammaincc(dof / 2.0, x / 2.0))
-
-
-def sample_variable(model: KdmModel) -> np.ndarray:
-    """Scaled moment gap n^{-1/2} (L_Q^T 1 - L_P^T p*); zero-mean under the null."""
-    n = model.n
-    return (model.L_Q.T @ np.ones(n) - model.L_P.T @ model.p_star_train) / np.sqrt(n)
-
-
-def covariance_matrix(model: KdmModel) -> np.ndarray:
-    """Plug-in covariance of the sample variable, symmetrized."""
-    n = model.n
-    lq1 = model.L_Q.T @ np.ones(n)
-    lpp = model.L_P.T @ model.p_star_train
-    sig = (
-        model.L_Q.T @ model.L_Q / n
-        - np.outer(lq1, lq1) / n**2
-        + (model.L_P * model.p_star_train[:, None] ** 2).T @ model.L_P / n
-        - np.outer(lpp, lpp) / n**2
-    )
-    return 0.5 * (sig + sig.T)
 
 
 @dataclass
@@ -155,9 +136,9 @@ def run_test(
     finite-sample norm check at that confidence level, with the larger of the
     requested tolerance and the residual trace reached as its epsilon.
     """
-    v = sample_variable(model)
-    sig = covariance_matrix(model)
-    eig, vec = np.linalg.eigh(sig)
+    # scaled moment gap n^{-1/2} (L_Q^T 1 - L_P^T p*), zero-mean under the null
+    v = model.moment_gap / np.sqrt(model.n)
+    eig, vec = np.linalg.eigh(model.covariance)
     eig, vec = eig[::-1].copy(), vec[:, ::-1]
     if eig.size and eig[0] > 0:
         eig[eig < EIG_FLOOR_REL * eig[0]] = 0.0

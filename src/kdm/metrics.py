@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -30,29 +30,37 @@ class ForecastRecord:
             raise ValueError("mean, cov, realized have inconsistent dimensions")
 
 
-def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
+def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = None) -> Union[float, np.ndarray]:
     """Weighted-ensemble energy score of outcome y against candidates xs.
 
     (1/m) sum_i w_i ||y - x_i||  -  1/(2 m^2) sum_ij w_i w_j ||x_i - x_j||.
     Unit weights recover the plain Monte Carlo energy score; importance
-    weights must be scaled so their mean is one to stay comparable.
+    weights must be scaled so their mean is one to stay comparable.  A 2-d
+    ``y`` holds Q outcomes, one per row, scored against the same candidates
+    with one row of ``weights`` each (shape (Q, m)); the pairwise candidate
+    distances are computed once and the Q scores are returned as an array.
     """
-    yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    yv = np.asarray(y, dtype=np.float64)
+    single = yv.ndim < 2
+    ys = np.atleast_1d(yv)[None, :] if single else yv
     pts = np.asarray(xs, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    m = pts.shape[0]
-    if pts.shape[1] != yv.shape[0]:
+    q, m = ys.shape[0], pts.shape[0]
+    if ys.ndim != 2 or pts.shape[1] != ys.shape[1]:
         raise ValueError("candidate dimension differs from outcome")
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (m,):
-        raise ValueError("weights must have one entry per candidate")
+    w = np.ones((q, m)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if single and weights is not None:
+        w = w[None, :]
+    if w.shape != (q, m):
+        raise ValueError("weights must have one entry per candidate (and one row per outcome)")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    misfit = float(w @ np.linalg.norm(pts - yv, axis=1)) / m
+    misfit = np.sum(w * np.linalg.norm(pts[None, :, :] - ys[:, None, :], axis=2), axis=1) / m
     diff = pts[:, None, :] - pts[None, :, :]
-    spread = float(w @ np.sqrt(np.sum(diff**2, axis=2)) @ w) / (2.0 * m**2)
-    return misfit - spread
+    spread = np.sum((w @ np.sqrt(np.sum(diff**2, axis=2))) * w, axis=1) / (2.0 * m**2)
+    scores = misfit - spread
+    return float(scores[0]) if single else scores
 
 
 def energy_score_differential(baseline_scores: Sequence[float], method_scores: Sequence[float]) -> float:

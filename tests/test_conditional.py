@@ -84,6 +84,10 @@ def test_degenerate_weights_fall_back_to_uniform():
         w, degenerate = conditional_weights(cm, np.array([0.0]), return_degenerate=True)
     assert degenerate
     np.testing.assert_allclose(w, np.full(w.shape, 1.0 / w.shape[0]))
+    with pytest.warns(RuntimeWarning):
+        mean, _, degenerate = conditional_moments(cm, np.array([0.0]), return_degenerate=True)
+    assert degenerate
+    np.testing.assert_allclose(mean, cm.y_grid.mean(axis=0), rtol=1e-12)
 
 
 def test_expectation_of_ones_is_one():
@@ -103,6 +107,10 @@ def test_moments_shapes_and_psd():
     )
     mean, cov = conditional_moments(cm, np.array([0.0]))
     assert mean.shape == (2,) and cov.shape == (2, 2)
+    flagged = conditional_moments(cm, np.array([0.0]), return_degenerate=True)
+    np.testing.assert_array_equal(flagged[0], mean)
+    np.testing.assert_array_equal(flagged[1], cov)
+    assert flagged[2] is False
     np.testing.assert_allclose(cov, cov.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
 

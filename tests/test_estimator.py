@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kdm import estimator
 from kdm.estimator import (
     PriorSpec,
     cross_validate,
@@ -19,7 +24,9 @@ from kdm.estimator import (
     save_model,
     validation_loss,
 )
+from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec, cross_kernel_matrix
+from kdm.lowrank import KernelOracle, pivoted_cholesky
 
 
 def bernoulli_samples(p_head, q_head, n, rng):
@@ -75,8 +82,12 @@ def test_huge_ridge_shrinks_to_prior():
     rng = np.random.default_rng(1)
     p, q = rng.normal(0, 1, (100, 1)), rng.normal(1, 1, (100, 1))
     model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e12)
-    rhs = model.L_Q.T @ np.ones(model.n) - model.L_P.T @ model.p_star_train
-    assert np.linalg.norm(model.beta) <= 1e-6 * np.linalg.norm(rhs)
+    # the stored right-hand side is L_Q^T 1 - L_P^T p* of the same factors
+    f = pivoted_cholesky(KernelOracle(model.kernel, np.vstack([p, q])), model.epsilon)
+    np.testing.assert_array_equal(f.pivots, model.pivots)
+    rhs = f.L[100:].T @ np.ones(100) - f.L[:100].T @ np.ones(100)
+    np.testing.assert_allclose(model.moment_gap, rhs, rtol=1e-12, atol=1e-12)
+    assert np.linalg.norm(model.beta) <= 1e-6 * np.linalg.norm(model.moment_gap)
 
 
 def test_fit_is_deterministic():
@@ -214,6 +225,43 @@ def test_cross_validate_tie_goes_to_first_entry():
     assert res.lam == 1e-3
 
 
+def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
+    # the solves of one fold share a cached Gram; each must give the bits of
+    # a fresh fit at its lambda, so adding n*lam*I may never touch the cache
+    rng = np.random.default_rng(23)
+    p, q = rng.normal(0, 1, (90, 2)), rng.normal(0.4, 1, (90, 2))
+    spec = KernelSpec("gaussian", rho=1.0)
+    lambdas = [1e-1, 1e-4, 1e-2, 1e-4]
+    folds, losses = [], []
+
+    def spy_decompose(tr_p, tr_q, kern, **kwargs):
+        folds.append((tr_p, tr_q))
+        return real_decompose(tr_p, tr_q, kern, **kwargs)
+
+    def spy_loss(model, va_p, va_q):
+        loss = real_loss(model, va_p, va_q)
+        losses.append((folds[-1], model.lam, va_p, va_q, loss))
+        return loss
+
+    real_decompose, real_loss = estimator._decompose, estimator.validation_loss
+    monkeypatch.setattr(estimator, "_decompose", spy_decompose)
+    monkeypatch.setattr(estimator, "validation_loss", spy_loss)
+    cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=5)
+    monkeypatch.undo()
+    assert len(folds) == 3 and len(losses) == 3 * len(lambdas)
+    for (tr_p, tr_q), lam, va_p, va_q, loss in losses:
+        assert validation_loss(fit(tr_p, tr_q, spec, lam), va_p, va_q) == loss
+
+
+def test_cross_validate_unequal_sizes_truncate_with_warning():
+    rng = np.random.default_rng(24)
+    p, q = rng.normal(0, 1, (50, 1)), rng.normal(0, 1, (40, 1))
+    grid = [(KernelSpec("gaussian"), 1e-2)]
+    with pytest.warns(RuntimeWarning, match="truncating both to 40"):
+        res = cross_validate(p, q, grid, folds=4, seed=0)
+    np.testing.assert_array_equal(res.mean_losses, cross_validate(p[:40], q, grid, folds=4, seed=0).mean_losses)
+
+
 def test_cross_validate_guards():
     rng = np.random.default_rng(17)
     p = rng.normal(0, 1, (30, 1))
@@ -305,8 +353,9 @@ def test_load_rejects_trailing_bytes(tmp_path):
 
 def test_load_rejects_wrong_format(tmp_path):
     path, _, header, body = _bundle(tmp_path)
-    _rewrite(path, {**header, "format": 2}, body)
-    with pytest.raises(ValueError, match=r"model\.kdm: field 'format' is 2"):
+    assert header["format"] == 2
+    _rewrite(path, {**header, "format": 1}, body)
+    with pytest.raises(ValueError, match=r"model\.kdm: field 'format' is 1; .* refit the model"):
         load_model(path)
     del header["format"]
     _rewrite(path, header, body)
@@ -323,19 +372,94 @@ def test_load_rejects_bad_dtype_and_shape(tmp_path):
         load_model(path)
     # a declared shape larger than the bytes that follow, or smaller
     arrays = [dict(meta) for meta in header["arrays"]]
-    assert arrays[-1]["name"] == "p_star_train"
-    arrays[-1]["shape"] = [arrays[-1]["shape"][0] + 1]
+    assert arrays[-1]["name"] == "covariance"
+    arrays[-1]["shape"] = [arrays[-1]["shape"][0] + 1, arrays[-1]["shape"][1]]
     _rewrite(path, {**header, "arrays": arrays}, body)
-    with pytest.raises(ValueError, match=r"truncated bundle: array 'p_star_train' of shape"):
+    with pytest.raises(ValueError, match=r"truncated bundle: array 'covariance' of shape"):
         load_model(path)
     arrays = [dict(meta) for meta in header["arrays"]]
-    arrays[4]["shape"] = [arrays[4]["shape"][0] - 1, arrays[4]["shape"][1]]
+    arrays[0]["shape"] = [arrays[0]["shape"][0] - 1, arrays[0]["shape"][1]]
     _rewrite(path, {**header, "arrays": arrays}, body)
     with pytest.raises(ValueError, match="trailing bytes"):
         load_model(path)
     arrays = [dict(meta) for meta in header["arrays"]]
-    arrays[4]["shape"] = [-1, 3]
+    arrays[0]["shape"] = [-1, 3]
     _rewrite(path, {**header, "arrays": arrays}, body)
-    with pytest.raises(ValueError, match="array 'L_P' has invalid shape"):
+    with pytest.raises(ValueError, match="array 'pivot_points' has invalid shape"):
         load_model(path)
+    arrays = [dict(meta) for meta in header["arrays"]]
+    arrays[0]["shape"] = [math.prod(arrays[0]["shape"])]
+    _rewrite(path, {**header, "arrays": arrays}, body)
+    with pytest.raises(ValueError, match="array 'pivot_points' has invalid shape .*, expected 2 sizes"):
+        load_model(path)
+
+
+def _reshaped(header, **shapes):
+    """The header with some arrays' declared shapes replaced (same byte count)."""
+    arrays = [dict(meta, shape=shapes.get(meta["name"], meta["shape"])) for meta in header["arrays"]]
+    return {**header, "arrays": arrays}
+
+
+def test_load_rejects_rank_axis_mismatch(tmp_path):
+    path, _, header, body = _bundle(tmp_path)
+    m = next(meta["shape"][0] for meta in header["arrays"] if meta["name"] == "pivots")
+    _rewrite(path, _reshaped(header, beta=[m - 1], w=[m + 1]), body)
+    with pytest.raises(ValueError, match=rf"model\.kdm: array 'beta' has shape \[{m - 1}\], but the rank is {m}"):
+        load_model(path)
+
+
+def test_load_rejects_non_square_covariance(tmp_path):
+    path, _, header, body = _bundle(tmp_path)
+    m = next(meta["shape"][0] for meta in header["arrays"] if meta["name"] == "pivots")
+    _rewrite(path, _reshaped(header, covariance=[1, m * m]), body)
+    with pytest.raises(ValueError, match=rf"model\.kdm: array 'covariance' has shape \[1, {m * m}\], but the rank"):
+        load_model(path)
+
+
+def test_load_rejects_standardizer_of_other_dimension(tmp_path):
+    path, _, header, body = _bundle(tmp_path)
+    assert header["standardizer"] is None
+    _rewrite(path, {**header, "standardizer": {"mean": [0.0] * 3, "scale": [1.0] * 3}}, body)
+    with pytest.raises(ValueError, match=r"model\.kdm: field 'standardizer' .* 2 columns"):
+        load_model(path)
+    _rewrite(path, {**header, "standardizer": {"mean": [0.0, 0.0], "scale": [1.0]}}, body)
+    with pytest.raises(ValueError, match="field 'standardizer'"):
+        load_model(path)
+
+
+def test_load_rejects_invalid_sample_size(tmp_path):
+    path, _, header, body = _bundle(tmp_path)
+    for bad in (0, -3, 2.5, "40", True, None):
+        _rewrite(path, {**header, "n": bad}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: field 'n' is .*; expected an integer >= 1"):
+            load_model(path)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    d=st.integers(1, 3),
+    family=st.sampled_from(["gaussian", "laplace", "polynomial"]),
+    prior=st.sampled_from(["one", "zero"]),
+    standardize=st.booleans(),
+    cap=st.one_of(st.none(), st.integers(1, 10)),
+)
+def test_bundle_round_trip_is_exact(tmp_path_factory, seed, n, d, family, prior, standardize, cap):
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(0, 1, (n, d)), rng.normal(0.3, 1.2, (n, d))
+    spec = KernelSpec(family, rho=float(rng.uniform(0.3, 2.0)), c=1.0, q=2)
+    model = fit(
+        p, q, spec, 1e-2, prior=getattr(PriorSpec, prior)(), standardize=standardize, max_rank=cap
+    )
+    path = str(tmp_path_factory.mktemp("bundle") / "model.kdm")
+    save_model(model, path)
+    loaded = load_model(path)
+    again = path + ".again"
+    save_model(loaded, again)
+    assert open(path, "rb").read() == open(again, "rb").read()
+    for args in (("relative", 1e-9, None), ("explained", 0.9, 0.1)):
+        a, b = run_test(model, *args), run_test(loaded, *args)
+        for f in dataclasses.fields(a):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 

@@ -8,12 +8,11 @@ from kdm.hypothesis import (
     C_coefficients,
     _truncation_length,
     chi_square_upper_tail,
-    covariance_matrix,
     finite_sample_bound,
     run_test,
-    sample_variable,
 )
 from kdm.kernels import KernelSpec, cross_kernel_matrix
+from kdm.lowrank import KernelOracle, pivoted_cholesky
 
 
 def poisson_sum_upper_tail(x, dof):
@@ -51,6 +50,13 @@ def fitted_model(seed=0, n=150, shift=0.0, lam=1e-3):
     return fit(p, q, KernelSpec("gaussian", rho=1.0), lam=lam)
 
 
+def refactor(model, p, q):
+    """Pivoted Cholesky factors of the model's stacked sample, recomputed."""
+    f = pivoted_cholesky(KernelOracle(model.kernel, np.vstack([p, q])), model.epsilon)
+    np.testing.assert_array_equal(f.pivots, model.pivots)
+    return f
+
+
 def test_sample_variable_via_kernel_identity():
     # L = K[:, piv] R, so the moment gap can be recomputed from raw kernel
     # columns at the pivots
@@ -58,18 +64,22 @@ def test_sample_variable_via_kernel_identity():
     p = rng.normal(0.0, 1.0, (120, 2))
     q = rng.normal(0.3, 1.0, (120, 2))
     model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3)
+    r = refactor(model, p, q).R
     k_q = cross_kernel_matrix(model.kernel, model.pivot_points, q)
     k_p = cross_kernel_matrix(model.kernel, model.pivot_points, p)
-    direct = model.R.T @ (k_q @ np.ones(120) - k_p @ model.p_star_train) / np.sqrt(120)
-    np.testing.assert_allclose(sample_variable(model), direct, rtol=1e-7, atol=1e-9)
+    direct = r.T @ (k_q @ np.ones(120) - k_p @ np.ones(120))
+    np.testing.assert_allclose(model.moment_gap / np.sqrt(120), direct / np.sqrt(120), rtol=1e-7, atol=1e-9)
 
 
 def test_covariance_matches_empirical_covariances():
-    model = fitted_model(seed=11, n=100, shift=0.2)
-    expected = np.cov(model.L_Q.T, bias=True) + np.cov(
-        (model.L_P * model.p_star_train[:, None]).T, bias=True
-    )
-    sig = covariance_matrix(model)
+    rng = np.random.default_rng(11)
+    p = rng.normal(0.0, 1.0, (100, 2))
+    q = rng.normal(0.2, 1.0, (100, 2))
+    model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3)
+    l = refactor(model, p, q).L
+    l_p, l_q, p_star = l[:100], l[100:], np.ones(100)
+    expected = np.cov(l_q.T, bias=True) + np.cov((l_p * p_star[:, None]).T, bias=True)
+    sig = model.covariance
     np.testing.assert_allclose(sig, expected, rtol=1e-10, atol=1e-14)
     np.testing.assert_array_equal(sig, sig.T)
     assert np.min(np.linalg.eigvalsh(sig)) >= -1e-10

@@ -46,6 +46,30 @@ def test_energy_score_matches_crps_for_normal_forecast():
         assert energy_score(y, draws) == pytest.approx(crps, abs=0.02)
 
 
+def test_energy_score_batch_matches_rows():
+    # a batch of outcomes scores each row by the single-outcome formula
+    rng = np.random.default_rng(1)
+    xs, ys = rng.normal(0, 1, (40, 2)), rng.normal(0, 1, (7, 2))
+    weights = rng.uniform(0, 2, (7, 40))
+    pair = np.array([[np.linalg.norm(a - b) for b in xs] for a in xs])
+    for w in (weights, np.ones((7, 40))):
+        rows = [wi @ np.linalg.norm(xs - y, axis=1) / 40 - wi @ pair @ wi / (2 * 40**2) for wi, y in zip(w, ys)]
+        batch = energy_score(ys, xs, w)
+        assert batch.shape == (7,)
+        np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose([energy_score(y, xs, wi) for wi, y in zip(w, ys)], rows, rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(energy_score(ys, xs), energy_score(ys, xs, np.ones((7, 40))))
+    assert isinstance(energy_score(ys[0], xs, weights[0]), float)
+    with pytest.raises(ValueError):
+        energy_score(ys, xs, weights[0])
+    with pytest.raises(ValueError):
+        energy_score(ys, xs, weights[:, :5])
+    with pytest.raises(ValueError):
+        energy_score(ys, xs, -weights)
+    with pytest.raises(ValueError):
+        energy_score(ys[:, :1], xs)
+
+
 def test_energy_score_guards():
     with pytest.raises(ValueError):
         energy_score(np.array([0.0, 1.0]), np.zeros((4, 3)))
