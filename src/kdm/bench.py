@@ -237,8 +237,7 @@ def mixture_energy_study(
         )
 
         grid = cmodel.y_grid
-        m = grid.shape[0]
-        weights = np.array([conditional_weights(cmodel, x) * m for x in test.x])  # mean-one scaling
+        weights = conditional_weights(cmodel, test.x) * grid.shape[0]  # mean-one scaling
         es_cond = energy_score(test.y, grid, weights)
         es_unif = energy_score(test.y, grid)
         diffs[r] = float(np.mean(es_unif - es_cond))

@@ -389,12 +389,8 @@ def _cmd_condexp(args) -> dict:
         + [f"cov{i + 1}_{j + 1}" for i in range(d_y) for j in range(d_y)]
         + ["degenerate"]
     )
-    rows = np.empty((queries.shape[0], d_y + d_y * d_y + 1))
-    n_degenerate = 0
-    for i, x in enumerate(queries):
-        mean, cov, degenerate = conditional_moments(cmodel, x, return_degenerate=True)
-        rows[i] = np.concatenate([mean, cov.reshape(-1), [float(degenerate)]])
-        n_degenerate += int(degenerate)
+    mean, cov, degenerate = conditional_moments(cmodel, queries, return_degenerate=True)
+    rows = np.hstack([mean, cov.reshape(queries.shape[0], -1), degenerate[:, None]])
     _write_csv(args.out, header, rows)
     return {
         "joint": args.joint,
@@ -404,7 +400,7 @@ def _cmd_condexp(args) -> dict:
         "rank": cmodel.base.rank,
         "grid_size": int(cmodel.y_grid.shape[0]),
         "queries": int(queries.shape[0]),
-        "degenerate_queries": n_degenerate,
+        "degenerate_queries": int(degenerate.sum()),
         "out": args.out,
     }
 

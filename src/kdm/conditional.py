@@ -15,10 +15,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimator import KdmModel, PriorSpec, eval_density_ratio, fit
-from .kernels import Dataset, KernelSpec
+from .kernels import Dataset, KernelSpec, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
 DEFAULT_GRID_CAP = 2000
+# kernel entries per block when the ratio matrix cannot be factorised: 1 MB
+# of float64; blocks of 8 MB ran about twice as slow, out of cache
+_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -159,35 +162,81 @@ def fit_conditional(
     return ConditionalModel(base=model, y_grid=y_grid, scheme=scheme)
 
 
+def _query_rows(cmodel: ConditionalModel, x) -> tuple[np.ndarray, bool]:
+    """Queries as a (Q, d_x) array, and whether a single x was given."""
+    xv = np.asarray(x, dtype=np.float64)
+    single = xv.ndim <= 1
+    rows = np.atleast_1d(xv)[None, :] if single else xv
+    if rows.ndim != 2 or rows.shape[1] != cmodel.d_x:
+        raise ValueError(f"x must be a vector of dimension {cmodel.d_x} or a batch of such rows")
+    return rows, single
+
+
+def _ratio_matrix(cmodel: ConditionalModel, xs: np.ndarray) -> np.ndarray:
+    """Estimated ratio at every (query, grid point) pair, as a (Q, G) array."""
+    base, grid = cmodel.base, cmodel.y_grid
+    d_x = cmodel.d_x
+    if base.kernel.family == "gaussian" and base.prior.kind in ("zero", "one"):
+        # k((x, y), (x', y')) = k_x(x, x') k_y(y, y') on the stacked
+        # coordinates, also after per-column standardization, so the whole
+        # matrix is one product of an x block and a y block
+        if base.standardizer is not None:
+            xs = (xs - base.standardizer.mean[:d_x]) / base.standardizer.scale[:d_x]
+            grid = (grid - base.standardizer.mean[d_x:]) / base.standardizer.scale[d_x:]
+        piv = base.pivot_points
+        k_x = cross_kernel_matrix(base.kernel, xs, piv[:, :d_x])
+        k_y = cross_kernel_matrix(base.kernel, grid, piv[:, d_x:])
+        vals = (k_x * base.beta) @ k_y.T
+        return vals + 1.0 if base.prior.kind == "one" else vals
+    # other kernels and custom priors do not factorise: evaluate the ratio on
+    # the stacked pairs, a bounded number of kernel entries at a time
+    g = grid.shape[0]
+    step = max(1, _BLOCK_ENTRIES // (g * base.rank))
+    vals = np.empty((xs.shape[0], g))
+    for start in range(0, xs.shape[0], step):
+        block = xs[start : start + step]
+        pairs = np.hstack([np.repeat(block, g, axis=0), np.tile(grid, (block.shape[0], 1))])
+        vals[start : start + step] = eval_density_ratio(base, pairs).reshape(block.shape[0], g)
+    return vals
+
+
 def conditional_weights(
     cmodel: ConditionalModel,
     x: np.ndarray,
     return_degenerate: bool = False,
-) -> Union[np.ndarray, tuple[np.ndarray, bool]]:
+) -> Union[np.ndarray, tuple[np.ndarray, Union[bool, np.ndarray]]]:
     """Normalized nonnegative weights over the y grid at predictor value x.
 
+    ``x`` is one query of shape (d_x,), giving weights of shape (G,), or a
+    batch of shape (Q, d_x), giving one row of weights per query, (Q, G).
     Estimated ratio values at (x, y_i) are clipped at zero and normalized to
-    sum to one.  If everything clips away the weights fall back to uniform
-    and the optional degenerate flag is set.
+    sum to one.  A row whose values all clip away falls back to uniform
+    weights; one RuntimeWarning per call says how many rows did, and the
+    optional degenerate flag (a bool, or a bool array for a batch) marks them.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xv.ndim != 1 or xv.shape[0] != cmodel.d_x:
-        raise ValueError(f"x must be a vector of dimension {cmodel.d_x}")
-    grid = cmodel.y_grid
-    pairs = np.hstack([np.tile(xv, (grid.shape[0], 1)), grid])
-    vals = np.maximum(eval_density_ratio(cmodel.base, pairs), 0.0)
-    total = float(vals.sum())
-    degenerate = not total > 0
-    if degenerate:
-        warnings.warn("all ratio values clipped to zero; using uniform weights", RuntimeWarning)
-        weights = np.full(grid.shape[0], 1.0 / grid.shape[0])
-    else:
-        weights = vals / total
+    xs, single = _query_rows(cmodel, x)
+    vals = np.maximum(_ratio_matrix(cmodel, xs), 0.0)
+    totals = vals.sum(axis=1)
+    degenerate = ~(totals > 0)
+    weights = vals / np.where(degenerate, 1.0, totals)[:, None]
+    if degenerate.any():
+        warnings.warn(
+            f"{int(degenerate.sum())} of {xs.shape[0]} queries had all ratio values clipped to zero; "
+            "using uniform weights for them",
+            RuntimeWarning,
+        )
+        weights[degenerate] = 1.0 / weights.shape[1]
+    if single:
+        weights, degenerate = weights[0], bool(degenerate[0])
     return (weights, degenerate) if return_degenerate else weights
 
 
 def conditional_expectation(cmodel: ConditionalModel, x: np.ndarray, f_values: np.ndarray) -> Union[float, np.ndarray]:
-    """Weighted average of f over the y grid: estimates E[f(Y) | X = x]."""
+    """Weighted average of f over the y grid: estimates E[f(Y) | X = x].
+
+    One x gives a float (or a vector for vector-valued f); a batch of Q rows
+    gives one value (or vector) per row.
+    """
     fv = np.asarray(f_values, dtype=np.float64)
     if fv.shape[0] != cmodel.y_grid.shape[0]:
         raise ValueError("f_values must have one entry per grid point")
@@ -200,14 +249,19 @@ def conditional_moments(
     cmodel: ConditionalModel,
     x: np.ndarray,
     return_degenerate: bool = False,
-) -> Union[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, bool]]:
+) -> Union[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Union[bool, np.ndarray]]]:
     """Conditional mean vector and covariance matrix of Y given X = x.
 
-    With ``return_degenerate`` the flag of :func:`conditional_weights` comes
-    third: set when the moments are those of the uniform fallback weights.
+    One x gives shapes (d_y,) and (d_y, d_y); a batch of Q rows gives
+    (Q, d_y) and (Q, d_y, d_y).  With ``return_degenerate`` the flag of
+    :func:`conditional_weights` comes third: set where the moments are those
+    of the uniform fallback weights.
     """
     w, degenerate = conditional_weights(cmodel, x, return_degenerate=True)
-    mean = w @ cmodel.y_grid
-    centered = cmodel.y_grid - mean
-    cov = (centered * w[:, None]).T @ centered
+    ws = np.atleast_2d(w)
+    mean = ws @ cmodel.y_grid
+    centered = cmodel.y_grid - mean[:, None, :]
+    cov = np.swapaxes(centered * ws[:, :, None], 1, 2) @ centered
+    if w.ndim == 1:
+        mean, cov = mean[0], cov[0]
     return (mean, cov, degenerate) if return_degenerate else (mean, cov)

@@ -140,7 +140,9 @@ class _Decomposition:
 
     ``gram`` (L_P^T L_P) and ``R`` are m x m and ``fields`` holds the
     lambda-independent fields of the model: no array has a row per training
-    point.  Every solve shares ``gram``, so it must not be modified.
+    point.  Every solve shares ``gram``, so it must not be modified.  The
+    fold decompositions of :func:`cross_validate` leave ``covariance`` None:
+    only ``beta`` of their solves is read.
     """
 
     gram: np.ndarray
@@ -162,6 +164,7 @@ def _decompose(
     max_rank: Optional[int] = None,
     standardize: bool = False,
     seed: Optional[int] = None,
+    _covariance: bool = True,
 ) -> _Decomposition:
     pts_p, pts_q = _common_size(sample_p, sample_q)
     n = pts_p.shape[0]
@@ -194,12 +197,15 @@ def _decompose(
     l_p, l_q, p_star = factors.L[:n], factors.L[n:], prior.evaluate(pts_p)
     lq1 = l_q.T @ np.ones(n)
     lpp = l_p.T @ p_star
-    sig = (
-        l_q.T @ l_q / n
-        - np.outer(lq1, lq1) / n**2
-        + (l_p * p_star[:, None] ** 2).T @ l_p / n
-        - np.outer(lpp, lpp) / n**2
-    )
+    covariance = None
+    if _covariance:
+        sig = (
+            l_q.T @ l_q / n
+            - np.outer(lq1, lq1) / n**2
+            + (l_p * p_star[:, None] ** 2).T @ l_p / n
+            - np.outer(lpp, lpp) / n**2
+        )
+        covariance = 0.5 * (sig + sig.T)
     return _Decomposition(
         gram=l_p.T @ l_p,
         R=factors.R,
@@ -209,7 +215,7 @@ def _decompose(
             pivot_points=zs[factors.pivots],
             pivots=factors.pivots,
             moment_gap=lq1 - lpp,
-            covariance=0.5 * (sig + sig.T),
+            covariance=covariance,
             n=n,
             epsilon=factors.epsilon,
             residual_trace=factors.residual_trace,
@@ -419,12 +425,34 @@ def validation_loss(model: KdmModel, val_p, val_q) -> float:
     vp, vq = _as_dataset(val_p), _as_dataset(val_q)
     if vp.d != model.d or vq.d != model.d:
         raise ValueError("validation sample dimension differs from model")
-    hp = eval_h(model, vp.points)
-    hq = eval_h(model, vq.points)
-    pbar = model.prior.evaluate(vp.points)
-    cross = float(hq.sum()) / vq.n - float(pbar @ hp) / vp.n
-    quad = float(hp @ hp) / vp.n
+    return _quadratic_loss(eval_h(model, vp.points), eval_h(model, vq.points), model.prior.evaluate(vp.points))
+
+
+def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> float:
+    """Validation loss from h at the P and Q points and the prior at the P points."""
+    cross = float(hq.sum()) / hq.shape[0] - float(pbar @ hp) / hp.shape[0]
+    quad = float(hp @ hp) / hp.shape[0]
     return -2.0 * cross + quad
+
+
+def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambdas: list) -> list:
+    """Validation loss of the solve at each lambda on one decomposition.
+
+    The validation points' kernel rows against the pivots and the prior at
+    the validation P points do not depend on lambda, so they are evaluated
+    once; each loss still equals :func:`validation_loss` of the solve.
+    """
+    std, piv = dec.fields["standardizer"], dec.fields["pivot_points"]
+    k_p, k_q = (
+        cross_kernel_matrix(dec.fields["kernel"], std.apply(va) if std is not None else va, piv)
+        for va in (va_p, va_q)
+    )
+    pbar = dec.fields["prior"].evaluate(va_p)
+    losses = []
+    for lam in lambdas:
+        beta = _solve(dec, lam).beta
+        losses.append(_quadratic_loss(k_p @ beta, k_q @ beta, pbar))
+    return losses
 
 
 @dataclass
@@ -460,9 +488,11 @@ def cross_validate(
 
     Folds are drawn once from ``seed`` and shared across the whole grid, with
     the i-th fold of the P-sample paired with the i-th fold of the Q-sample.
-    Decompositions are reused across lambda values within a fold, so grids
-    dense in lambda cost little extra.  Ties resolve to the earliest grid
-    entry.
+    Decompositions, the validation points' kernel rows against the pivots and
+    the prior at the validation P points are computed once per fold and
+    kernel and reused across lambda values, so grids dense in lambda cost
+    little extra.  Each loss equals :func:`validation_loss` of a fresh fit
+    on the training fold.  Ties resolve to the earliest grid entry.
     """
     pts_p, pts_q = _common_size(sample_p, sample_q)
     n = pts_p.shape[0]
@@ -497,10 +527,10 @@ def cross_validate(
                 strategy=strategy,
                 max_rank=max_rank,
                 standardize=standardize,
+                _covariance=False,
             )
-            for g, (gk, glam) in enumerate(grid):
-                if gk == kern:
-                    losses[g, f] = validation_loss(_solve(dec, glam), va_p, va_q)
+            rows = [g for g, (gk, _) in enumerate(grid) if gk == kern]
+            losses[rows, f] = _path_losses(dec, va_p, va_q, [grid[g][1] for g in rows])
 
     mean_losses = losses.mean(axis=1)
     if not np.all(np.isfinite(mean_losses)):

@@ -1,6 +1,14 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kdm.bench as bench
+import kdm.cli as cli
+import kdm.conditional as conditional
 from kdm.conditional import (
     JointDataset,
     _reservoir_indices,
@@ -10,8 +18,41 @@ from kdm.conditional import (
     fit_conditional,
     split_joint_sample,
 )
-from kdm.estimator import PriorSpec
+from kdm.estimator import PriorSpec, eval_density_ratio
 from kdm.kernels import KernelSpec
+
+
+def reference_weights(cmodel, x):
+    """Weights and degenerate flag of one query, evaluated pair by pair.
+
+    This is the per-query loop the batched weights replaced, kept as the
+    reference they are checked against.
+    """
+    grid = cmodel.y_grid
+    pairs = np.hstack([np.tile(x, (grid.shape[0], 1)), grid])
+    vals = np.maximum(eval_density_ratio(cmodel.base, pairs), 0.0)
+    total = float(vals.sum())
+    if not total > 0:
+        return np.full(grid.shape[0], 1.0 / grid.shape[0]), True
+    return vals / total, False
+
+
+def reference_batch(cmodel, xs):
+    out = [reference_weights(cmodel, x) for x in xs]
+    return np.array([w for w, _ in out]), np.array([flag for _, flag in out])
+
+
+def reference_moments(cmodel, xs, return_degenerate=True):
+    """Per-query moments and flags, as conditional_moments(..., return_degenerate=True) returns them."""
+    means, covs, flags = [], [], []
+    for x in xs:
+        w, flag = reference_weights(cmodel, x)
+        mean = w @ cmodel.y_grid
+        centered = cmodel.y_grid - mean
+        means.append(mean)
+        covs.append((centered * w[:, None]).T @ centered)
+        flags.append(flag)
+    return np.array(means), np.array(covs), np.array(flags)
 
 
 def test_joint_dataset_validation():
@@ -117,8 +158,138 @@ def test_moments_shapes_and_psd():
 
 def test_weights_reject_wrong_x_dimension():
     cm = fit_conditional(gaussian_joint(5, 120), KernelSpec("gaussian", rho=1.0), lam=1e-3)
-    with pytest.raises(ValueError):
-        conditional_weights(cm, np.array([0.0, 1.0]))
+    ones = np.ones(cm.y_grid.shape[0])
+    for bad in (np.array([0.0, 1.0]), np.zeros((3, 2)), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError):
+            conditional_weights(cm, bad)
+        with pytest.raises(ValueError):
+            conditional_moments(cm, bad)
+        with pytest.raises(ValueError):
+            conditional_expectation(cm, bad, ones)
+
+
+def test_batch_shapes_and_single_form():
+    cm = fit_conditional(gaussian_joint(9, 300), KernelSpec("gaussian", rho=1.0), lam=1e-3)
+    g = cm.y_grid.shape[0]
+    xs = np.array([[-0.5], [0.0], [0.7]])
+    w = conditional_weights(cm, xs)
+    assert w.shape == (3, g)
+    # the single form is the batch form with Q = 1
+    np.testing.assert_array_equal(conditional_weights(cm, xs[1]), conditional_weights(cm, xs[1:2])[0])
+    np.testing.assert_array_equal(conditional_weights(cm, 0.0), conditional_weights(cm, xs[1:2])[0])
+    mean, cov, flags = conditional_moments(cm, xs, return_degenerate=True)
+    assert mean.shape == (3, 1) and cov.shape == (3, 1, 1) and flags.dtype == bool
+    ref_mean, ref_cov, ref_flags = reference_moments(cm, xs)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+    np.testing.assert_allclose(cov, ref_cov, rtol=1e-12)
+    np.testing.assert_array_equal(flags, ref_flags)
+    np.testing.assert_allclose(
+        conditional_expectation(cm, xs, cm.y_grid[:, 0]), ref_mean[:, 0], rtol=1e-12
+    )
+    assert conditional_expectation(cm, xs, np.ones((g, 2))).shape == (3, 2)
+
+
+def test_batch_flags_exactly_the_degenerate_rows():
+    cm = fit_conditional(
+        gaussian_joint(2, 300), KernelSpec("gaussian", rho=1.0), lam=1e-3, prior=PriorSpec.zero()
+    )
+    xs = np.array([[0.0], [1e6], [0.5], [-1e6]])  # far rows: every kernel value underflows to zero
+    with pytest.warns(RuntimeWarning, match="2 of 4 queries") as record:
+        w, flags = conditional_weights(cm, xs, return_degenerate=True)
+    assert sum(issubclass(r.category, RuntimeWarning) for r in record) == 1
+    np.testing.assert_array_equal(flags, [False, True, False, True])
+    np.testing.assert_array_equal(w[flags], np.full((2, w.shape[1]), 1.0 / w.shape[1]))
+    ref_w, ref_flags = reference_batch(cm, xs)
+    np.testing.assert_array_equal(flags, ref_flags)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-12)
+    with pytest.warns(RuntimeWarning, match="2 of 4 queries"):
+        _, _, moment_flags = conditional_moments(cm, xs, return_degenerate=True)
+    np.testing.assert_array_equal(moment_flags, flags)
+
+
+def _custom_prior(z):
+    return 0.5 + 0.4 * np.tanh(z[:, 0] * z[:, -1])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace", "polynomial"])
+@pytest.mark.parametrize("prior", ["zero", "one", "custom"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    standardize=st.booleans(),
+    d_x=st.integers(1, 2),
+    d_y=st.integers(1, 2),
+    batch=st.sampled_from(["one", "few", "past_one_block"]),
+)
+def test_batch_weights_match_per_query_reference(family, prior, seed, standardize, d_x, d_y, batch):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (60, d_x))
+    y = 0.7 * x[:, :1] + rng.normal(0, 0.6, (60, d_y))
+    prior_spec = PriorSpec.custom(_custom_prior, 0.9) if prior == "custom" else getattr(PriorSpec, prior)()
+    cm = fit_conditional(
+        JointDataset(x, y),
+        KernelSpec(family, rho=float(rng.uniform(0.5, 2.0)), c=1.0, q=2),
+        1e-2,
+        prior=prior_spec,
+        standardize=standardize,
+        grid_cap=25,
+        seed=seed % 1000,
+    )
+    # rows per block of the path that does not factorise
+    step = max(1, conditional._BLOCK_ENTRIES // (cm.y_grid.shape[0] * cm.base.rank))
+    q = {"one": 1, "few": 5, "past_one_block": step + 2}[batch]
+    xs = rng.normal(0, 1, (q, d_x))
+    if prior == "zero" and family != "polynomial" and q > 1:
+        xs[-1] = 1e6  # a degenerate row beside normal ones
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        w, flags = conditional_weights(cm, xs, return_degenerate=True)
+        ref_w, ref_flags = reference_batch(cm, xs)
+    assert w.shape == ref_w.shape and flags.dtype == bool
+    np.testing.assert_array_equal(flags, ref_flags)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-12)
+    assert np.all(w >= 0.0)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_mixture_study_matches_per_query_weights(monkeypatch):
+    size = dict(n_train=150, n_test=40, grid_cap=60, max_rank=60)
+    for seed in (3, 4, 5):
+        batched = bench.mixture_energy_study(2, seed, **size)
+        monkeypatch.setattr(bench, "conditional_weights", lambda cm, xs: reference_batch(cm, xs)[0])
+        looped = bench.mixture_energy_study(2, seed, **size)
+        monkeypatch.undo()
+        np.testing.assert_allclose(batched.differentials, looped.differentials, rtol=0, atol=1e-12)
+
+
+def test_condexp_csv_matches_per_query_moments(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(11)
+    x = rng.normal(0, 1, (150, 2))
+    y = np.column_stack([x[:, 0] + rng.normal(0, 0.5, 150), rng.normal(0, 1, 150)])
+
+    def write(name, header, rows):
+        path = str(tmp_path / name)
+        np.savetxt(path, rows, delimiter=",", header=",".join(header), comments="")
+        return path
+
+    joint = write("joint.csv", ["x1", "x2", "y1", "y2"], np.hstack([x, y]))
+    query = write("query.csv", ["x1", "x2"], [[0.0, 0.0], [1e6, 1e6], [0.5, -1.0], [-1.0, 2.0]])
+    argv = ["condexp", "--joint", joint, "--xcols", "x1,x2", "--ycols", "y1,y2", "--rho", "1.0",
+            "--lambda", "1e-3", "--prior", "zero", "--seed", "0", "--query", query, "--out"]
+
+    def run(out):
+        assert cli.main(argv + [str(tmp_path / out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return np.loadtxt(tmp_path / out, delimiter=",", skiprows=1), payload
+
+    with pytest.warns(RuntimeWarning, match="1 of 4 queries"):
+        batched, payload = run("batched.csv")
+    monkeypatch.setattr(cli, "conditional_moments", reference_moments)
+    looped, ref_payload = run("looped.csv")
+    assert batched.shape == looped.shape == (4, 2 + 4 + 1)
+    np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0)
+    assert payload["degenerate_queries"] == ref_payload["degenerate_queries"] == 1
+    np.testing.assert_array_equal(batched[:, -1], [0.0, 1.0, 0.0, 0.0])
 
 
 def test_reservoir_indices():

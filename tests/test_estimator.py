@@ -226,7 +226,8 @@ def test_cross_validate_tie_goes_to_first_entry():
 
 
 def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
-    # the solves of one fold share a cached Gram; each must give the bits of
+    # the solves of one fold share a cached Gram and cached validation kernel
+    # rows; each (fold, lambda) loss must give the bits of validation_loss of
     # a fresh fit at its lambda, so adding n*lam*I may never touch the cache
     rng = np.random.default_rng(23)
     p, q = rng.normal(0, 1, (90, 2)), rng.normal(0.4, 1, (90, 2))
@@ -238,19 +239,31 @@ def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
         folds.append((tr_p, tr_q))
         return real_decompose(tr_p, tr_q, kern, **kwargs)
 
-    def spy_loss(model, va_p, va_q):
-        loss = real_loss(model, va_p, va_q)
-        losses.append((folds[-1], model.lam, va_p, va_q, loss))
+    def spy_loss(hp, hq, pbar):
+        loss = real_loss(hp, hq, pbar)
+        losses.append(loss)
         return loss
 
-    real_decompose, real_loss = estimator._decompose, estimator.validation_loss
+    real_decompose, real_loss = estimator._decompose, estimator._quadratic_loss
     monkeypatch.setattr(estimator, "_decompose", spy_decompose)
-    monkeypatch.setattr(estimator, "validation_loss", spy_loss)
-    cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=5)
+    monkeypatch.setattr(estimator, "_quadratic_loss", spy_loss)
+    res = cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=5)
     monkeypatch.undo()
     assert len(folds) == 3 and len(losses) == 3 * len(lambdas)
-    for (tr_p, tr_q), lam, va_p, va_q, loss in losses:
-        assert validation_loss(fit(tr_p, tr_q, spec, lam), va_p, va_q) == loss
+    # the folds cross_validate documents: one permutation per sample from seed
+    fold_rng = np.random.default_rng(5)
+    chunks_p = np.array_split(fold_rng.permutation(90), 3)
+    chunks_q = np.array_split(fold_rng.permutation(90), 3)
+    expected = np.empty((len(lambdas), 3))
+    for f, (tr_p, tr_q) in enumerate(folds):
+        rest = [j for j in range(3) if j != f]
+        np.testing.assert_array_equal(tr_p, p[np.concatenate([chunks_p[j] for j in rest])])
+        np.testing.assert_array_equal(tr_q, q[np.concatenate([chunks_q[j] for j in rest])])
+        va_p, va_q = p[chunks_p[f]], q[chunks_q[f]]
+        for g, lam in enumerate(lambdas):
+            expected[g, f] = validation_loss(fit(tr_p, tr_q, spec, lam), va_p, va_q)
+            assert losses[f * len(lambdas) + g] == expected[g, f]
+    np.testing.assert_array_equal(res.mean_losses, expected.mean(axis=1))
 
 
 def test_cross_validate_unequal_sizes_truncate_with_warning():
