@@ -27,29 +27,22 @@ _EXPORTS = {
     "kernel_sup_is_empirical": "kernels",
     # lowrank
     "CholeskyFactors": "lowrank",
-    "FactorCheck": "lowrank",
     "KernelOracle": "lowrank",
-    "MatrixOracle": "lowrank",
     "NumericsError": "lowrank",
     "greedy_pivot": "lowrank",
     "omp_pivot": "lowrank",
     "pivoted_cholesky": "lowrank",
-    "verify_factors": "lowrank",
     # estimator
     "CvResult": "estimator",
-    "FullRankModel": "estimator",
     "KdmModel": "estimator",
     "PriorSpec": "estimator",
     "cross_validate": "estimator",
     "eval_density_ratio": "estimator",
     "eval_h": "estimator",
-    "eval_h_full": "estimator",
     "fit": "estimator",
-    "fit_full": "estimator",
     "grid_product": "estimator",
     "h_norm": "estimator",
     "load_model": "estimator",
-    "rkhs_gap": "estimator",
     "save_model": "estimator",
     "validation_loss": "estimator",
     # hypothesis

@@ -10,7 +10,12 @@ setting affects speed only, never results.
 import os
 
 
-def main() -> int:
+def pin_blas_threads() -> None:
+    """Cap every BLAS thread pool at KDM_THREADS (default 1).
+
+    Only takes effect before numpy first loads; a pool variable the
+    environment already sets is left as it is.
+    """
     threads = os.environ.get("KDM_THREADS", "1")
     for var in (
         "OPENBLAS_NUM_THREADS",
@@ -20,6 +25,10 @@ def main() -> int:
         "VECLIB_MAXIMUM_THREADS",
     ):
         os.environ.setdefault(var, threads)
+
+
+def main() -> int:
+    pin_blas_threads()
     from .cli import main as cli_main
 
     return cli_main()

@@ -166,6 +166,17 @@ def _prior_from_args(args) -> PriorSpec:
     return PriorSpec.one() if args.prior == "one" else PriorSpec.zero()
 
 
+def _size_cap(text: str) -> int:
+    """argparse type of the size caps: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", choices=["gaussian", "laplace", "polynomial"], default="gaussian")
     p.add_argument("--rho", type=float, default=1.0, help="gaussian/laplace length-scale parameter")
@@ -180,7 +191,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior", choices=["one", "zero"], default="one")
     p.add_argument("--strategy", choices=["greedy", "omp"], default="greedy")
     p.add_argument("--omp-target", default=None, help="CSV with one target value per stacked point")
-    p.add_argument("--max-rank", type=int, default=None)
+    p.add_argument("--max-rank", type=_size_cap, default=None)
     p.add_argument("--standardize", action="store_true")
 
 
@@ -223,7 +234,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=["shifted", "three_split"], default="shifted")
     _add_kernel_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--grid-cap", type=int, default=2000)
+    p.add_argument("--grid-cap", type=_size_cap, default=2000)
     p.add_argument("--seed", type=int, required=True, help="grid subsampling stream")
     p.add_argument("--query", required=True, help="CSV of x rows to condition on")
     p.add_argument("--out", required=True, help="moments CSV")
@@ -238,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--epsilon-rel", type=float, default=1e-6)
     p.add_argument("--prior", choices=["one", "zero"], default="one")
-    p.add_argument("--max-rank", type=int, default=None)
+    p.add_argument("--max-rank", type=_size_cap, default=None)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--seed", type=int, required=True, help="fold assignment stream")
     p.add_argument("--out", default=None)
@@ -264,7 +275,7 @@ def build_parser() -> _Parser:
     b.add_argument("--rho", type=float, default=None, help="fixed Gaussian length scale (median heuristic if omitted)")
     b.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     b.add_argument("--epsilon-rel", type=float, default=1e-5)
-    b.add_argument("--max-rank", type=int, default=256)
+    b.add_argument("--max-rank", type=_size_cap, default=256)
     b.add_argument("--scheme", choices=["three_split", "shifted"], default="three_split")
     b.add_argument("--t", type=float, default=1e-9)
     b.add_argument("--seed", type=int, required=True)
@@ -275,10 +286,10 @@ def build_parser() -> _Parser:
     b.add_argument("--runs", type=int, required=True)
     b.add_argument("--n-train", type=int, default=1000)
     b.add_argument("--n-test", type=int, default=200)
-    b.add_argument("--grid-cap", type=int, default=500)
+    b.add_argument("--grid-cap", type=_size_cap, default=500)
     b.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     b.add_argument("--epsilon-rel", type=float, default=1e-5)
-    b.add_argument("--max-rank", type=int, default=400)
+    b.add_argument("--max-rank", type=_size_cap, default=400)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--out", default=None)
     b.add_argument("--force", action="store_true")

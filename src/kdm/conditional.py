@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimator import KdmModel, PriorSpec, eval_density_ratio, fit
+from .estimator import KdmModel, PriorSpec, _decompose, _solve, eval_density_ratio
 from .kernels import Dataset, KernelSpec, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
@@ -132,15 +132,31 @@ def fit_conditional(
     """Split the joint sample, fit the ratio model, and attach a y grid.
 
     The default grid holds the sample's own y rows, subsampled down to
-    min(n, grid_cap) entries with the given seed when there are more.
+    min(n, grid_cap) entries with the given seed when there are more.  The
+    base model is the one :func:`fit` returns, except that it carries no
+    test covariance (``covariance`` is None): no conditional estimate reads it.
     """
+    if lam <= 0:
+        raise ValueError("lam must be > 0")
+    if grid_cap < 1:
+        raise ValueError(f"grid_cap must be >= 1, got {grid_cap}")
     sample_p, sample_q = split_joint_sample(joint, scheme)
-    n = sample_p.n
-    model = fit(
+    if y_grid is None:
+        cap = min(sample_p.n, grid_cap)
+        idx = _reservoir_indices(joint.rows, cap, np.random.default_rng(seed))
+        y_grid = joint.y[idx].copy()
+    else:
+        y_grid = np.asarray(y_grid, dtype=np.float64)
+        if y_grid.ndim == 1:
+            y_grid = y_grid[:, None]
+        if y_grid.ndim != 2 or y_grid.shape[1] != joint.d_y:
+            raise ValueError("y_grid dimension differs from the sample's y")
+        if y_grid.shape[0] == 0:
+            raise ValueError("y_grid must hold at least one point")
+    dec = _decompose(
         sample_p,
         sample_q,
         kernel,
-        lam,
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
         prior=prior,
@@ -148,18 +164,9 @@ def fit_conditional(
         max_rank=max_rank,
         standardize=standardize,
         seed=seed,
+        _covariance=False,
     )
-    if y_grid is None:
-        cap = min(n, grid_cap)
-        idx = _reservoir_indices(joint.rows, cap, np.random.default_rng(seed))
-        y_grid = joint.y[idx].copy()
-    else:
-        y_grid = np.asarray(y_grid, dtype=np.float64)
-        if y_grid.ndim == 1:
-            y_grid = y_grid[:, None]
-        if y_grid.shape[1] != joint.d_y:
-            raise ValueError("y_grid dimension differs from the sample's y")
-    return ConditionalModel(base=model, y_grid=y_grid, scheme=scheme)
+    return ConditionalModel(base=_solve(dec, lam), y_grid=y_grid, scheme=scheme)
 
 
 def _query_rows(cmodel: ConditionalModel, x) -> tuple[np.ndarray, bool]:

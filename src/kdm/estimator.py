@@ -3,8 +3,7 @@
 The ratio dQ/dP is modeled as a fixed prior guess plus an RKHS correction h.
 Fitting solves a ridge system in the span of the pivot columns selected by the
 incomplete Cholesky decomposition, so the linear algebra stays m x m even when
-the stacked sample holds thousands of points.  ``fit_full`` solves the exact
-representer system over all 2n points for cross-checking at small scale.
+the stacked sample holds thousands of points.
 """
 
 from __future__ import annotations
@@ -86,7 +85,8 @@ class KdmModel:
     ``pivot_points`` are stored in the kernel's coordinate system (after the
     optional standardization); queries are transformed the same way before
     kernel evaluation.  The test reads ``moment_gap`` (L_Q^T 1 - L_P^T p*) and
-    its plug-in ``covariance``; no array has a row per training point.
+    its plug-in ``covariance``; no array has a row per training point.  The
+    base model of a conditional fit has no ``covariance`` (None).
     """
 
     kernel: KernelSpec
@@ -97,7 +97,7 @@ class KdmModel:
     beta: np.ndarray
     w: np.ndarray
     moment_gap: np.ndarray
-    covariance: np.ndarray
+    covariance: Optional[np.ndarray]
     n: int
     epsilon: float
     residual_trace: float
@@ -141,8 +141,8 @@ class _Decomposition:
     ``gram`` (L_P^T L_P) and ``R`` are m x m and ``fields`` holds the
     lambda-independent fields of the model: no array has a row per training
     point.  Every solve shares ``gram``, so it must not be modified.  The
-    fold decompositions of :func:`cross_validate` leave ``covariance`` None:
-    only ``beta`` of their solves is read.
+    fold decompositions of :func:`cross_validate` and the decomposition of a
+    conditional fit leave ``covariance`` None: no consumer of theirs reads it.
     """
 
     gram: np.ndarray
@@ -191,23 +191,24 @@ def _decompose(
     if factors.rank == 0:
         raise NumericsError("decomposition selected no pivots; kernel matrix is numerically zero")
 
-    # reduce the n x m blocks to lambda-independent statistics: the Gram and
-    # the moment gap of the ridge system, and the plug-in covariance of the
-    # scaled gap n^{-1/2} (L_Q^T 1 - L_P^T p*) that the test reads
-    l_p, l_q, p_star = factors.L[:n], factors.L[n:], prior.evaluate(pts_p)
-    lq1 = l_q.T @ np.ones(n)
-    lpp = l_p.T @ p_star
+    # reduce the m x n row blocks of L^T to lambda-independent statistics:
+    # the Gram and the moment gap of the ridge system, and the plug-in
+    # covariance of the scaled gap n^{-1/2} (L_Q^T 1 - L_P^T p*) that the
+    # test reads
+    lt_p, lt_q, p_star = factors.Lt[:, :n], factors.Lt[:, n:], prior.evaluate(pts_p)
+    lq1 = lt_q @ np.ones(n)
+    lpp = lt_p @ p_star
     covariance = None
     if _covariance:
         sig = (
-            l_q.T @ l_q / n
+            lt_q @ lt_q.T / n
             - np.outer(lq1, lq1) / n**2
-            + (l_p * p_star[:, None] ** 2).T @ l_p / n
+            + (lt_p * p_star**2) @ lt_p.T / n
             - np.outer(lpp, lpp) / n**2
         )
         covariance = 0.5 * (sig + sig.T)
     return _Decomposition(
-        gram=l_p.T @ l_p,
+        gram=lt_p @ lt_p.T,
         R=factors.R,
         fields=dict(
             kernel=kernel,
@@ -326,94 +327,6 @@ def h_norm(model: KdmModel, method: str = "gram") -> float:
     kpp = cross_kernel_matrix(model.kernel, model.pivot_points, model.pivot_points)
     val = float(model.beta @ kpp @ model.beta)
     return float(np.sqrt(max(val, 0.0)))
-
-
-@dataclass
-class FullRankModel:
-    """Exact representer-system fit over all 2n stacked points."""
-
-    kernel: KernelSpec
-    lam: float
-    prior: PriorSpec
-    points: np.ndarray  # in kernel coordinates
-    beta: np.ndarray
-    n: int
-    standardizer: Optional[Standardizer] = None
-
-
-def fit_full(
-    sample_p,
-    sample_q,
-    kernel: KernelSpec,
-    lam: float,
-    *,
-    prior: Optional[PriorSpec] = None,
-    standardize: bool = False,
-    max_points: int = 4000,
-) -> FullRankModel:
-    """Dense 2n x 2n reference fit; quadratic memory, for validation scale."""
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    pts_p, pts_q = _common_size(sample_p, sample_q)
-    n = pts_p.shape[0]
-    if 2 * n > max_points:
-        raise ValueError(f"dense fit limited to {max_points} stacked points, got {2 * n}")
-    prior = prior if prior is not None else PriorSpec.one()
-    stacked = np.vstack([pts_p, pts_q])
-    standardizer = Standardizer.from_points(stacked) if standardize else None
-    zs = standardizer.apply(stacked) if standardizer is not None else stacked
-
-    k = cross_kernel_matrix(kernel, zs, zs)
-    p_star = prior.evaluate(pts_p)
-    q_star = np.concatenate([-p_star, np.ones(n)])
-    # minimizer of the regularized empirical loss solves (K D_P K + n lam K) b
-    # = K q; any solution of (D_P K + n lam I) b = q works and that system is
-    # provably invertible since D_P K has nonnegative real eigenvalues
-    m = k.copy()
-    m[n:, :] = 0.0
-    m[np.diag_indices(2 * n)] += n * lam
-    try:
-        beta = np.linalg.solve(m, q_star)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"dense representer system is singular: {exc}") from exc
-    return FullRankModel(
-        kernel=kernel,
-        lam=float(lam),
-        prior=prior,
-        points=zs,
-        beta=beta,
-        n=n,
-        standardizer=standardizer,
-    )
-
-
-def eval_h_full(full: FullRankModel, z) -> Union[float, np.ndarray]:
-    """Correction h of the dense fit at one point or a batch."""
-    pts, single = _query_points(full.points.shape[1], z)
-    zs = full.standardizer.apply(pts) if full.standardizer is not None else pts
-    vals = cross_kernel_matrix(full.kernel, zs, full.points) @ full.beta
-    return float(vals[0]) if single else vals
-
-
-def rkhs_gap(full: FullRankModel, model: KdmModel) -> float:
-    """RKHS distance between the dense and the low-rank fit.
-
-    Computed from Gram matrices, so it costs O((2n)^2) and is meant for
-    validation scale.  Both fits must use the same kernel and coordinates.
-    """
-    if full.kernel != model.kernel:
-        raise ValueError("fits use different kernels")
-    if (full.standardizer is None) != (model.standardizer is None):
-        raise ValueError("fits use different coordinate transforms")
-    k_ff = cross_kernel_matrix(full.kernel, full.points, full.points)
-    k_ll = cross_kernel_matrix(full.kernel, model.pivot_points, model.pivot_points)
-    k_fl = cross_kernel_matrix(full.kernel, full.points, model.pivot_points)
-    gap2 = (
-        full.beta @ k_ff @ full.beta
-        + model.beta @ k_ll @ model.beta
-        - 2.0 * (full.beta @ k_fl @ model.beta)
-    )
-    return float(np.sqrt(max(gap2, 0.0)))
 
 
 def validation_loss(model: KdmModel, val_p, val_q) -> float:
@@ -561,6 +474,8 @@ def save_model(model: KdmModel, path: str) -> None:
     """Write the model as a self-contained binary bundle of O(m^2 + md) bytes."""
     if model.prior.kind == "custom":
         raise ValueError("custom prior evaluators cannot be serialized; refit with zero/one prior")
+    if model.covariance is None:
+        raise ValueError("model carries no test covariance; fit it with fit() to save it")
     header = {
         "format": _FORMAT,
         "kernel": model.kernel.to_dict(),

@@ -136,6 +136,8 @@ def run_test(
     finite-sample norm check at that confidence level, with the larger of the
     requested tolerance and the residual trace reached as its epsilon.
     """
+    if model.covariance is None:
+        raise ValueError("model carries no test covariance; fit it with fit() to test it")
     # scaled moment gap n^{-1/2} (L_Q^T 1 - L_P^T p*), zero-mean under the null
     v = model.moment_gap / np.sqrt(model.n)
     eig, vec = np.linalg.eigh(model.covariance)

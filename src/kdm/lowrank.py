@@ -3,17 +3,17 @@
 Given column access to a symmetric positive-semidefinite N x N matrix K, the
 decomposition selects m pivot indices pi_1..pi_m and produces
 
-* ``L``  (N x m): an incomplete Cholesky factor with trace(K - L L^T) <= eps,
+* ``Lt`` (m x N): the transpose of an incomplete Cholesky factor L, one row
+  per pivot, with trace(K - L L^T) <= eps,
 * ``R``  (m x m): a biorthogonal factor satisfying K[:, piv] R = L and
   R^T L[piv, :] = I, hence R R^T = inv(K[piv, piv]).
 
 Only the diagonal of K plus one full column per pivot are ever requested, so
-the cost is O(m^2 N) time.  The loop keeps the factor rank-major, as L^T in a
-(cap, N) buffer: step i reads the rows of the i earlier steps as one
-contiguous block for its Schur update and writes its own column of L as one
-contiguous row.  The buffer is zero-filled lazily by the allocator, so the
-memory touched is O(m N) for the rank m reached, not for the cap; the
-returned ``L`` is a C-contiguous (N, m) copy.  With ``epsilon=0`` the loop
+the cost is O(m^2 N) time.  ``Lt`` is the leading rows of a (cap, N) buffer:
+step i reads the rows of the i earlier steps as one contiguous block for its
+Schur update and writes its own row.  The buffer is zero-filled lazily by the
+allocator, so the memory touched is O(m N) for the rank m reached, not for
+the cap.  With ``epsilon=0`` the loop
 runs until the residual diagonal is exhausted and L L^T reproduces K to the
 numerical rank.
 """
@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernels import Dataset, KernelSpec, cross_kernel_matrix, kernel_diagonal, sq_norms
+from .kernels import Dataset, KernelSpec, _as_points, cross_kernel_matrix, kernel_diagonal, sq_norms
 
 # residual diagonal entries below DIAG_FLOOR_REL * max(diag K) are treated as
 # exhausted; entries more negative than -PSD_TOL_REL * max(diag K) mean the
@@ -40,28 +40,6 @@ class NumericsError(RuntimeError):
     """Numerical failure: non-PSD input, singular system, or similar."""
 
 
-class MatrixOracle:
-    """Column access to a materialized symmetric PSD matrix."""
-
-    def __init__(self, matrix: np.ndarray):
-        k = np.asarray(matrix, dtype=np.float64)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("matrix oracle needs a square matrix")
-        self._k = k
-        self.queries = 0
-
-    @property
-    def size(self) -> int:
-        return self._k.shape[0]
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self._k).copy()
-
-    def column(self, j: int) -> np.ndarray:
-        self.queries += 1
-        return self._k[:, j].copy()
-
-
 class KernelOracle:
     """Lazy columns of the kernel matrix of one point set against itself.
 
@@ -71,9 +49,7 @@ class KernelOracle:
 
     def __init__(self, spec: KernelSpec, points: Union[Dataset, np.ndarray]):
         self._spec = spec
-        self._pts = points.points if isinstance(points, Dataset) else np.asarray(points, dtype=np.float64)
-        if self._pts.ndim == 1:
-            self._pts = self._pts[:, None]
+        self._pts = _as_points(points)
         self._sq_norms = sq_norms(self._pts)
         self.queries = 0
 
@@ -95,14 +71,14 @@ class KernelOracle:
 class CholeskyFactors:
     """Output of :func:`pivoted_cholesky`.
 
-    ``pivots`` lists the selected indices in selection order.  ``L`` has one
-    column per pivot; ``R`` is upper triangular in the pivot ordering.
+    ``pivots`` lists the selected indices in selection order.  ``Lt`` is
+    L^T, one row per pivot; ``R`` is upper triangular in the pivot ordering.
     ``residual_trace`` is trace(K - L L^T) = l1 norm of the final residual
     diagonal, and ``epsilon`` the absolute tolerance the loop was run with.
     """
 
     pivots: np.ndarray
-    L: np.ndarray
+    Lt: np.ndarray
     R: np.ndarray
     residual_trace: float
     epsilon: float
@@ -113,18 +89,15 @@ class CholeskyFactors:
         return len(self.pivots)
 
 
-def greedy_pivot(d: np.ndarray, excluded: Optional[np.ndarray] = None) -> int:
+def greedy_pivot(d: np.ndarray) -> int:
     """Index of the largest residual diagonal entry.
 
-    Ties resolve to the smallest index.  Raises when no strictly positive
-    non-excluded entry remains.
+    Ties resolve to the smallest index.  Raises when that entry is not
+    strictly positive and finite, which covers NaN entries too.
     """
-    scores = np.asarray(d, dtype=np.float64).copy()
-    if excluded is not None:
-        scores[excluded] = -np.inf
-    scores[scores <= 0] = -np.inf
-    j = int(np.argmax(scores))
-    if not np.isfinite(scores[j]):
+    d = np.asarray(d, dtype=np.float64)
+    j = int(np.argmax(d))
+    if not 0.0 < d[j] < np.inf:
         raise ValueError("no strictly positive diagonal entry available for pivoting")
     return j
 
@@ -180,16 +153,13 @@ def pivoted_cholesky(
         Pivot rule.  ``omp`` additionally needs ``omp_target``, the target
         function values at all N points.
     max_rank : int, optional
-        Hard cap on the number of pivots; hitting it is reported through
-        ``hit_rank_cap``, not raised.
-
-    The working factor is L^T in a zero-initialized (cap, N) buffer, filled
-    one contiguous row per pivot; only the rows reached are ever written, so
-    the memory used is O(rank reached x N).  The returned ``L`` is copied out
-    as a C-contiguous (N, rank) array.
+        Hard cap on the number of pivots, >= 1; hitting it is reported
+        through ``hit_rank_cap``, not raised.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     if strategy not in ("greedy", "omp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     if strategy == "omp":
@@ -250,43 +220,9 @@ def pivoted_cholesky(
     residual = float(d.sum())
     return CholeskyFactors(
         pivots=np.asarray(pivots, dtype=np.intp),
-        L=lt[:i].T.copy(),
+        Lt=lt[:i],
         R=rbuf[:i, :i].copy(),
         residual_trace=residual,
         epsilon=float(epsilon),
         hit_rank_cap=bool(i == cap and residual > epsilon and np.any(d > 0)),
-    )
-
-
-@dataclass
-class FactorCheck:
-    """Frobenius residuals of the five structural identities plus PSD slack."""
-
-    col_identity: float  # || K[:, piv] R - L ||_F
-    biorthogonality: float  # || R^T L[piv, :] - I ||_F
-    pivot_inverse: float  # || R R^T - inv(K[piv, piv]) ||_F
-    nystrom: float  # || L L^T - K[:, piv] inv(K[piv, piv]) K[piv, :] ||_F
-    residual_min_eig: float  # min eigenvalue of K - L L^T
-    residual_trace: float  # trace of K - L L^T
-
-
-def verify_factors(matrix: np.ndarray, factors: CholeskyFactors) -> FactorCheck:
-    """Recompute the structural identities of a decomposition against K."""
-    k = np.asarray(matrix, dtype=np.float64)
-    piv = factors.pivots
-    lmat, rmat = factors.L, factors.R
-    cols = k[:, piv]
-    kpp = k[np.ix_(piv, piv)]
-    eye = np.eye(len(piv))
-    kpp_inv = np.linalg.solve(kpp, eye)
-    nystrom = cols @ np.linalg.solve(kpp, cols.T)
-    resid = k - lmat @ lmat.T
-    resid = 0.5 * (resid + resid.T)
-    return FactorCheck(
-        col_identity=float(np.linalg.norm(cols @ rmat - lmat)),
-        biorthogonality=float(np.linalg.norm(rmat.T @ lmat[piv, :] - eye)),
-        pivot_inverse=float(np.linalg.norm(rmat @ rmat.T - kpp_inv)),
-        nystrom=float(np.linalg.norm(lmat @ lmat.T - nystrom)),
-        residual_min_eig=float(np.linalg.eigvalsh(resid)[0]),
-        residual_trace=float(np.trace(resid)),
     )

@@ -1,0 +1,163 @@
+"""Validation-only references the tests check the package against.
+
+``MatrixOracle`` gives column access to a materialized matrix and
+``verify_factors`` recomputes the structural identities of a decomposition
+against it.  ``fit_full`` solves the exact representer system over all 2n
+stacked points, quadratic in memory, so the low-rank fit can be checked
+against it at small scale through ``eval_h_full`` and ``rkhs_gap``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Union
+
+import numpy as np
+
+from kdm.estimator import KdmModel, PriorSpec, _common_size, _query_points
+from kdm.kernels import KernelSpec, Standardizer, cross_kernel_matrix
+from kdm.lowrank import CholeskyFactors, NumericsError
+
+
+class MatrixOracle:
+    """Column access to a materialized symmetric PSD matrix."""
+
+    def __init__(self, matrix: np.ndarray):
+        k = np.asarray(matrix, dtype=np.float64)
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise ValueError("matrix oracle needs a square matrix")
+        self._k = k
+        self.queries = 0
+
+    @property
+    def size(self) -> int:
+        return self._k.shape[0]
+
+    def diagonal(self) -> np.ndarray:
+        return np.diag(self._k).copy()
+
+    def column(self, j: int) -> np.ndarray:
+        self.queries += 1
+        return self._k[:, j].copy()
+
+
+@dataclass
+class FactorCheck:
+    """Frobenius residuals of the five structural identities plus PSD slack."""
+
+    col_identity: float  # || K[:, piv] R - L ||_F
+    biorthogonality: float  # || R^T L[piv, :] - I ||_F
+    pivot_inverse: float  # || R R^T - inv(K[piv, piv]) ||_F
+    nystrom: float  # || L L^T - K[:, piv] inv(K[piv, piv]) K[piv, :] ||_F
+    residual_min_eig: float  # min eigenvalue of K - L L^T
+    residual_trace: float  # trace of K - L L^T
+
+
+def verify_factors(matrix: np.ndarray, factors: CholeskyFactors) -> FactorCheck:
+    """Recompute the structural identities of a decomposition against K."""
+    k = np.asarray(matrix, dtype=np.float64)
+    piv = factors.pivots
+    lmat, rmat = factors.Lt.T, factors.R
+    cols = k[:, piv]
+    kpp = k[np.ix_(piv, piv)]
+    eye = np.eye(len(piv))
+    kpp_inv = np.linalg.solve(kpp, eye)
+    nystrom = cols @ np.linalg.solve(kpp, cols.T)
+    resid = k - lmat @ lmat.T
+    resid = 0.5 * (resid + resid.T)
+    return FactorCheck(
+        col_identity=float(np.linalg.norm(cols @ rmat - lmat)),
+        biorthogonality=float(np.linalg.norm(rmat.T @ lmat[piv, :] - eye)),
+        pivot_inverse=float(np.linalg.norm(rmat @ rmat.T - kpp_inv)),
+        nystrom=float(np.linalg.norm(lmat @ lmat.T - nystrom)),
+        residual_min_eig=float(np.linalg.eigvalsh(resid)[0]),
+        residual_trace=float(np.trace(resid)),
+    )
+
+
+@dataclass
+class FullRankModel:
+    """Exact representer-system fit over all 2n stacked points."""
+
+    kernel: KernelSpec
+    lam: float
+    prior: PriorSpec
+    points: np.ndarray  # in kernel coordinates
+    beta: np.ndarray
+    n: int
+    standardizer: Optional[Standardizer] = None
+
+
+def fit_full(
+    sample_p,
+    sample_q,
+    kernel: KernelSpec,
+    lam: float,
+    *,
+    prior: Optional[PriorSpec] = None,
+    standardize: bool = False,
+    max_points: int = 4000,
+) -> FullRankModel:
+    """Dense 2n x 2n reference fit; quadratic memory, for validation scale."""
+    if lam <= 0:
+        raise ValueError("lam must be > 0")
+    pts_p, pts_q = _common_size(sample_p, sample_q)
+    n = pts_p.shape[0]
+    if 2 * n > max_points:
+        raise ValueError(f"dense fit limited to {max_points} stacked points, got {2 * n}")
+    prior = prior if prior is not None else PriorSpec.one()
+    stacked = np.vstack([pts_p, pts_q])
+    standardizer = Standardizer.from_points(stacked) if standardize else None
+    zs = standardizer.apply(stacked) if standardizer is not None else stacked
+
+    k = cross_kernel_matrix(kernel, zs, zs)
+    p_star = prior.evaluate(pts_p)
+    q_star = np.concatenate([-p_star, np.ones(n)])
+    # minimizer of the regularized empirical loss solves (K D_P K + n lam K) b
+    # = K q; any solution of (D_P K + n lam I) b = q works and that system is
+    # provably invertible since D_P K has nonnegative real eigenvalues
+    m = k.copy()
+    m[n:, :] = 0.0
+    m[np.diag_indices(2 * n)] += n * lam
+    try:
+        beta = np.linalg.solve(m, q_star)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"dense representer system is singular: {exc}") from exc
+    return FullRankModel(
+        kernel=kernel,
+        lam=float(lam),
+        prior=prior,
+        points=zs,
+        beta=beta,
+        n=n,
+        standardizer=standardizer,
+    )
+
+
+def eval_h_full(full: FullRankModel, z) -> Union[float, np.ndarray]:
+    """Correction h of the dense fit at one point or a batch."""
+    pts, single = _query_points(full.points.shape[1], z)
+    zs = full.standardizer.apply(pts) if full.standardizer is not None else pts
+    vals = cross_kernel_matrix(full.kernel, zs, full.points) @ full.beta
+    return float(vals[0]) if single else vals
+
+
+def rkhs_gap(full: FullRankModel, model: KdmModel) -> float:
+    """RKHS distance between the dense and the low-rank fit.
+
+    Computed from Gram matrices, so it costs O((2n)^2) and is meant for
+    validation scale.  Both fits must use the same kernel and coordinates.
+    """
+    if full.kernel != model.kernel:
+        raise ValueError("fits use different kernels")
+    if (full.standardizer is None) != (model.standardizer is None):
+        raise ValueError("fits use different coordinate transforms")
+    k_ff = cross_kernel_matrix(full.kernel, full.points, full.points)
+    k_ll = cross_kernel_matrix(full.kernel, model.pivot_points, model.pivot_points)
+    k_fl = cross_kernel_matrix(full.kernel, full.points, model.pivot_points)
+    gap2 = (
+        full.beta @ k_ff @ full.beta
+        + model.beta @ k_ll @ model.beta
+        - 2.0 * (full.beta @ k_fl @ model.beta)
+    )
+    return float(np.sqrt(max(gap2, 0.0)))

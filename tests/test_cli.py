@@ -118,6 +118,19 @@ def fit_two_samples(capsys, tmp_path, *extra):
     return code, payload, model
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_fit_bad_max_rank_exits_1(capsys, tmp_path, cap):
+    p = write_csv(tmp_path / "p.csv", ["a"], [[0.1 * i] for i in range(10)])
+    q = write_csv(tmp_path / "q.csv", ["a"], [[0.2 * i] for i in range(10)])
+    model = tmp_path / "model.kdm"
+    code, _, err = run_cli(
+        capsys, "fit", "--p", p, "--q", q, "--lambda", "1e-3", f"--max-rank={cap}", "--out", str(model)
+    )
+    assert code == 1
+    assert f"argument --max-rank: must be an integer >= 1, got '{cap}'" in err
+    assert not model.exists()
+
+
 def test_fit_then_test_flow(capsys, tmp_path):
     code, payload, model = fit_two_samples(capsys, tmp_path)
     assert code == 0
@@ -204,6 +217,22 @@ def test_condexp_flow(capsys, tmp_path):
         "--query", bad, "--out", str(tmp_path / "c2.csv"),
     )
     assert code == 1 and "expected 1" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_condexp_bad_grid_cap_exits_1(capsys, tmp_path, cap):
+    joint = write_csv(tmp_path / "joint.csv", ["x", "y"], [[0.1 * i, 0.2 * i] for i in range(12)])
+    query = write_csv(tmp_path / "query.csv", ["x"], [[0.0]])
+    code, _, err = run_cli(
+        capsys,
+        "condexp",
+        "--joint", joint, "--xcols", "x", "--ycols", "y",
+        "--lambda", "1e-3", "--seed", "0", f"--grid-cap={cap}",
+        "--query", query, "--out", str(tmp_path / "cond.csv"),
+    )
+    assert code == 1
+    assert f"argument --grid-cap: must be an integer >= 1, got '{cap}'" in err
+    assert "Traceback" not in err
 
 
 def test_cv_flow(capsys, tmp_path):

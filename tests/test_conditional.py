@@ -18,7 +18,8 @@ from kdm.conditional import (
     fit_conditional,
     split_joint_sample,
 )
-from kdm.estimator import PriorSpec, eval_density_ratio
+from kdm.estimator import PriorSpec, eval_density_ratio, fit, save_model
+from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec
 
 
@@ -314,6 +315,38 @@ def test_grid_subsampling_and_explicit_grid():
     assert cm2.y_grid.shape == (11, 1)
     with pytest.raises(ValueError):
         fit_conditional(joint, KernelSpec("gaussian", rho=1.0), lam=1e-3, y_grid=np.zeros((4, 2)))
+
+
+def test_fit_conditional_rejects_bad_sizes():
+    joint = gaussian_joint(6, 90)
+    spec = KernelSpec("gaussian", rho=1.0)
+    for cap in (0, -2):
+        with pytest.raises(ValueError, match=f"grid_cap must be >= 1, got {cap}"):
+            fit_conditional(joint, spec, lam=1e-3, grid_cap=cap)
+    with pytest.raises(ValueError, match="at least one point"):
+        fit_conditional(joint, spec, lam=1e-3, y_grid=np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        fit_conditional(joint, spec, lam=0.0)
+
+
+def test_fit_conditional_skips_covariance_only(tmp_path):
+    # the base model is fit()'s model on the same split, without the test
+    # covariance, which no conditional estimate reads
+    joint = gaussian_joint(9, 600)
+    spec = KernelSpec("gaussian", rho=1.0)
+    cm = fit_conditional(joint, spec, lam=1e-3, max_rank=40, seed=4)
+    assert cm.base.covariance is None
+    p, q = split_joint_sample(joint, "shifted")
+    ref = conditional.ConditionalModel(
+        base=fit(p, q, spec, lam=1e-3, max_rank=40, seed=4), y_grid=cm.y_grid, scheme="shifted"
+    )
+    assert ref.base.covariance is not None
+    xs = joint.x[:25]
+    assert conditional_weights(cm, xs).tobytes() == conditional_weights(ref, xs).tobytes()
+    with pytest.raises(ValueError, match="no test covariance"):
+        run_test(cm.base)
+    with pytest.raises(ValueError, match="no test covariance"):
+        save_model(cm.base, str(tmp_path / "m.kdm"))
 
 
 def test_fit_conditional_deterministic():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,19 +15,17 @@ from kdm.estimator import (
     cross_validate,
     eval_density_ratio,
     eval_h,
-    eval_h_full,
     fit,
-    fit_full,
     grid_product,
     h_norm,
     load_model,
-    rkhs_gap,
     save_model,
     validation_loss,
 )
 from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec, cross_kernel_matrix
 from kdm.lowrank import KernelOracle, pivoted_cholesky
+from reference import eval_h_full, fit_full, rkhs_gap
 
 
 def bernoulli_samples(p_head, q_head, n, rng):
@@ -85,9 +84,26 @@ def test_huge_ridge_shrinks_to_prior():
     # the stored right-hand side is L_Q^T 1 - L_P^T p* of the same factors
     f = pivoted_cholesky(KernelOracle(model.kernel, np.vstack([p, q])), model.epsilon)
     np.testing.assert_array_equal(f.pivots, model.pivots)
-    rhs = f.L[100:].T @ np.ones(100) - f.L[:100].T @ np.ones(100)
+    l = f.Lt.T
+    rhs = l[100:].T @ np.ones(100) - l[:100].T @ np.ones(100)
     np.testing.assert_allclose(model.moment_gap, rhs, rtol=1e-12, atol=1e-12)
     assert np.linalg.norm(model.beta) <= 1e-6 * np.linalg.norm(model.moment_gap)
+
+
+def test_rank_capped_fit_holds_one_factor():
+    # the factor exists once, as the rank-major rows the decomposition wrote:
+    # with a second N x m copy the traced peak reached 2.14 N m 8 bytes
+    rng = np.random.default_rng(17)
+    n, cap = 2000, 200
+    p, q = rng.normal(0, 1, (n, 4)), rng.normal(0.3, 1, (n, 4))
+    tracemalloc.start()
+    try:
+        model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3, max_rank=cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.rank == cap and model.hit_rank_cap
+    assert peak < 1.8 * (2 * n) * cap * 8
 
 
 def test_fit_is_deterministic():

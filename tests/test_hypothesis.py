@@ -76,7 +76,7 @@ def test_covariance_matches_empirical_covariances():
     p = rng.normal(0.0, 1.0, (100, 2))
     q = rng.normal(0.2, 1.0, (100, 2))
     model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3)
-    l = refactor(model, p, q).L
+    l = refactor(model, p, q).Lt.T
     l_p, l_q, p_star = l[:100], l[100:], np.ones(100)
     expected = np.cov(l_q.T, bias=True) + np.cov((l_p * p_star[:, None]).T, bias=True)
     sig = model.covariance

@@ -8,13 +8,12 @@ from kdm.lowrank import (
     DIAG_FLOOR_REL,
     PSD_TOL_REL,
     KernelOracle,
-    MatrixOracle,
     NumericsError,
     greedy_pivot,
     omp_pivot,
     pivoted_cholesky,
-    verify_factors,
 )
+from reference import MatrixOracle, verify_factors
 
 
 def random_psd(rng, size, kind, jitter=0.0):
@@ -47,9 +46,10 @@ def test_worked_rank_one_example():
     f = pivoted_cholesky(MatrixOracle(k), epsilon=0.0)
     assert f.rank == 1
     np.testing.assert_array_equal(f.pivots, [1])
-    np.testing.assert_allclose(f.L, [[1.0], [2.0]], atol=1e-15)
+    l = f.Lt.T
+    np.testing.assert_allclose(l, [[1.0], [2.0]], atol=1e-15)
     np.testing.assert_allclose(f.R, [[0.5]], atol=1e-15)
-    np.testing.assert_allclose(f.L @ f.L.T, k, atol=1e-14)
+    np.testing.assert_allclose(l @ l.T, k, atol=1e-14)
     # R R^T = 1/4 = inverse of the pivot block K[1,1]
     assert f.R[0, 0] ** 2 == pytest.approx(0.25)
     assert f.residual_trace == 0.0
@@ -59,18 +59,22 @@ def test_identity_matrix_complete():
     f = pivoted_cholesky(MatrixOracle(np.eye(5)), epsilon=0.0)
     assert f.rank == 5
     np.testing.assert_array_equal(f.pivots, np.arange(5))  # ties -> smallest index
-    np.testing.assert_allclose(f.L, np.eye(5), atol=1e-15)
+    np.testing.assert_allclose(f.Lt.T, np.eye(5), atol=1e-15)
     np.testing.assert_allclose(f.R, np.eye(5), atol=1e-15)
 
 
 def test_greedy_pivot_rules():
     assert greedy_pivot(np.array([1.0, 3.0, 3.0])) == 1  # ties -> smallest index
     assert greedy_pivot(np.array([0.0, 0.0, 5.0])) == 2
-    excluded = np.array([False, False, True])
-    with pytest.raises(ValueError):
-        greedy_pivot(np.array([0.0, 0.0, 5.0]), excluded)
+    assert greedy_pivot(np.array([-2.0, 0.5, -7.0])) == 1  # negatives never win
     with pytest.raises(ValueError):
         greedy_pivot(np.zeros(3))
+    with pytest.raises(ValueError):
+        greedy_pivot(np.array([-1.0, -0.5, 0.0]))
+    with pytest.raises(ValueError):
+        greedy_pivot(np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(ValueError):
+        greedy_pivot(np.full(3, np.nan))
 
 
 def test_omp_pivot_scores():
@@ -102,7 +106,7 @@ def test_structural_identities_random_matrices():
         assert chk.nystrom <= 1e-8 * scale
         assert chk.residual_min_eig >= -1e-8 * np.trace(k)
         # rows of L at pivots form a lower triangle in pivot order
-        lp = f.L[f.pivots, :]
+        lp = f.Lt.T[f.pivots, :]
         np.testing.assert_allclose(lp, np.tril(lp), atol=1e-12)
         np.testing.assert_allclose(f.R, np.triu(f.R), atol=1e-12)
 
@@ -113,7 +117,8 @@ def test_partial_decomposition_trace_budget():
         k = random_psd(rng, int(rng.integers(20, 80)), "gaussian")
         eps = 0.05 * np.trace(k)
         f = pivoted_cholesky(MatrixOracle(k), epsilon=eps)
-        resid = k - f.L @ f.L.T
+        l = f.Lt.T
+        resid = k - l @ l.T
         assert np.trace(resid) <= eps + 1e-10 * np.trace(k)
         assert f.residual_trace == pytest.approx(np.trace(resid), abs=1e-10 * np.trace(k))
         assert np.linalg.eigvalsh(0.5 * (resid + resid.T)).min() >= -1e-8 * np.trace(k)
@@ -161,6 +166,10 @@ def test_invalid_arguments():
         pivoted_cholesky(oracle, epsilon=0.0, strategy="random")
     with pytest.raises(ValueError):
         pivoted_cholesky(oracle, epsilon=0.0, strategy="omp")  # missing target
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"max_rank must be >= 1, got {cap}"):
+            pivoted_cholesky(oracle, epsilon=0.0, max_rank=cap)
+    assert oracle.queries == 0
     with pytest.raises(ValueError):
         MatrixOracle(np.zeros((2, 3)))
 
@@ -188,8 +197,8 @@ def test_kernel_oracle_matches_matrix_oracle():
     np.testing.assert_array_equal(fa.pivots, fb.pivots)
     # lazy columns round differently from a materialized matrix at the last
     # few (numerically negligible) pivots, so compare reconstructions
-    np.testing.assert_allclose(fa.L @ fa.L.T, k, atol=1e-8 * (1 + np.linalg.norm(k)))
-    np.testing.assert_allclose(fb.L @ fb.L.T, k, atol=1e-8 * (1 + np.linalg.norm(k)))
+    np.testing.assert_allclose(fa.Lt.T @ fa.Lt, k, atol=1e-8 * (1 + np.linalg.norm(k)))
+    np.testing.assert_allclose(fb.Lt.T @ fb.Lt, k, atol=1e-8 * (1 + np.linalg.norm(k)))
 
 
 def test_duplicated_points_collapse_rank():
@@ -299,8 +308,8 @@ def test_rank_major_loop_matches_row_major_reference(seed, n, d, family, strateg
     if duplicates == 0:
         np.testing.assert_array_equal(f.pivots, ref_piv)
     assert f.hit_rank_cap == ref_hit
-    assert f.L.shape == (pts.shape[0], f.rank) and f.L.flags.c_contiguous
+    assert f.Lt.shape == (f.rank, pts.shape[0]) and f.Lt.flags.c_contiguous
     single = counts[inverse] == 1
-    l_err = np.abs(f.L[single] - ref_l[single]).max(initial=0.0)
+    l_err = np.abs(f.Lt.T[single] - ref_l[single]).max(initial=0.0)
     assert l_err <= FACTOR_RTOL * np.abs(ref_l).max(initial=0.0)
     assert np.abs(f.R - ref_r).max(initial=0.0) <= FACTOR_RTOL * np.abs(ref_r).max(initial=0.0)
