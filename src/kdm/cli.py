@@ -109,30 +109,35 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
                     if name not in header:
                         raise UsageError(f"{path}: no column named {name!r}")
                     idx.append(header.index(name))
-            rows = []
-            for rownum, row in enumerate(reader, start=1):
-                vals = []
-                for i in idx:
-                    if i >= len(row):
-                        raise UsageError(f"{path}: row {rownum} has only {len(row)} fields")
-                    cell = row[i].strip()
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise UsageError(
-                            f"{path}: cannot parse {cell!r} at row {rownum}, column {header[i]!r}"
-                        )
-                    if not np.isfinite(v):
-                        raise UsageError(
-                            f"{path}: non-finite value {cell!r} at row {rownum}, column {header[i]!r}"
-                        )
-                    vals.append(v)
-                rows.append(vals)
+            rows = list(reader)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    return Dataset(np.asarray(rows, dtype=np.float64))
+    # convert in bulk (numpy parses each str with float(), so the grammar is
+    # Python's); only when that fails is the offending cell looked for
+    try:
+        data = np.array([[row[i] for i in idx] for row in rows], dtype=np.float64)
+    except (IndexError, ValueError):
+        data = None
+    if data is None or not np.all(np.isfinite(data)):
+        _raise_first_bad_cell(path, header, idx, rows)
+    return Dataset(data)
+
+
+def _raise_first_bad_cell(path: str, header: Sequence[str], idx: Sequence[int], rows) -> None:
+    for rownum, row in enumerate(rows, start=1):
+        for i in idx:
+            if i >= len(row):
+                raise UsageError(f"{path}: row {rownum} has only {len(row)} fields")
+            cell = row[i].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise UsageError(f"{path}: cannot parse {cell!r} at row {rownum}, column {header[i]!r}")
+            if not np.isfinite(v):
+                raise UsageError(f"{path}: non-finite value {cell!r} at row {rownum}, column {header[i]!r}")
+    raise AssertionError(f"{path}: bulk conversion failed but every cell parses")
 
 
 def _fmt(v) -> str:

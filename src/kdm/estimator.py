@@ -194,28 +194,31 @@ def _decompose(
     # reduce the m x n row blocks of L^T to lambda-independent statistics:
     # the Gram and the moment gap of the ridge system, and the plug-in
     # covariance of the scaled gap n^{-1/2} (L_Q^T 1 - L_P^T p*) that the
-    # test reads
-    lt_p, lt_q, p_star = factors.Lt[:, :n], factors.Lt[:, n:], prior.evaluate(pts_p)
+    # test reads.  The P block of the covariance, (L_P^T diag(p*^2) L_P) / n
+    # less the outer product of the mean, is the Gram for the prior one and
+    # vanishes for the prior zero; only a custom prior forms it, through an
+    # m x n temporary.
+    lt_p, lt_q = factors.Lt[:, :n], factors.Lt[:, n:]
+    gram = lt_p @ lt_p.T
     lq1 = lt_q @ np.ones(n)
-    lpp = lt_p @ p_star
+    p_star = None if prior.kind == "zero" else prior.evaluate(pts_p)
+    lpp = None if p_star is None else lt_p @ p_star
     covariance = None
     if _covariance:
-        sig = (
-            lt_q @ lt_q.T / n
-            - np.outer(lq1, lq1) / n**2
-            + (lt_p * p_star**2) @ lt_p.T / n
-            - np.outer(lpp, lpp) / n**2
-        )
+        sig = lt_q @ lt_q.T / n - np.outer(lq1, lq1) / n**2
+        if p_star is not None:
+            sig += (gram if prior.kind == "one" else (lt_p * p_star**2) @ lt_p.T) / n
+            sig -= np.outer(lpp, lpp) / n**2
         covariance = 0.5 * (sig + sig.T)
     return _Decomposition(
-        gram=lt_p @ lt_p.T,
+        gram=gram,
         R=factors.R,
         fields=dict(
             kernel=kernel,
             prior=prior,
             pivot_points=zs[factors.pivots],
             pivots=factors.pivots,
-            moment_gap=lq1 - lpp,
+            moment_gap=lq1 if lpp is None else lq1 - lpp,
             covariance=covariance,
             n=n,
             epsilon=factors.epsilon,

@@ -10,12 +10,28 @@ decomposition selects m pivot indices pi_1..pi_m and produces
 
 Only the diagonal of K plus one full column per pivot are ever requested, so
 the cost is O(m^2 N) time.  ``Lt`` is the leading rows of a (cap, N) buffer:
-step i reads the rows of the i earlier steps as one contiguous block for its
-Schur update and writes its own row.  The buffer is zero-filled lazily by the
-allocator, so the memory touched is O(m N) for the rank m reached, not for
-the cap.  With ``epsilon=0`` the loop
-runs until the residual diagonal is exhausted and L L^T reproduces K to the
-numerical rank.
+step i subtracts from its kernel column the Schur product of the i earlier
+rows with their entries at the pivot, and writes its own row.  The buffer is
+zero-filled lazily by the allocator, so the memory touched is O(m N) for the
+rank m reached, not for the cap.  With ``epsilon=0`` the loop runs until the
+residual diagonal is exhausted and L L^T reproduces K to the numerical rank.
+
+Done as one matrix-vector product per step, the Schur products read all
+earlier rows at every step: m^2 N / 2 entries in all, at the speed of memory,
+not of arithmetic.  The greedy rule avoids most of that reading.  A block
+begins at some step ``base`` and takes the CANDIDATES indices with the
+largest residual diagonal.  One matrix product computes their Schur products
+against the rows before ``base``, reading those rows once.  Each later step
+whose pivot is a candidate adds only the product with the rows written since
+``base``; a pivot outside the block begins a new one.  The next greedy pivots
+are mostly among those largest entries, so the old rows are read about once
+per block instead of once per step.  The pivot is still chosen from the exact
+residual diagonal, so pivots, rank, stopping rule and ``hit_rank_cap`` are
+those of the plain loop; only the order in which the Schur products are
+summed differs, a change at roundoff level that can decide a pivot only
+between residual entries tied to roundoff (such as copies of one point).
+OMP steps keep the plain product: their pivots are seldom among the largest
+diagonal entries.
 """
 
 from __future__ import annotations
@@ -34,6 +50,13 @@ DIAG_FLOOR_REL = 1e-12
 PSD_TOL_REL = 1e-8
 
 DEFAULT_MAX_RANK = 2000
+
+# greedy steps take their Schur product from a block of CANDIDATES rows,
+# precomputed for the indices with the largest residual diagonal, once the
+# earlier rows hold at least BLOCK_MIN_ENTRIES entries (2 MB); below that one
+# matrix-vector product per step is cheaper
+CANDIDATES = 32
+BLOCK_MIN_ENTRIES = 2**18
 
 
 class NumericsError(RuntimeError):
@@ -155,6 +178,13 @@ def pivoted_cholesky(
     max_rank : int, optional
         Hard cap on the number of pivots, >= 1; hitting it is reported
         through ``hit_rank_cap``, not raised.
+
+    Time is O(m^2 N) for rank m and N points.  Greedy steps take their Schur
+    products from blocks of precomputed candidates (module docstring) once
+    the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries; each block costs one
+    (CANDIDATES, N) product and a (CANDIDATES, N) buffer allocated once per
+    call.  The pivots are those of one matrix-vector product per step,
+    except between residual entries tied to roundoff.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -185,6 +215,12 @@ def pivoted_cholesky(
     rbuf = np.zeros((cap, cap))
     pivots: list[int] = []
     w = np.zeros(n) if strategy == "omp" else None
+    # block of precomputed Schur products: row cand_row[j] of prod holds
+    # lt[:base, j] @ lt[:base] for each candidate j of the block begun at
+    # step base
+    prod = None
+    cand_row: dict[int, int] = {}
+    base = 0
 
     i = 0
     while i < cap and float(d.sum()) > epsilon and np.any(d > 0):
@@ -195,7 +231,21 @@ def pivoted_cholesky(
         scale = 1.0 / np.sqrt(d[piv])
 
         lrow = lt[:i, piv].copy()
-        ell = oracle.column(piv) - lt[:i].T @ lrow
+        if strategy == "greedy" and i * n >= BLOCK_MIN_ENTRIES:
+            if piv not in cand_row:
+                base = i
+                k = min(CANDIDATES, n)
+                cand = np.argpartition(d, n - k)[n - k :]
+                if piv not in cand:  # ties at the maximum can leave it out
+                    cand[0] = piv
+                if prod is None:
+                    prod = np.empty((k, n))
+                np.matmul(lt[:base, cand].T, lt[:base], out=prod)
+                cand_row = {int(c): r for r, c in enumerate(cand)}
+            schur = prod[cand_row[piv]] + lt[base:i].T @ lrow[base:]
+        else:
+            schur = lt[:i].T @ lrow
+        ell = oracle.column(piv) - schur
         ell *= scale
         if pivots:
             ell[pivots] = 0.0  # Schur complement vanishes at previous pivots

@@ -66,6 +66,22 @@ def test_ingest_csv_diagnostics(tmp_path):
         ingest_csv(str(tmp_path / "missing.csv"))
 
 
+def test_ingest_csv_accepts_the_float_grammar(tmp_path):
+    # cells go through float() in bulk: the values are bitwise those of
+    # float(), and the first bad cell is still the one named
+    cells = [" 1 ", "+1.", ".5e-3", "1_000", "-0", "4.9e-324", "\u20072.5\xa0", "0.1"]
+    path = write_csv(tmp_path / "odd.csv", ["a"], [[c] for c in cells])
+    assert ingest_csv(path).points[:, 0].tobytes() == np.array([float(c) for c in cells]).tobytes()
+    for cell, message in [("1e400", "non-finite value '1e400' at row 2"), ("nan", "non-finite value 'nan' at row 2"),
+                          ("1__0", "cannot parse '1__0' at row 2"), (" 0x10 ", "cannot parse '0x10' at row 2")]:
+        bad = write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [cell, 3], ["oops", 4], [5]])
+        with pytest.raises(UsageError, match=f"{message}, column 'a'$"):
+            ingest_csv(bad)
+    later = write_csv(tmp_path / "later.csv", ["a", "b"], [[1, 2], [5], ["oops", 4]])
+    with pytest.raises(UsageError, match="row 2 has only 1 fields$"):
+        ingest_csv(later)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -106,6 +106,24 @@ def test_rank_capped_fit_holds_one_factor():
     assert peak < 1.8 * (2 * n) * cap * 8
 
 
+def test_rank_capped_fit_covariance_needs_no_m_by_n_temporary():
+    # with the prior one the P block of the covariance is the Gram; forming
+    # it as (L_P^T * p*^2) L_P took an m x n temporary, and the traced peak
+    # was 1.63 N m 8 bytes at this size.  What remains above the factor is
+    # mostly the loop's (32, N) block of Schur products: 1.18.
+    rng = np.random.default_rng(18)
+    n, cap = 5000, 400
+    p, q = rng.normal(0, 1, (n, 4)), rng.normal(0.3, 1, (n, 4))
+    tracemalloc.start()
+    try:
+        model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3, max_rank=cap, prior=PriorSpec.one())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.rank == cap and model.hit_rank_cap and model.covariance is not None
+    assert peak < 1.25 * (2 * n) * cap * 8
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(8)
     p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.5, 1, (60, 2))

@@ -85,6 +85,26 @@ def test_covariance_matches_empirical_covariances():
     assert np.min(np.linalg.eigvalsh(sig)) >= -1e-10
 
 
+@pytest.mark.parametrize(
+    "prior",
+    [PriorSpec.zero(), PriorSpec.custom(lambda z: 1.0 + 0.5 * np.tanh(z[:, 0]), pi_inf=1.5)],
+    ids=["zero", "custom"],
+)
+def test_covariance_and_gap_match_empirical_moments_per_prior(prior):
+    # the prior one is the test above; the zero prior drops the P block and
+    # a custom prior weights the P rows by p*
+    rng = np.random.default_rng(11)
+    p = rng.normal(0.0, 1.0, (100, 2))
+    q = rng.normal(0.2, 1.0, (100, 2))
+    model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3, prior=prior)
+    l = refactor(model, p, q).Lt.T
+    l_p, l_q, p_star = l[:100], l[100:], prior.evaluate(p)
+    expected = np.cov(l_q.T, bias=True) + np.cov((l_p * p_star[:, None]).T, bias=True)
+    np.testing.assert_allclose(model.covariance, expected, rtol=1e-10, atol=1e-14)
+    np.testing.assert_array_equal(model.covariance, model.covariance.T)
+    np.testing.assert_allclose(model.moment_gap, l_q.sum(axis=0) - l_p.T @ p_star, rtol=1e-12, atol=1e-12)
+
+
 def test_statistic_independent_of_ridge():
     a = fitted_model(seed=3, lam=1e-4)
     b = fitted_model(seed=3, lam=10.0)

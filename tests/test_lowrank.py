@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdm import lowrank
 from kdm.kernels import KernelSpec, cross_kernel_matrix
 from kdm.lowrank import (
     DIAG_FLOOR_REL,
@@ -282,6 +283,30 @@ FACTOR_RTOL = 1e-7
     duplicates=st.integers(0, 5),
 )
 def test_rank_major_loop_matches_row_major_reference(seed, n, d, family, strategy, cap, duplicates):
+    _assert_matches_row_major_reference(seed, n, d, family, strategy, cap, duplicates)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 80),
+    d=st.integers(1, 5),
+    family=st.sampled_from(["gaussian", "laplace", "polynomial"]),
+    strategy=st.sampled_from(["greedy", "omp"]),
+    cap=st.one_of(st.none(), st.integers(1, 12)),
+    duplicates=st.integers(0, 5),
+    candidates=st.integers(1, 4),
+)
+def test_block_schur_products_match_row_major_reference(seed, n, d, family, strategy, cap, duplicates, candidates):
+    # with no size threshold every greedy step takes the block path, and
+    # with so few candidates the next pivot both hits and misses the block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
+        mp.setattr(lowrank, "CANDIDATES", candidates)
+        _assert_matches_row_major_reference(seed, n, d, family, strategy, cap, duplicates)
+
+
+def _assert_matches_row_major_reference(seed, n, d, family, strategy, cap, duplicates):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0.0, 1.0, (n, d))
     pts = np.vstack([pts, pts[:duplicates]])
@@ -313,3 +338,33 @@ def test_rank_major_loop_matches_row_major_reference(seed, n, d, family, strateg
     l_err = np.abs(f.Lt.T[single] - ref_l[single]).max(initial=0.0)
     assert l_err <= FACTOR_RTOL * np.abs(ref_l).max(initial=0.0)
     assert np.abs(f.R - ref_r).max(initial=0.0) <= FACTOR_RTOL * np.abs(ref_r).max(initial=0.0)
+
+
+def test_block_path_full_size_keeps_reference_pivots():
+    # the size of one cross-validation fold of a 3,000 + 3,000 fit: blocks
+    # start at step 55 and most later pivots hit them
+    rng = np.random.default_rng(5)
+    pts = rng.normal(0.0, 1.0, (4800, 4))
+    spec = KernelSpec("gaussian", rho=2.0)
+    f = pivoted_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
+    ref_piv, ref_l, ref_r, ref_hit = _row_major_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
+    np.testing.assert_array_equal(f.pivots, ref_piv)
+    assert f.hit_rank_cap and ref_hit
+    assert np.abs(f.Lt.T - ref_l).max() <= FACTOR_RTOL * np.abs(ref_l).max()
+    assert np.abs(f.R - ref_r).max() <= FACTOR_RTOL * np.abs(ref_r).max()
+
+
+def test_omp_steps_ignore_the_block_constants(monkeypatch):
+    rng = np.random.default_rng(6)
+    pts = rng.normal(0.0, 1.0, (600, 3))
+    spec = KernelSpec("gaussian", rho=1.0)
+    target = np.sin(pts.sum(axis=1))
+    plain = pivoted_cholesky(KernelOracle(spec, pts), 0.0, "omp", omp_target=target, max_rank=120)
+    monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
+    monkeypatch.setattr(lowrank, "CANDIDATES", 4)
+    forced = pivoted_cholesky(KernelOracle(spec, pts), 0.0, "omp", omp_target=target, max_rank=120)
+    np.testing.assert_array_equal(forced.pivots, plain.pivots)
+    assert forced.Lt.tobytes() == plain.Lt.tobytes()
+    assert forced.R.tobytes() == plain.R.tobytes()
+    ref_piv, _, _, _ = _row_major_cholesky(KernelOracle(spec, pts), 0.0, "omp", omp_target=target, max_rank=120)
+    np.testing.assert_array_equal(forced.pivots, ref_piv)
