@@ -14,32 +14,34 @@ import numpy as np
 from .conditional import JointDataset, conditional_weights, fit_conditional, split_joint_sample
 from .estimator import fit
 from .hypothesis import DEFAULT_TRUNCATION_T, TestResult, run_test
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _as_points, _sq_dists
 from .metrics import energy_score
 from .simulate import MixtureConfig, draw_mixture_model, sample_distribution
 
 DEFAULT_EPS_REL = 1e-5
 DEFAULT_MAX_RANK = 256
-# default Gaussian length scale: this multiple of the median heuristic; wider
-# than the classic choice because the chi-square approximation of the test
-# needs the covariance spectrum to decay well inside the truncation window
-DEFAULT_RHO_MULT = 4.0
+# default Gaussian length scale of the independence studies: this multiple of
+# the median heuristic; wider than the classic choice because the chi-square
+# approximation of the test needs the covariance spectrum to decay well
+# inside the truncation window
+RHO_MULT = 4.0
+# the median heuristic looks at no more than this many points
+MEDIAN_POINTS = 500
+# mixture run r draws 1 + (r mod MAX_CLUSTERS) clusters
+MAX_CLUSTERS = 3
 
 
-def median_heuristic_rho(points: np.ndarray, cap: int = 500) -> float:
-    """Half the median pairwise squared distance over (at most cap) points.
+def median_heuristic_rho(points: np.ndarray) -> float:
+    """Half the median pairwise squared distance over at most MEDIAN_POINTS points.
 
     Deterministic: when subsampling is needed the points are thinned with an
     even stride rather than at random.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(points)
     n = pts.shape[0]
-    if n > cap:
-        pts = pts[np.linspace(0, n - 1, cap).astype(np.intp)]
-    sq = np.sum(pts**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
+    if n > MEDIAN_POINTS:
+        pts = pts[np.linspace(0, n - 1, MEDIAN_POINTS).astype(np.intp)]
+    d2 = _sq_dists(pts, pts)
     iu = np.triu_indices(pts.shape[0], k=1)
     med = float(np.median(d2[iu]))
     return max(med / 2.0, 1e-12)
@@ -49,27 +51,25 @@ def independence_test(
     joint: JointDataset,
     *,
     kernel: Optional[KernelSpec] = None,
-    rho_mult: float = DEFAULT_RHO_MULT,
     lam: float = 1e-3,
     epsilon_rel: float = DEFAULT_EPS_REL,
     max_rank: int = DEFAULT_MAX_RANK,
     scheme: str = "three_split",
-    truncation: str = "relative",
     t: float = DEFAULT_TRUNCATION_T,
 ) -> TestResult:
     """Test X independent of Y in a joint sample.
 
     The decoupled/paired samples come from the chosen split scheme; the
-    default kernel is Gaussian with ``rho_mult`` times the median-heuristic
-    length scale of the stacked sample.  The statistic does not depend on
-    lam.
+    default kernel is Gaussian with ``RHO_MULT`` times the median-heuristic
+    length scale of the stacked sample.  The test truncates its spectrum by
+    the relative rule at ``t``.  The statistic does not depend on lam.
     """
     sample_p, sample_q = split_joint_sample(joint, scheme)
     if kernel is None:
         stacked = np.vstack([sample_p.points, sample_q.points])
-        kernel = KernelSpec("gaussian", rho=rho_mult * median_heuristic_rho(stacked))
+        kernel = KernelSpec("gaussian", rho=RHO_MULT * median_heuristic_rho(stacked))
     model = fit(sample_p, sample_q, kernel, lam, epsilon_rel=epsilon_rel, max_rank=max_rank)
-    return run_test(model, truncation, t)
+    return run_test(model, "relative", t)
 
 
 @dataclass
@@ -98,12 +98,10 @@ def rejection_study(
     level: float = 0.05,
     c: Optional[float] = None,
     kernel: Optional[KernelSpec] = None,
-    rho_mult: float = DEFAULT_RHO_MULT,
     lam: float = 1e-3,
     epsilon_rel: float = DEFAULT_EPS_REL,
     max_rank: int = DEFAULT_MAX_RANK,
     scheme: str = "three_split",
-    truncation: str = "relative",
     t: float = DEFAULT_TRUNCATION_T,
 ) -> RejectionStudy:
     """Run the independence test on `reps` fresh data sets of per-sample size n."""
@@ -118,12 +116,10 @@ def rejection_study(
         pvals[r] = independence_test(
             joint,
             kernel=kernel,
-            rho_mult=rho_mult,
             lam=lam,
             epsilon_rel=epsilon_rel,
             max_rank=max_rank,
             scheme=scheme,
-            truncation=truncation,
             t=t,
         ).p_value
     return RejectionStudy(
@@ -171,7 +167,7 @@ def null_bound_study(
         sample_p, sample_q = pts[:n], pts[n:]
         kern = kernel
         if kern is None:
-            rho = DEFAULT_RHO_MULT * median_heuristic_rho(np.vstack([sample_p, sample_q]))
+            rho = RHO_MULT * median_heuristic_rho(np.vstack([sample_p, sample_q]))
             kern = KernelSpec("gaussian", rho=rho)
         model = fit(sample_p, sample_q, kern, lam, epsilon_rel=epsilon_rel, max_rank=max_rank)
         holds[r] = run_test(model, eta=eta).bound_holds
@@ -200,11 +196,10 @@ def mixture_energy_study(
     lam: float = 1e-3,
     epsilon_rel: float = DEFAULT_EPS_REL,
     max_rank: int = 400,
-    max_clusters: int = 3,
 ) -> MixtureStudy:
     """Out-of-sample energy scores on random Gaussian mixtures.
 
-    Run r draws a mixture with 1 + (r mod max_clusters) clusters, fits the
+    Run r draws a mixture with 1 + (r mod MAX_CLUSTERS) clusters, fits the
     conditional model on a three-way split of 3 * n_train rows, and scores
     n_test fresh outcomes against the candidate grid twice: once with the
     conditional weights (scaled to mean one) and once with uniform weights.
@@ -217,7 +212,7 @@ def mixture_energy_study(
     clusters = np.empty(runs, dtype=np.intp)
     for r in range(runs):
         rng = np.random.default_rng(seed ^ r)
-        k = 1 + r % max_clusters
+        k = 1 + r % MAX_CLUSTERS
         clusters[r] = k
         mixture = draw_mixture_model(MixtureConfig(n_clusters=k), rng)
         train, _ = mixture.sample(3 * n_train, rng)

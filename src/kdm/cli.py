@@ -145,8 +145,12 @@ def _fmt(v) -> str:
 
 
 def _check_out(path: str, force: bool) -> None:
-    if path and os.path.exists(path) and not force:
+    """Reject an output path before any work: an existing file without --force, or a missing directory."""
+    if os.path.exists(path) and not force:
         raise UsageError(f"refusing to overwrite {path} (pass --force)")
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise UsageError(f"cannot write {path}: directory {directory} does not exist")
 
 
 def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
@@ -194,8 +198,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=None, help="absolute decomposition tolerance")
     p.add_argument("--epsilon-rel", type=float, default=1e-6, help="tolerance relative to the kernel trace")
     p.add_argument("--prior", choices=["one", "zero"], default="one")
-    p.add_argument("--strategy", choices=["greedy", "omp"], default="greedy")
-    p.add_argument("--omp-target", default=None, help="CSV with one target value per stacked point")
     p.add_argument("--max-rank", type=_size_cap, default=None)
     p.add_argument("--standardize", action="store_true")
 
@@ -221,6 +223,8 @@ def build_parser() -> _Parser:
     p.add_argument("--q-cols", default=None)
     _add_kernel_flags(p)
     _add_fit_flags(p)
+    p.add_argument("--strategy", choices=["greedy", "omp"], default="greedy")
+    p.add_argument("--omp-target", default=None, help="CSV with one target value per stacked point")
     p.add_argument("--out", required=True, help="model bundle path")
     p.add_argument("--force", action="store_true")
 
@@ -358,7 +362,7 @@ def _cmd_fit(args) -> dict:
         "kappa_inf": model.kappa_inf,
         "kappa_empirical": model.kappa_empirical,
         "hit_rank_cap": model.hit_rank_cap,
-        "h_norm": h_norm(model, method="weights"),
+        "h_norm": h_norm(model),
         "standardize": args.standardize,
         "out": args.out,
     }
@@ -390,7 +394,6 @@ def _cmd_condexp(args) -> dict:
         prior=_prior_from_args(args),
         epsilon=args.epsilon,
         epsilon_rel=args.epsilon_rel,
-        strategy=args.strategy,
         max_rank=args.max_rank,
         standardize=args.standardize,
         grid_cap=args.grid_cap,
@@ -577,10 +580,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(report, sort_keys=True, indent=2))
         print(f"[kdm] {args.command} finished in {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return 0
-    except UsageError as exc:
-        print(f"kdm: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"kdm: error: {exc}", file=sys.stderr)
         return 1
     except (NumericsError, np.linalg.LinAlgError) as exc:

@@ -122,37 +122,27 @@ def fit_conditional(
     prior: Optional[PriorSpec] = None,
     epsilon: Optional[float] = None,
     epsilon_rel: float = 1e-6,
-    strategy: str = "greedy",
     max_rank: Optional[int] = None,
     standardize: bool = False,
-    y_grid: Optional[np.ndarray] = None,
     grid_cap: int = DEFAULT_GRID_CAP,
     seed: int = 0,
 ) -> ConditionalModel:
     """Split the joint sample, fit the ratio model, and attach a y grid.
 
-    The default grid holds the sample's own y rows, subsampled down to
-    min(n, grid_cap) entries with the given seed when there are more.  The
-    base model is the one :func:`fit` returns, except that it carries no
-    test covariance (``covariance`` is None): no conditional estimate reads it.
+    The grid holds the sample's own y rows, subsampled down to
+    min(n, grid_cap) entries with the given seed when there are more; a
+    model over another grid is ``ConditionalModel(base, y_grid, scheme)``.
+    The decomposition uses the greedy rule.  The base model is the one
+    :func:`fit` returns, except that it carries no test covariance
+    (``covariance`` is None): no conditional estimate reads it.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
     if grid_cap < 1:
         raise ValueError(f"grid_cap must be >= 1, got {grid_cap}")
     sample_p, sample_q = split_joint_sample(joint, scheme)
-    if y_grid is None:
-        cap = min(sample_p.n, grid_cap)
-        idx = _reservoir_indices(joint.rows, cap, np.random.default_rng(seed))
-        y_grid = joint.y[idx].copy()
-    else:
-        y_grid = np.asarray(y_grid, dtype=np.float64)
-        if y_grid.ndim == 1:
-            y_grid = y_grid[:, None]
-        if y_grid.ndim != 2 or y_grid.shape[1] != joint.d_y:
-            raise ValueError("y_grid dimension differs from the sample's y")
-        if y_grid.shape[0] == 0:
-            raise ValueError("y_grid must hold at least one point")
+    idx = _reservoir_indices(joint.rows, min(sample_p.n, grid_cap), np.random.default_rng(seed))
+    y_grid = joint.y[idx].copy()
     dec = _decompose(
         sample_p,
         sample_q,
@@ -160,7 +150,6 @@ def fit_conditional(
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
         prior=prior,
-        strategy=strategy,
         max_rank=max_rank,
         standardize=standardize,
         seed=seed,
@@ -185,11 +174,11 @@ def _ratio_matrix(cmodel: ConditionalModel, xs: np.ndarray) -> np.ndarray:
     d_x = cmodel.d_x
     if base.kernel.family == "gaussian" and base.prior.kind in ("zero", "one"):
         # k((x, y), (x', y')) = k_x(x, x') k_y(y, y') on the stacked
-        # coordinates, also after per-column standardization, so the whole
-        # matrix is one product of an x block and a y block
-        if base.standardizer is not None:
-            xs = (xs - base.standardizer.mean[:d_x]) / base.standardizer.scale[:d_x]
-            grid = (grid - base.standardizer.mean[d_x:]) / base.standardizer.scale[d_x:]
+        # coordinates, also after the per-column input transform, so the
+        # whole matrix is one product of an x block and a y block
+        std = base.standardizer
+        xs = (xs - std.mean[:d_x]) / std.scale[:d_x]
+        grid = (grid - std.mean[d_x:]) / std.scale[d_x:]
         piv = base.pivot_points
         k_x = cross_kernel_matrix(base.kernel, xs, piv[:, :d_x])
         k_y = cross_kernel_matrix(base.kernel, grid, piv[:, d_x:])

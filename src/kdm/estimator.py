@@ -82,8 +82,9 @@ class PriorSpec:
 class KdmModel:
     """Fitted low-rank density-ratio model.
 
-    ``pivot_points`` are stored in the kernel's coordinate system (after the
-    optional standardization); queries are transformed the same way before
+    ``pivot_points`` are stored in the kernel's coordinate system, the image
+    of the training points under ``standardizer`` (see
+    :func:`_input_transform`); queries are transformed the same way before
     kernel evaluation.  The test reads ``moment_gap`` (L_Q^T 1 - L_P^T p*) and
     its plug-in ``covariance``; no array has a row per training point.  The
     base model of a conditional fit has no ``covariance`` (None).
@@ -103,7 +104,7 @@ class KdmModel:
     residual_trace: float
     kappa_inf: float
     kappa_empirical: bool
-    standardizer: Optional[Standardizer] = None
+    standardizer: Standardizer
     hit_rank_cap: bool = False
     seed: Optional[int] = None
 
@@ -150,6 +151,22 @@ class _Decomposition:
     fields: dict
 
 
+def _input_transform(kernel: KernelSpec, stacked: np.ndarray, standardize: bool) -> Standardizer:
+    """The map from data to kernel coordinates, fixed from the stacked sample.
+
+    ``standardize`` centers and scales each column.  Otherwise the
+    translation-invariant families are centered on the stacked mean, with
+    scale 1: the kernel is unchanged, and its expanded squared distances no
+    longer cancel when the data sit far from the origin.  The polynomial
+    kernel is not translation-invariant, so it gets the identity.
+    """
+    if standardize:
+        return Standardizer.from_points(stacked)
+    d = stacked.shape[1]
+    mean = np.zeros(d) if kernel.family == "polynomial" else stacked.mean(axis=0)
+    return Standardizer(mean=mean, scale=np.ones(d))
+
+
 def _decompose(
     sample_p,
     sample_q,
@@ -159,8 +176,7 @@ def _decompose(
     epsilon_rel: float = DEFAULT_EPSILON_REL,
     prior: Optional[PriorSpec] = None,
     strategy: str = "greedy",
-    omp_target=None,
-    omp_quantile: float = 0.9,
+    omp_target: Optional[np.ndarray] = None,
     max_rank: Optional[int] = None,
     standardize: bool = False,
     seed: Optional[int] = None,
@@ -171,23 +187,13 @@ def _decompose(
     prior = prior if prior is not None else PriorSpec.one()
 
     stacked = np.vstack([pts_p, pts_q])
-    standardizer = Standardizer.from_points(stacked) if standardize else None
-    zs = standardizer.apply(stacked) if standardizer is not None else stacked
-
-    if callable(omp_target):
-        omp_target = np.asarray(omp_target(stacked), dtype=np.float64).reshape(-1)
+    standardizer = _input_transform(kernel, stacked, standardize)
+    zs = standardizer.apply(stacked)
 
     oracle = KernelOracle(kernel, zs)
     if epsilon is None:
         epsilon = epsilon_rel * float(oracle.diagonal().sum())
-    factors = pivoted_cholesky(
-        oracle,
-        epsilon,
-        strategy,
-        omp_target=omp_target,
-        omp_quantile=omp_quantile,
-        max_rank=max_rank,
-    )
+    factors = pivoted_cholesky(oracle, epsilon, strategy, omp_target=omp_target, max_rank=max_rank)
     if factors.rank == 0:
         raise NumericsError("decomposition selected no pivots; kernel matrix is numerically zero")
 
@@ -257,8 +263,7 @@ def fit(
     epsilon_rel: float = DEFAULT_EPSILON_REL,
     prior: Optional[PriorSpec] = None,
     strategy: str = "greedy",
-    omp_target=None,
-    omp_quantile: float = 0.9,
+    omp_target: Optional[np.ndarray] = None,
     max_rank: Optional[int] = None,
     standardize: bool = False,
     seed: Optional[int] = None,
@@ -268,7 +273,9 @@ def fit(
     ``sample_p`` and ``sample_q`` are the denominator and numerator samples.
     ``epsilon`` is the absolute decomposition tolerance; when omitted it
     defaults to ``epsilon_rel`` times the kernel trace of the stacked sample.
-    The fit is deterministic: no randomness enters anywhere.
+    ``strategy="omp"`` needs ``omp_target``, one value per stacked point
+    (the P sample's rows first).  The fit is deterministic: no randomness
+    enters anywhere.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
@@ -281,7 +288,6 @@ def fit(
         prior=prior,
         strategy=strategy,
         omp_target=omp_target,
-        omp_quantile=omp_quantile,
         max_rank=max_rank,
         standardize=standardize,
         seed=seed,
@@ -302,8 +308,7 @@ def _query_points(d: int, z) -> tuple[np.ndarray, bool]:
 def eval_h(model: KdmModel, z) -> Union[float, np.ndarray]:
     """RKHS correction h at one point (1-d input) or a batch (2-d input)."""
     pts, single = _query_points(model.d, z)
-    zs = model.standardizer.apply(pts) if model.standardizer is not None else pts
-    vals = cross_kernel_matrix(model.kernel, zs, model.pivot_points) @ model.beta
+    vals = cross_kernel_matrix(model.kernel, model.standardizer.apply(pts), model.pivot_points) @ model.beta
     return float(vals[0]) if single else vals
 
 
@@ -316,20 +321,13 @@ def eval_density_ratio(model: KdmModel, z, clip: bool = False) -> Union[float, n
     return float(vals[0]) if single else vals
 
 
-def h_norm(model: KdmModel, method: str = "gram") -> float:
-    """RKHS norm of the fitted correction h.
+def h_norm(model: KdmModel) -> float:
+    """RKHS norm of the fitted correction h, as ||w||_2.
 
-    ``method="gram"`` evaluates sqrt(beta^T K[piv, piv] beta); ``"weights"``
-    uses the biorthogonal identity, under which the norm equals ||w||_2.  The
-    two agree to roundoff and the second is cheaper.
+    With beta = R w and R^T K[piv, piv] R = I (the biorthogonal identity),
+    ||h||^2 = beta^T K[piv, piv] beta = w^T w, so no kernel entry is needed.
     """
-    if method == "weights":
-        return float(np.linalg.norm(model.w))
-    if method != "gram":
-        raise ValueError(f"unknown method {method!r}")
-    kpp = cross_kernel_matrix(model.kernel, model.pivot_points, model.pivot_points)
-    val = float(model.beta @ kpp @ model.beta)
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.linalg.norm(model.w))
 
 
 def validation_loss(model: KdmModel, val_p, val_q) -> float:
@@ -359,10 +357,7 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
     once; each loss still equals :func:`validation_loss` of the solve.
     """
     std, piv = dec.fields["standardizer"], dec.fields["pivot_points"]
-    k_p, k_q = (
-        cross_kernel_matrix(dec.fields["kernel"], std.apply(va) if std is not None else va, piv)
-        for va in (va_p, va_q)
-    )
+    k_p, k_q = (cross_kernel_matrix(dec.fields["kernel"], std.apply(va), piv) for va in (va_p, va_q))
     pbar = dec.fields["prior"].evaluate(va_p)
     losses = []
     for lam in lambdas:
@@ -392,10 +387,8 @@ def cross_validate(
     grid: Sequence,
     folds: int,
     *,
-    epsilon: Optional[float] = None,
     epsilon_rel: float = DEFAULT_EPSILON_REL,
     prior: Optional[PriorSpec] = None,
-    strategy: str = "greedy",
     max_rank: Optional[int] = None,
     standardize: bool = False,
     seed: int = 0,
@@ -408,7 +401,9 @@ def cross_validate(
     the prior at the validation P points are computed once per fold and
     kernel and reused across lambda values, so grids dense in lambda cost
     little extra.  Each loss equals :func:`validation_loss` of a fresh fit
-    on the training fold.  Ties resolve to the earliest grid entry.
+    on the training fold.  Ties resolve to the earliest grid entry.  Every
+    fold is decomposed with the greedy rule at a tolerance relative to its
+    own kernel trace.
     """
     pts_p, pts_q = _common_size(sample_p, sample_q)
     n = pts_p.shape[0]
@@ -437,10 +432,8 @@ def cross_validate(
                 tr_p,
                 tr_q,
                 kern,
-                epsilon=epsilon,
                 epsilon_rel=epsilon_rel,
                 prior=prior,
-                strategy=strategy,
                 max_rank=max_rank,
                 standardize=standardize,
                 _covariance=False,
@@ -491,11 +484,7 @@ def save_model(model: KdmModel, path: str) -> None:
         "kappa_empirical": model.kappa_empirical,
         "hit_rank_cap": model.hit_rank_cap,
         "seed": model.seed,
-        "standardizer": (
-            None
-            if model.standardizer is None
-            else {"mean": model.standardizer.mean.tolist(), "scale": model.standardizer.scale.tolist()}
-        ),
+        "standardizer": {"mean": model.standardizer.mean.tolist(), "scale": model.standardizer.scale.tolist()},
         "arrays": [],
     }
     blobs = []
@@ -564,7 +553,9 @@ def load_model(path: str) -> KdmModel:
     magic, the format, an array's dtype or shape, the byte count, or the
     sizes the arrays and the header share differ from what
     :func:`save_model` writes.  Bundles of the older format 1, which stored
-    n-row factor blocks, are rejected: refit the model to write format 2.
+    n-row factor blocks, are rejected: refit the model to write format 2.  A
+    format-2 bundle whose ``standardizer`` is null was fitted in raw
+    coordinates and loads with the identity transform.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -601,7 +592,9 @@ def load_model(path: str) -> KdmModel:
 
 def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
     prior = PriorSpec.one() if header["prior"]["kind"] == "one" else PriorSpec.zero()
-    std = header["standardizer"]
+    std, d = header["standardizer"], arrays["pivot_points"].shape[1]
+    if std is None:
+        std = {"mean": [0.0] * d, "scale": [1.0] * d}
     return KdmModel(
         kernel=KernelSpec.from_dict(header["kernel"]),
         lam=float(header["lam"]),
@@ -611,9 +604,7 @@ def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
         residual_trace=float(header["residual_trace"]),
         kappa_inf=float(header["kappa_inf"]),
         kappa_empirical=bool(header["kappa_empirical"]),
-        standardizer=(
-            None if std is None else Standardizer(mean=np.asarray(std["mean"]), scale=np.asarray(std["scale"]))
-        ),
+        standardizer=Standardizer(mean=np.asarray(std["mean"]), scale=np.asarray(std["scale"])),
         hit_rank_cap=bool(header["hit_rank_cap"]),
         seed=header["seed"],
         **arrays,

@@ -174,7 +174,7 @@ def run_test(
         bound = finite_sample_bound(
             eta, model.lam, model.n, eps_reached, model.kappa_inf, model.prior.pi_inf, s=0.0
         )
-        result.h_norm = h_norm(model, method="weights")
+        result.h_norm = h_norm(model)
         result.norm_bound = bound.rhs
         result.bound_holds = bool(result.h_norm <= bound.rhs)
     return result

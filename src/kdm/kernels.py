@@ -7,7 +7,7 @@ unbounded, so its sup can only be reported empirically over a data set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -67,10 +67,9 @@ class KernelSpec:
 
 @dataclass
 class Dataset:
-    """An n x d sample matrix with optional seed provenance."""
+    """An n x d sample matrix."""
 
     points: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
@@ -128,7 +127,11 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None) -> 
     # expanded form with a clamp at zero so duplicate points never go negative
     aa = (sq_norms(a) if aa is None else aa)[:, None]
     bb = sq_norms(b)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
+    # scaling the d-column operand b, not the product, saves a full-size
+    # temporary, and b is the single point of a kernel column; doubling is
+    # exact, so the bits are those of 2 * (a @ b.T) whenever both are one
+    # general matrix product (a is not b)
+    d2 = aa + bb - a @ (2.0 * b).T
     return np.maximum(d2, 0.0)
 
 

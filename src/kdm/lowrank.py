@@ -32,6 +32,12 @@ summed differs, a change at roundoff level that can decide a pivot only
 between residual entries tied to roundoff (such as copies of one point).
 OMP steps keep the plain product: their pivots are seldom among the largest
 diagonal entries.
+
+``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
+the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
+are exactly upper triangular, and R = inv(L[piv, :]^T) is one LAPACK
+triangular inverse (``dtrtri``) of an m x m copy: m^3 / 3 flops, about 0.2 s
+at rank 2,000 on one core.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .kernels import Dataset, KernelSpec, _as_points, cross_kernel_matrix, kernel_diagonal, sq_norms
 
@@ -50,6 +57,10 @@ DIAG_FLOOR_REL = 1e-12
 PSD_TOL_REL = 1e-8
 
 DEFAULT_MAX_RANK = 2000
+
+# OMP candidates are the indices whose residual diagonal reaches this quantile
+# of the nonzero entries
+OMP_QUANTILE = 0.9
 
 # greedy steps take their Schur product from a block of CANDIDATES rows,
 # precomputed for the indices with the largest residual diagonal, once the
@@ -125,16 +136,11 @@ def greedy_pivot(d: np.ndarray) -> int:
     return j
 
 
-def omp_pivot(
-    d: np.ndarray,
-    target_values: np.ndarray,
-    w_running: np.ndarray,
-    quantile_threshold: float = 0.9,
-) -> int:
+def omp_pivot(d: np.ndarray, target_values: np.ndarray, w_running: np.ndarray) -> int:
     """Pivot maximizing the normalized unexplained target energy.
 
     Candidates are restricted to indices whose residual diagonal reaches the
-    given quantile of the nonzero diagonal entries; among them the score
+    ``OMP_QUANTILE`` quantile of the nonzero diagonal entries; among them the score
     (f(z_j) - w_j)^2 / d_j decides, ties to the smallest index.  When every
     score vanishes the choice falls back to :func:`greedy_pivot`.
     """
@@ -142,9 +148,7 @@ def omp_pivot(
     nz = d[d > 0]
     if nz.size == 0:
         raise ValueError("no strictly positive diagonal entry available for pivoting")
-    if not 0.0 <= quantile_threshold <= 1.0:
-        raise ValueError("quantile_threshold must lie in [0, 1]")
-    eta = np.quantile(nz, quantile_threshold)
+    eta = np.quantile(nz, OMP_QUANTILE)
     cand = d >= eta
     scores = np.full(d.shape, -np.inf)
     resid = np.asarray(target_values, dtype=np.float64) - np.asarray(w_running, dtype=np.float64)
@@ -161,7 +165,6 @@ def pivoted_cholesky(
     strategy: str = "greedy",
     *,
     omp_target: Optional[np.ndarray] = None,
-    omp_quantile: float = 0.9,
     max_rank: Optional[int] = None,
 ) -> CholeskyFactors:
     """Run the decomposition until trace(K - L L^T) <= epsilon.
@@ -184,7 +187,8 @@ def pivoted_cholesky(
     the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries; each block costs one
     (CANDIDATES, N) product and a (CANDIDATES, N) buffer allocated once per
     call.  The pivots are those of one matrix-vector product per step,
-    except between residual entries tied to roundoff.
+    except between residual entries tied to roundoff.  ``R`` is one
+    triangular inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -212,7 +216,6 @@ def pivoted_cholesky(
     d[d <= floor] = 0.0
 
     lt = np.zeros((cap, n))  # L^T, one row per pivot
-    rbuf = np.zeros((cap, cap))
     pivots: list[int] = []
     w = np.zeros(n) if strategy == "omp" else None
     # block of precomputed Schur products: row cand_row[j] of prod holds
@@ -227,7 +230,7 @@ def pivoted_cholesky(
         if strategy == "greedy":
             piv = greedy_pivot(d)
         else:
-            piv = omp_pivot(d, target, w, omp_quantile)
+            piv = omp_pivot(d, target, w)
         scale = 1.0 / np.sqrt(d[piv])
 
         lrow = lt[:i, piv].copy()
@@ -251,9 +254,6 @@ def pivoted_cholesky(
             ell[pivots] = 0.0  # Schur complement vanishes at previous pivots
         ell[piv] = np.sqrt(d[piv])
 
-        rbuf[:i, i] = -scale * (rbuf[:i, :i] @ lrow)
-        rbuf[i, i] = scale
-
         if w is not None:
             w += ell * (scale * (target[piv] - w[piv]))
 
@@ -267,11 +267,16 @@ def pivoted_cholesky(
         pivots.append(piv)
         i += 1
 
+    r = np.zeros((0, 0))
+    if i:
+        r, info = dtrtri(lt[:i, pivots], lower=0)
+        if info != 0:
+            raise NumericsError(f"triangular inverse of the pivot block failed (LAPACK info {info})")
     residual = float(d.sum())
     return CholeskyFactors(
         pivots=np.asarray(pivots, dtype=np.intp),
         Lt=lt[:i],
-        R=rbuf[:i, :i].copy(),
+        R=r,
         residual_trace=residual,
         epsilon=float(epsilon),
         hit_rank_cap=bool(i == cap and residual > epsilon and np.any(d > 0)),

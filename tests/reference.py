@@ -4,7 +4,8 @@
 ``verify_factors`` recomputes the structural identities of a decomposition
 against it.  ``fit_full`` solves the exact representer system over all 2n
 stacked points, quadratic in memory, so the low-rank fit can be checked
-against it at small scale through ``eval_h_full`` and ``rkhs_gap``.
+against it at small scale through ``eval_h_full`` and ``rkhs_gap``;
+``h_norm_gram`` is the RKHS norm of a low-rank fit from its Gram matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from kdm.estimator import KdmModel, PriorSpec, _common_size, _query_points
+from kdm.estimator import KdmModel, PriorSpec, _common_size, _input_transform, _query_points
 from kdm.kernels import KernelSpec, Standardizer, cross_kernel_matrix
 from kdm.lowrank import CholeskyFactors, NumericsError
 
@@ -85,7 +86,7 @@ class FullRankModel:
     points: np.ndarray  # in kernel coordinates
     beta: np.ndarray
     n: int
-    standardizer: Optional[Standardizer] = None
+    standardizer: Standardizer
 
 
 def fit_full(
@@ -98,7 +99,11 @@ def fit_full(
     standardize: bool = False,
     max_points: int = 4000,
 ) -> FullRankModel:
-    """Dense 2n x 2n reference fit; quadratic memory, for validation scale."""
+    """Dense 2n x 2n reference fit; quadratic memory, for validation scale.
+
+    The kernel coordinates are those of :func:`kdm.estimator.fit`: the same
+    input transform of the stacked sample.
+    """
     if lam <= 0:
         raise ValueError("lam must be > 0")
     pts_p, pts_q = _common_size(sample_p, sample_q)
@@ -107,8 +112,8 @@ def fit_full(
         raise ValueError(f"dense fit limited to {max_points} stacked points, got {2 * n}")
     prior = prior if prior is not None else PriorSpec.one()
     stacked = np.vstack([pts_p, pts_q])
-    standardizer = Standardizer.from_points(stacked) if standardize else None
-    zs = standardizer.apply(stacked) if standardizer is not None else stacked
+    standardizer = _input_transform(kernel, stacked, standardize)
+    zs = standardizer.apply(stacked)
 
     k = cross_kernel_matrix(kernel, zs, zs)
     p_star = prior.evaluate(pts_p)
@@ -137,8 +142,7 @@ def fit_full(
 def eval_h_full(full: FullRankModel, z) -> Union[float, np.ndarray]:
     """Correction h of the dense fit at one point or a batch."""
     pts, single = _query_points(full.points.shape[1], z)
-    zs = full.standardizer.apply(pts) if full.standardizer is not None else pts
-    vals = cross_kernel_matrix(full.kernel, zs, full.points) @ full.beta
+    vals = cross_kernel_matrix(full.kernel, full.standardizer.apply(pts), full.points) @ full.beta
     return float(vals[0]) if single else vals
 
 
@@ -150,7 +154,10 @@ def rkhs_gap(full: FullRankModel, model: KdmModel) -> float:
     """
     if full.kernel != model.kernel:
         raise ValueError("fits use different kernels")
-    if (full.standardizer is None) != (model.standardizer is None):
+    if not (
+        np.array_equal(full.standardizer.mean, model.standardizer.mean)
+        and np.array_equal(full.standardizer.scale, model.standardizer.scale)
+    ):
         raise ValueError("fits use different coordinate transforms")
     k_ff = cross_kernel_matrix(full.kernel, full.points, full.points)
     k_ll = cross_kernel_matrix(full.kernel, model.pivot_points, model.pivot_points)
@@ -161,3 +168,10 @@ def rkhs_gap(full: FullRankModel, model: KdmModel) -> float:
         - 2.0 * (full.beta @ k_fl @ model.beta)
     )
     return float(np.sqrt(max(gap2, 0.0)))
+
+
+def h_norm_gram(model: KdmModel) -> float:
+    """RKHS norm of the correction h as sqrt(beta^T K[piv, piv] beta)."""
+    kpp = cross_kernel_matrix(model.kernel, model.pivot_points, model.pivot_points)
+    val = float(model.beta @ kpp @ model.beta)
+    return float(np.sqrt(max(val, 0.0)))

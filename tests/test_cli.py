@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from kdm.cli import UsageError, ingest_csv, main, parse_columns
+from kdm.estimator import fit, load_model
+from kdm.kernels import KernelSpec
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +197,39 @@ def test_test_rejects_format_1_bundle_exit_1(capsys, tmp_path):
     assert model in err and "field 'format' is 1" in err and "refit" in err
 
 
+def test_missing_input_or_output_directory_exits_1(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "test", "--model", str(tmp_path / "missing.kdm"))
+    assert code == 1 and "missing.kdm" in err
+    p = write_csv(tmp_path / "p.csv", ["a"], [[0.1 * i] for i in range(10)])
+    q = write_csv(tmp_path / "q.csv", ["a"], [[0.2 * i] for i in range(10)])
+    nodir = tmp_path / "nodir"
+    code, _, err = run_cli(capsys, "fit", "--p", p, "--q", q, "--lambda", "1e-3", "--out", str(nodir / "m.kdm"))
+    assert code == 1 and f"directory {nodir} does not exist" in err
+    code, _, err = run_cli(
+        capsys, "cv", "--p", p, "--q", q, "--rhos", "1", "--lambdas", "1e-3", "--folds", "2", "--seed", "0",
+        "--out", str(nodir / "x.json"),
+    )
+    assert code == 1 and f"directory {nodir} does not exist" in err
+    assert not nodir.exists()
+
+
+def test_fit_omp_strategy(capsys, tmp_path):
+    target = np.sin(0.1 * np.arange(300))
+    t_csv = write_csv(tmp_path / "t.csv", ["t"], [[v] for v in target])
+    code, payload, model = fit_two_samples(capsys, tmp_path, "--strategy", "omp", "--omp-target", t_csv)
+    assert code == 0 and payload["n"] == 150
+    ds_p, ds_q = ingest_csv(str(tmp_path / "p.csv")), ingest_csv(str(tmp_path / "q.csv"))
+    spec = KernelSpec("gaussian", rho=2.0)
+    omp = fit(ds_p, ds_q, spec, 1e-3, strategy="omp", omp_target=target)
+    np.testing.assert_array_equal(load_model(model).pivots, omp.pivots)
+    assert not np.array_equal(omp.pivots, fit(ds_p, ds_q, spec, 1e-3).pivots)
+    code, _, err = run_cli(
+        capsys, "fit", "--p", str(tmp_path / "p.csv"), "--q", str(tmp_path / "q.csv"), "--lambda", "1e-3",
+        "--strategy", "omp", "--out", str(tmp_path / "no_target.kdm"),
+    )
+    assert code == 1 and "omp strategy requires omp_target" in err
+
+
 def test_fit_artifacts_are_deterministic(capsys, tmp_path):
     _, _, model_a = fit_two_samples(capsys, tmp_path)
     b = str(tmp_path / "model_b.kdm")
@@ -233,6 +268,21 @@ def test_condexp_flow(capsys, tmp_path):
         "--query", bad, "--out", str(tmp_path / "c2.csv"),
     )
     assert code == 1 and "expected 1" in err
+
+
+@pytest.mark.parametrize("flag", [["--strategy", "omp"], ["--omp-target", "t.csv"]])
+def test_condexp_has_no_pivot_strategy(capsys, tmp_path, flag):
+    # the conditional fit is greedy only
+    joint = write_csv(tmp_path / "joint.csv", ["x", "y"], [[0.1 * i, 0.2 * i] for i in range(12)])
+    query = write_csv(tmp_path / "query.csv", ["x"], [[0.0]])
+    code, _, err = run_cli(
+        capsys,
+        "condexp",
+        "--joint", joint, "--xcols", "x", "--ycols", "y",
+        "--lambda", "1e-3", "--seed", "0", *flag,
+        "--query", query, "--out", str(tmp_path / "cond.csv"),
+    )
+    assert code == 1 and f"unrecognized arguments: {flag[0]}" in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-2"])

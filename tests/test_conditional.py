@@ -310,11 +310,13 @@ def test_grid_subsampling_and_explicit_grid():
         joint, KernelSpec("gaussian", rho=1.0), lam=1e-3, scheme="three_split", grid_cap=50
     )
     assert cm.y_grid.shape == (50, 1)
-    grid = np.linspace(-2, 2, 11)
-    cm2 = fit_conditional(joint, KernelSpec("gaussian", rho=1.0), lam=1e-3, y_grid=grid)
-    assert cm2.y_grid.shape == (11, 1)
-    with pytest.raises(ValueError):
-        fit_conditional(joint, KernelSpec("gaussian", rho=1.0), lam=1e-3, y_grid=np.zeros((4, 2)))
+    # another grid over the same base model
+    grid = np.linspace(-2, 2, 11)[:, None]
+    cm2 = conditional.ConditionalModel(cm.base, grid, cm.scheme)
+    assert cm2.d_x == 1 and cm2.d_y == 1
+    weights = conditional_weights(cm2, joint.x[:5])
+    assert weights.shape == (5, 11)
+    np.testing.assert_allclose(weights, reference_batch(cm2, joint.x[:5])[0], rtol=1e-12, atol=1e-15)
 
 
 def test_fit_conditional_rejects_bad_sizes():
@@ -323,8 +325,6 @@ def test_fit_conditional_rejects_bad_sizes():
     for cap in (0, -2):
         with pytest.raises(ValueError, match=f"grid_cap must be >= 1, got {cap}"):
             fit_conditional(joint, spec, lam=1e-3, grid_cap=cap)
-    with pytest.raises(ValueError, match="at least one point"):
-        fit_conditional(joint, spec, lam=1e-3, y_grid=np.zeros((0, 1)))
     with pytest.raises(ValueError, match="lam must be > 0"):
         fit_conditional(joint, spec, lam=0.0)
 

@@ -25,7 +25,7 @@ from kdm.estimator import (
 from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec, cross_kernel_matrix
 from kdm.lowrank import KernelOracle, pivoted_cholesky
-from reference import eval_h_full, fit_full, rkhs_gap
+from reference import eval_h_full, fit_full, h_norm_gram, rkhs_gap
 
 
 def bernoulli_samples(p_head, q_head, n, rng):
@@ -81,8 +81,10 @@ def test_huge_ridge_shrinks_to_prior():
     rng = np.random.default_rng(1)
     p, q = rng.normal(0, 1, (100, 1)), rng.normal(1, 1, (100, 1))
     model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e12)
-    # the stored right-hand side is L_Q^T 1 - L_P^T p* of the same factors
-    f = pivoted_cholesky(KernelOracle(model.kernel, np.vstack([p, q])), model.epsilon)
+    # the stored right-hand side is L_Q^T 1 - L_P^T p* of the same factors,
+    # which are taken in the model's kernel coordinates
+    zs = model.standardizer.apply(np.vstack([p, q]))
+    f = pivoted_cholesky(KernelOracle(model.kernel, zs), model.epsilon)
     np.testing.assert_array_equal(f.pivots, model.pivots)
     l = f.Lt.T
     rhs = l[100:].T @ np.ones(100) - l[:100].T @ np.ones(100)
@@ -154,6 +156,7 @@ def test_fit_validation_errors():
 
 
 def test_h_norm_dual_paths_agree():
+    # ||w|| (the biorthogonal identity) against sqrt(beta^T K[piv, piv] beta)
     rng = np.random.default_rng(5)
     for spec in (
         KernelSpec("gaussian", rho=0.7),
@@ -162,19 +165,19 @@ def test_h_norm_dual_paths_agree():
     ):
         p, q = rng.normal(0, 1, (70, 2)), rng.normal(0.4, 1.2, (70, 2))
         model = fit(p, q, spec, lam=1e-2)
-        a, b = h_norm(model, "gram"), h_norm(model, "weights")
-        assert a == pytest.approx(b, rel=1e-8)
-    with pytest.raises(ValueError):
-        h_norm(model, "other")
+        assert h_norm_gram(model) == pytest.approx(h_norm(model), rel=1e-8)
 
 
 def test_pivot_evaluation_consistency():
-    # h at the pivot points equals K[piv, piv] beta
+    # h at the pivot points equals K[piv, piv] beta; the model keeps the
+    # pivots in kernel coordinates and eval_h takes data coordinates
     rng = np.random.default_rng(12)
     p, q = rng.normal(0, 1, (50, 2)), rng.normal(0.2, 1, (50, 2))
     model = fit(p, q, KernelSpec("gaussian", rho=1.3), lam=1e-2)
+    raw = np.vstack([p, q])[model.pivots]
+    np.testing.assert_array_equal(model.standardizer.apply(raw), model.pivot_points)
     kpp = cross_kernel_matrix(model.kernel, model.pivot_points, model.pivot_points)
-    np.testing.assert_allclose(eval_h(model, model.pivot_points), kpp @ model.beta, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(eval_h(model, raw), kpp @ model.beta, rtol=1e-10, atol=1e-12)
 
 
 def test_complete_decomposition_matches_dense_fit():
@@ -465,13 +468,25 @@ def test_load_rejects_non_square_covariance(tmp_path):
 
 def test_load_rejects_standardizer_of_other_dimension(tmp_path):
     path, _, header, body = _bundle(tmp_path)
-    assert header["standardizer"] is None
+    assert header["standardizer"]["scale"] == [1.0, 1.0]  # a Gaussian fit is centered, not scaled
     _rewrite(path, {**header, "standardizer": {"mean": [0.0] * 3, "scale": [1.0] * 3}}, body)
     with pytest.raises(ValueError, match=r"model\.kdm: field 'standardizer' .* 2 columns"):
         load_model(path)
     _rewrite(path, {**header, "standardizer": {"mean": [0.0, 0.0], "scale": [1.0]}}, body)
     with pytest.raises(ValueError, match="field 'standardizer'"):
         load_model(path)
+
+
+def test_load_null_standardizer_as_identity(tmp_path):
+    # a format-2 bundle written before every fit carried its input transform
+    path, _, header, body = _bundle(tmp_path)
+    _rewrite(path, {**header, "standardizer": None}, body)
+    loaded = load_model(path)
+    np.testing.assert_array_equal(loaded.standardizer.mean, [0.0, 0.0])
+    np.testing.assert_array_equal(loaded.standardizer.scale, [1.0, 1.0])
+    zs = np.random.default_rng(22).normal(0, 1, (10, 2))
+    expected = cross_kernel_matrix(loaded.kernel, zs, loaded.pivot_points) @ loaded.beta
+    np.testing.assert_array_equal(eval_h(loaded, zs), expected)
 
 
 def test_load_rejects_invalid_sample_size(tmp_path):
@@ -510,3 +525,77 @@ def test_bundle_round_trip_is_exact(tmp_path_factory, seed, n, d, family, prior,
         for f in dataclasses.fields(a):
             np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 
+
+
+def _two_samples(seed, n, d):
+    rng = np.random.default_rng(seed)
+    return rng, rng.normal(0, 1, (n, d)), rng.normal(0.5, 1.2, (n, d))
+
+
+def _assert_same_h(ha, hb):
+    assert np.max(np.abs(ha - hb)) <= 1e-8 * max(1.0, np.max(np.abs(ha)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 60),
+    d=st.integers(1, 3),
+    family=st.sampled_from(["gaussian", "laplace"]),
+    standardize=st.booleans(),
+    c=st.floats(-1e6, 1e6),
+)
+def test_fit_is_translation_invariant(seed, n, d, family, standardize, c):
+    # the kernel depends on differences only, so shifting both samples by c
+    # shifts h; expanded squared distances of uncentered data used to lose
+    # every digit (a Gaussian fit raised at c = 1e4)
+    rng, p, q = _two_samples(seed, n, d)
+    spec = KernelSpec(family, rho=float(rng.uniform(0.5, 2.0)))
+    zs = rng.normal(0.2, 1.5, (20, d))
+    a = fit(p, q, spec, 1e-3, standardize=standardize)
+    b = fit(p + c, q + c, spec, 1e-3, standardize=standardize)
+    np.testing.assert_array_equal(a.pivots, b.pivots)
+    _assert_same_h(eval_h(a, zs), eval_h(b, zs + c))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    d=st.integers(1, 3),
+    family=st.sampled_from(["gaussian", "laplace", "polynomial"]),
+    prior=st.sampled_from(["one", "zero"]),
+    standardize=st.booleans(),
+)
+def test_fit_ignores_row_order_within_samples(seed, n, d, family, prior, standardize):
+    # compare h, not pivot indices: the pivots follow the rows.  With a unit
+    # diagonal every point ties for the first pivot and the smallest index
+    # wins, so the first row of P stays in place; the later pivots are then
+    # the same points
+    rng, p, q = _two_samples(seed, n, d)
+    spec = KernelSpec(family, rho=float(rng.uniform(0.5, 2.0)), c=1.0, q=2)
+    kwargs = dict(prior=getattr(PriorSpec, prior)(), standardize=standardize)
+    zs = rng.normal(0.2, 1.5, (20, d))
+    perm_p, perm_q = np.concatenate([[0], 1 + rng.permutation(n - 1)]), rng.permutation(n)
+    a = fit(p, q, spec, 1e-2, **kwargs)
+    b = fit(p[perm_p], q[perm_q], spec, 1e-2, **kwargs)
+    np.testing.assert_array_equal(np.concatenate([perm_p, n + perm_q])[b.pivots], a.pivots)
+    _assert_same_h(eval_h(a, zs), eval_h(b, zs))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    d=st.integers(1, 3),
+    family=st.sampled_from(["gaussian", "laplace", "polynomial"]),
+    prior=st.sampled_from(["one", "zero"]),
+    lam=st.floats(1e-6, 1.0),
+)
+def test_clipped_ratios_are_nonnegative(seed, n, d, family, prior, lam):
+    rng, p, q = _two_samples(seed, n, d)
+    spec = KernelSpec(family, rho=float(rng.uniform(0.3, 2.0)), c=1.0, q=2)
+    model = fit(p, q, spec, lam, prior=getattr(PriorSpec, prior)())
+    zs = rng.normal(0.0, 3.0, (50, d))
+    assert np.all(eval_density_ratio(model, zs, clip=True) >= 0.0)
+    assert eval_density_ratio(model, zs[0], clip=True) >= 0.0

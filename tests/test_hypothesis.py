@@ -51,8 +51,8 @@ def fitted_model(seed=0, n=150, shift=0.0, lam=1e-3):
 
 
 def refactor(model, p, q):
-    """Pivoted Cholesky factors of the model's stacked sample, recomputed."""
-    f = pivoted_cholesky(KernelOracle(model.kernel, np.vstack([p, q])), model.epsilon)
+    """Pivoted Cholesky factors of the model's stacked sample, recomputed in its kernel coordinates."""
+    f = pivoted_cholesky(KernelOracle(model.kernel, model.standardizer.apply(np.vstack([p, q]))), model.epsilon)
     np.testing.assert_array_equal(f.pivots, model.pivots)
     return f
 
@@ -65,8 +65,8 @@ def test_sample_variable_via_kernel_identity():
     q = rng.normal(0.3, 1.0, (120, 2))
     model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3)
     r = refactor(model, p, q).R
-    k_q = cross_kernel_matrix(model.kernel, model.pivot_points, q)
-    k_p = cross_kernel_matrix(model.kernel, model.pivot_points, p)
+    k_q = cross_kernel_matrix(model.kernel, model.pivot_points, model.standardizer.apply(q))
+    k_p = cross_kernel_matrix(model.kernel, model.pivot_points, model.standardizer.apply(p))
     direct = r.T @ (k_q @ np.ones(120) - k_p @ np.ones(120))
     np.testing.assert_allclose(model.moment_gap / np.sqrt(120), direct / np.sqrt(120), rtol=1e-7, atol=1e-9)
 

@@ -79,16 +79,14 @@ def test_greedy_pivot_rules():
 
 
 def test_omp_pivot_scores():
-    # both candidates pass the quantile-0 threshold; scores 4 vs 1 -> index 0
-    assert omp_pivot(np.array([1.0, 1.0]), np.array([2.0, 1.0]), np.zeros(2), 0.0) == 0
+    # equal diagonal entries both reach the quantile; scores 4 vs 1 -> index 0
+    assert omp_pivot(np.array([1.0, 1.0]), np.array([2.0, 1.0]), np.zeros(2)) == 0
     # quantile 0.9 of nonzero d = 3.601 excludes the first entry
-    assert omp_pivot(np.array([0.01, 4.0]), np.array([10.0, 0.1]), np.zeros(2), 0.9) == 1
+    assert omp_pivot(np.array([0.01, 4.0]), np.array([10.0, 0.1]), np.zeros(2)) == 1
     # all scores zero -> greedy fallback on d
-    assert omp_pivot(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2), 0.0) == 1
+    assert omp_pivot(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2)) == 1
     with pytest.raises(ValueError):
-        omp_pivot(np.zeros(2), np.ones(2), np.zeros(2), 0.5)
-    with pytest.raises(ValueError):
-        omp_pivot(np.ones(2), np.ones(2), np.zeros(2), 1.5)
+        omp_pivot(np.zeros(2), np.ones(2), np.zeros(2))
 
 
 def test_structural_identities_random_matrices():
@@ -224,8 +222,11 @@ def test_kernel_oracle_column_bitwise_equals_cross_kernel(spec, d):
     assert oracle.queries == pts.shape[0]
 
 
-def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, omp_quantile=0.9, max_rank=None):
+def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, max_rank=None):
     """The decomposition loop as first written: L kept row-major in an (N, cap) buffer.
+
+    R is updated at every step by the recurrence the package used before it
+    took one triangular inverse after the loop.
 
     Kept as the reference the rank-major loop of ``pivoted_cholesky`` is
     checked against; returns (pivots, L, R, hit_rank_cap).
@@ -242,7 +243,7 @@ def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, omp
     w = np.zeros(n) if strategy == "omp" else None
     i = 0
     while i < cap and float(d.sum()) > epsilon and np.any(d > 0):
-        piv = greedy_pivot(d) if strategy == "greedy" else omp_pivot(d, omp_target, w, omp_quantile)
+        piv = greedy_pivot(d) if strategy == "greedy" else omp_pivot(d, omp_target, w)
         scale = 1.0 / np.sqrt(d[piv])
         lrow = lbuf[piv, :i].copy()
         ell = oracle.column(piv) - lbuf[:, :i] @ lrow
