@@ -7,6 +7,7 @@ so studies can be chunked or resumed without replaying earlier replications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,20 +32,42 @@ MEDIAN_POINTS = 500
 MAX_CLUSTERS = 3
 
 
+@lru_cache(maxsize=4)
+def _upper_triangle(k: int) -> np.ndarray:
+    """Flat indices r * k + c of the entries above the diagonal of a k x k array."""
+    rows, cols = np.triu_indices(k, 1)
+    flat = rows * k + cols
+    flat.flags.writeable = False
+    return flat
+
+
 def median_heuristic_rho(points: np.ndarray) -> float:
     """Half the median pairwise squared distance over at most MEDIAN_POINTS points.
 
     Deterministic: when subsampling is needed the points are thinned with an
-    even stride rather than at random.
+    even stride rather than at random.  Raises ValueError for fewer than two
+    points or for non-finite values.
     """
     pts = _as_points(points)
     n = pts.shape[0]
+    if n < 2:
+        raise ValueError("the median heuristic needs at least two points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points contain non-finite values")
     if n > MEDIAN_POINTS:
         pts = pts[np.linspace(0, n - 1, MEDIAN_POINTS).astype(np.intp)]
-    d2 = _sq_dists(pts, pts)
-    iu = np.triu_indices(pts.shape[0], k=1)
-    med = float(np.median(d2[iu]))
-    return max(med / 2.0, 1e-12)
+    k = pts.shape[0]
+    vals = _sq_dists(pts, pts).ravel()[_upper_triangle(k)]
+    # the median as np.median forms it, with one partition instead of two:
+    # the mean of the two middle values for an even count, else the middle one
+    h = vals.size // 2
+    if vals.size % 2:
+        vals.partition(h)
+        med = vals[h]
+    else:
+        vals.partition(h - 1)
+        med = (vals[h - 1] + vals[h:].min()) / 2.0
+    return max(float(med) / 2.0, 1e-12)
 
 
 def independence_test(

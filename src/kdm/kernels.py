@@ -130,9 +130,11 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None) -> 
     # scaling the d-column operand b, not the product, saves a full-size
     # temporary, and b is the single point of a kernel column; doubling is
     # exact, so the bits are those of 2 * (a @ b.T) whenever both are one
-    # general matrix product (a is not b)
-    d2 = aa + bb - a @ (2.0 * b).T
-    return np.maximum(d2, 0.0)
+    # general matrix product (a is not b); the sum, the subtraction and the
+    # clamp run in place on one array
+    d2 = aa + bb
+    d2 -= a @ (2.0 * b).T
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def cross_kernel_matrix(
@@ -152,11 +154,16 @@ def cross_kernel_matrix(
     b = _as_points(cols)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if spec.family == "polynomial":
+        return (a @ b.T + spec.c) ** spec.q
+    # exp(d2 / (-2 rho)) and exp(-rho sqrt(d2)), evaluated in place
+    d2 = _sq_dists(a, b, row_sq_norms)
     if spec.family == "gaussian":
-        return np.exp(_sq_dists(a, b, row_sq_norms) / (-2.0 * spec.rho))
-    if spec.family == "laplace":
-        return np.exp(-spec.rho * np.sqrt(_sq_dists(a, b, row_sq_norms)))
-    return (a @ b.T + spec.c) ** spec.q
+        d2 /= -2.0 * spec.rho
+    else:
+        np.sqrt(d2, out=d2)
+        d2 *= -spec.rho
+    return np.exp(d2, out=d2)
 
 
 def eval_kernel(spec: KernelSpec, z1: np.ndarray, z2: np.ndarray) -> float:

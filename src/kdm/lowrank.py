@@ -11,10 +11,11 @@ decomposition selects m pivot indices pi_1..pi_m and produces
 Only the diagonal of K plus one full column per pivot are ever requested, so
 the cost is O(m^2 N) time.  ``Lt`` is the leading rows of a (cap, N) buffer:
 step i subtracts from its kernel column the Schur product of the i earlier
-rows with their entries at the pivot, and writes its own row.  The buffer is
-zero-filled lazily by the allocator, so the memory touched is O(m N) for the
-rank m reached, not for the cap.  With ``epsilon=0`` the loop runs until the
-residual diagonal is exhausted and L L^T reproduces K to the numerical rank.
+rows with their entries at the pivot, and writes its whole row straight into
+the buffer.  Every row is written before it is read, so the buffer is left
+uninitialised, and the memory touched is O(m N) for the rank m reached, not
+for the cap.  With ``epsilon=0`` the loop runs until the residual diagonal is
+exhausted and L L^T reproduces K to the numerical rank.
 
 Done as one matrix-vector product per step, the Schur products read all
 earlier rows at every step: m^2 N / 2 entries in all, at the speed of memory,
@@ -210,12 +211,15 @@ def pivoted_cholesky(
     if not np.all(np.isfinite(d)):
         raise NumericsError("matrix diagonal contains non-finite entries")
     dmax = float(np.max(d, initial=0.0))
-    if np.any(d < -PSD_TOL_REL * max(dmax, 1.0)):
+    tol = PSD_TOL_REL * max(dmax, 1.0)
+    if np.any(d < -tol):
         raise NumericsError("matrix diagonal has negative entries; oracle is not PSD")
     floor = DIAG_FLOOR_REL * dmax
     d[d <= floor] = 0.0
 
-    lt = np.zeros((cap, n))  # L^T, one row per pivot
+    # L^T, one row per pivot; step i writes all of row i and reads only the
+    # rows before it
+    lt = np.empty((cap, n))
     pivots: list[int] = []
     w = np.zeros(n) if strategy == "omp" else None
     # block of precomputed Schur products: row cand_row[j] of prod holds
@@ -225,8 +229,9 @@ def pivoted_cholesky(
     cand_row: dict[int, int] = {}
     base = 0
 
+    # the floor keeps d >= 0, so a sum above epsilon >= 0 means a positive entry
     i = 0
-    while i < cap and float(d.sum()) > epsilon and np.any(d > 0):
+    while i < cap and float(d.sum()) > epsilon:
         if strategy == "greedy":
             piv = greedy_pivot(d)
         else:
@@ -245,10 +250,11 @@ def pivoted_cholesky(
                     prod = np.empty((k, n))
                 np.matmul(lt[:base, cand].T, lt[:base], out=prod)
                 cand_row = {int(c): r for r, c in enumerate(cand)}
-            schur = prod[cand_row[piv]] + lt[base:i].T @ lrow[base:]
+            schur = lt[base:i].T @ lrow[base:]
+            schur += prod[cand_row[piv]]
         else:
             schur = lt[:i].T @ lrow
-        ell = oracle.column(piv) - schur
+        ell = np.subtract(oracle.column(piv), schur, out=lt[i])
         ell *= scale
         if pivots:
             ell[pivots] = 0.0  # Schur complement vanishes at previous pivots
@@ -259,11 +265,10 @@ def pivoted_cholesky(
 
         d -= ell * ell
         d[piv] = 0.0
-        if np.any(d < -PSD_TOL_REL * max(dmax, 1.0)):
+        if d.min() < -tol:
             raise NumericsError("residual diagonal went negative; oracle is not PSD")
         d[d <= floor] = 0.0
 
-        lt[i] = ell
         pivots.append(piv)
         i += 1
 
@@ -279,5 +284,5 @@ def pivoted_cholesky(
         R=r,
         residual_trace=residual,
         epsilon=float(epsilon),
-        hit_rank_cap=bool(i == cap and residual > epsilon and np.any(d > 0)),
+        hit_rank_cap=bool(i == cap and residual > epsilon),
     )

@@ -30,6 +30,21 @@ class ForecastRecord:
             raise ValueError("mean, cov, realized have inconsistent dimensions")
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances ||b_j - a_i||, one (len(a), len(b)) array.
+
+    The squared differences are summed one coordinate at a time, in order,
+    so no (len(a), len(b), d) array is formed.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.subtract(b[None, :, k], a[:, k, None], out=diff)
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
+
+
 def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = None) -> Union[float, np.ndarray]:
     """Weighted-ensemble energy score of outcome y against candidates xs.
 
@@ -56,9 +71,8 @@ def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = 
         raise ValueError("weights must have one entry per candidate (and one row per outcome)")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    misfit = np.sum(w * np.linalg.norm(pts[None, :, :] - ys[:, None, :], axis=2), axis=1) / m
-    diff = pts[:, None, :] - pts[None, :, :]
-    spread = np.sum((w @ np.sqrt(np.sum(diff**2, axis=2))) * w, axis=1) / (2.0 * m**2)
+    misfit = np.sum(w * _distances(ys, pts), axis=1) / m
+    spread = np.sum((w @ _distances(pts, pts)) * w, axis=1) / (2.0 * m**2)
     scores = misfit - spread
     return float(scores[0]) if single else scores
 

@@ -6,6 +6,8 @@ against it.  ``fit_full`` solves the exact representer system over all 2n
 stacked points, quadratic in memory, so the low-rank fit can be checked
 against it at small scale through ``eval_h_full`` and ``rkhs_gap``;
 ``h_norm_gram`` is the RKHS norm of a low-rank fit from its Gram matrix.
+``median_heuristic_rho_reference`` and ``energy_score_broadcast`` are the
+plain numpy forms of the median heuristic and of the energy score.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from kdm.bench import MEDIAN_POINTS
 from kdm.estimator import KdmModel, PriorSpec, _common_size, _input_transform, _query_points
-from kdm.kernels import KernelSpec, Standardizer, cross_kernel_matrix
+from kdm.kernels import KernelSpec, Standardizer, _as_points, _sq_dists, cross_kernel_matrix
 from kdm.lowrank import CholeskyFactors, NumericsError
 
 
@@ -175,3 +178,26 @@ def h_norm_gram(model: KdmModel) -> float:
     kpp = cross_kernel_matrix(model.kernel, model.pivot_points, model.pivot_points)
     val = float(model.beta @ kpp @ model.beta)
     return float(np.sqrt(max(val, 0.0)))
+
+
+def median_heuristic_rho_reference(points) -> float:
+    """Half the np.median of the upper triangle of the squared distances."""
+    pts = _as_points(points)
+    n = pts.shape[0]
+    if n > MEDIAN_POINTS:
+        pts = pts[np.linspace(0, n - 1, MEDIAN_POINTS).astype(np.intp)]
+    d2 = _sq_dists(pts, pts)
+    med = float(np.median(d2[np.triu_indices(pts.shape[0], 1)]))
+    return max(med / 2.0, 1e-12)
+
+
+def energy_score_broadcast(ys: np.ndarray, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Energy scores of Q outcomes (Q, d) against candidates (m, d), weights (Q, m).
+
+    Forms the (Q, m, d) and (m, m, d) difference arrays and reduces over d.
+    """
+    m = xs.shape[0]
+    misfit = np.sum(w * np.linalg.norm(xs[None, :, :] - ys[:, None, :], axis=2), axis=1) / m
+    diff = xs[:, None, :] - xs[None, :, :]
+    spread = np.sum((w @ np.sqrt(np.sum(diff**2, axis=2))) * w, axis=1) / (2.0 * m**2)
+    return misfit - spread

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdm.bench import (
     independence_test,
@@ -12,6 +14,7 @@ from kdm.bench import (
 )
 from kdm.kernels import KernelSpec
 from kdm.simulate import sample_distribution
+from reference import median_heuristic_rho_reference
 
 
 def test_ks_to_uniform_hand_example():
@@ -46,6 +49,32 @@ def test_median_heuristic_subsampling_deterministic():
     assert median_heuristic_rho(pts) == median_heuristic_rho(pts)
     # identical points give the floor value
     assert median_heuristic_rho(np.zeros((5, 2))) == pytest.approx(1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 600),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([None, 0, 1]),
+)
+def test_median_heuristic_matches_np_median_bitwise(n, d, seed, decimals):
+    # sizes above MEDIAN_POINTS take the stride path; k (k - 1) / 2 pairs are
+    # odd or even in turn; rounding to few decimals gives duplicate rows
+    pts = np.random.default_rng(seed).normal(0.0, 2.0, (n, d))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    assert median_heuristic_rho(pts) == median_heuristic_rho_reference(pts)
+
+
+def test_median_heuristic_rejects_non_finite_points():
+    pts = np.random.default_rng(2).normal(0, 1, (50, 2))
+    for bad in (np.nan, np.inf):
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            median_heuristic_rho(pts)
+    with pytest.raises(ValueError, match="two points"):
+        median_heuristic_rho(np.zeros((1, 2)))
 
 
 def test_independence_test_detects_dependence():

@@ -134,10 +134,14 @@ def test_larger_epsilon_never_increases_rank():
 
 
 def test_exact_rank_detection():
+    # epsilon=0 runs to the numerical rank; a cap at or above it is not hit
     rng = np.random.default_rng(9)
     a = rng.normal(0, 1, (30, 6))
-    f = pivoted_cholesky(MatrixOracle(a @ a.T), epsilon=0.0)
-    assert f.rank == 6
+    for cap in (None, 6, 20):
+        f = pivoted_cholesky(MatrixOracle(a @ a.T), epsilon=0.0, max_rank=cap)
+        assert f.rank == 6
+        assert not f.hit_rank_cap
+        assert f.residual_trace == 0.0
 
 
 def test_rank_cap_reported_not_raised():
@@ -203,7 +207,7 @@ def test_kernel_oracle_matches_matrix_oracle():
 def test_duplicated_points_collapse_rank():
     pts = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]), 5, axis=0)
     f = pivoted_cholesky(KernelOracle(KernelSpec("gaussian", rho=1.0), pts), epsilon=0.0)
-    assert f.rank == 3
+    assert f.rank == 3 and not f.hit_rank_cap
 
 
 @pytest.mark.parametrize("d", [1, 3, 7])
@@ -369,3 +373,43 @@ def test_omp_steps_ignore_the_block_constants(monkeypatch):
     assert forced.R.tobytes() == plain.R.tobytes()
     ref_piv, _, _, _ = _row_major_cholesky(KernelOracle(spec, pts), 0.0, "omp", omp_target=target, max_rank=120)
     np.testing.assert_array_equal(forced.pivots, ref_piv)
+
+
+class _NanFilledNumpy:
+    """numpy as ``kdm.lowrank`` sees it, except that ``empty`` fills with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+
+@pytest.mark.parametrize(
+    "n, cap, strategy",
+    [(300, 40, "greedy"), (3000, 150, "greedy"), (600, 120, "omp")],
+    ids=["greedy-plain", "greedy-blocks", "omp"],
+)
+def test_factor_buffers_are_written_before_read(monkeypatch, n, cap, strategy):
+    # a NaN read from an unwritten entry of the (cap, N) factor buffer or of
+    # the block buffer would show in every output
+    rng = np.random.default_rng(8)
+    pts = rng.normal(0.0, 1.0, (n, 3))
+    spec = KernelSpec("gaussian", rho=1.0)
+    target = np.sin(pts.sum(axis=1)) if strategy == "omp" else None
+    assert (cap * n >= lowrank.BLOCK_MIN_ENTRIES) == (n == 3000)
+
+    def run():
+        return pivoted_cholesky(KernelOracle(spec, pts), 0.0, strategy, omp_target=target, max_rank=cap)
+
+    plain = run()
+    monkeypatch.setattr(lowrank, "np", _NanFilledNumpy())
+    filled = run()
+    np.testing.assert_array_equal(filled.pivots, plain.pivots)
+    assert filled.Lt.tobytes() == plain.Lt.tobytes()
+    assert filled.R.tobytes() == plain.R.tobytes()
+    assert filled.residual_trace == plain.residual_trace
+    assert filled.hit_rank_cap == plain.hit_rank_cap

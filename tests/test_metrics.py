@@ -14,6 +14,7 @@ from kdm.metrics import (
     r2_oos,
     r2_second_moment,
 )
+from reference import energy_score_broadcast
 
 
 def test_energy_score_two_point_hand_example():
@@ -68,6 +69,21 @@ def test_energy_score_batch_matches_rows():
         energy_score(ys, xs, -weights)
     with pytest.raises(ValueError):
         energy_score(ys[:, :1], xs)
+
+
+def test_energy_score_matches_broadcast_reference():
+    # one coordinate at a time sums in the order numpy sums an axis shorter
+    # than 8; longer axes are summed pairwise, a roundoff-level difference
+    rng = np.random.default_rng(3)
+    for d in range(1, 11):
+        ys = rng.normal(0, 1, (30, d))
+        xs = rng.normal(0, 1, (45, d))
+        w = rng.uniform(0, 2, (30, 45))
+        got, want = energy_score(ys, xs, w), energy_score_broadcast(ys, xs, w)
+        if d <= 7:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_energy_score_guards():
