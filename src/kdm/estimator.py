@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernels import (
     Dataset,
@@ -243,13 +243,17 @@ def _solve(dec: _Decomposition, lam: float) -> KdmModel:
         raise ValueError("lam must be > 0")
     n, m = dec.fields["n"], len(dec.fields["pivots"])
     # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed.
-    # The sum is a new array: the cached Gram serves every lambda of the path.
-    a = dec.gram + n * lam * np.eye(m)
-    try:
-        cf = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise NumericsError(f"ridge system not SPD: {exc}") from exc
-    w = scipy.linalg.cho_solve(cf, dec.fields["moment_gap"])
+    # The sum is a new array, in LAPACK's column order so that the factor
+    # overwrites it: the cached Gram serves every lambda of the path.
+    a = np.array(dec.gram, order="F")
+    a.flat[:: m + 1] += n * lam
+    c, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
+    if info == 0:
+        w, info = dpotrs(c, dec.fields["moment_gap"], lower=1)
+    # OpenBLAS's dpotrf passes a NaN pivot without a nonzero info, so a
+    # non-finite system shows only in w
+    if info != 0 or not np.isfinite(w).all():
+        raise NumericsError(f"ridge system is not positive definite or not finite (LAPACK info {info})")
     return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, **dec.fields)
 
 

@@ -116,7 +116,9 @@ def _truncation_length(eig: np.ndarray, rule: str, t: float) -> int:
         if not 0 < t <= 1:
             raise ValueError("explained-variation truncation needs t in (0, 1]")
         frac = np.cumsum(pos) / pos.sum()
-        return int(np.searchsorted(frac, t) + 1)
+        # the last fraction can round to just below 1, and t = 1 must still
+        # keep only positive eigenvalues
+        return min(int(np.searchsorted(frac, t) + 1), pos.size)
     raise ValueError(f"unknown truncation rule {rule!r}")
 
 

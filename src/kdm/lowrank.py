@@ -19,20 +19,34 @@ exhausted and L L^T reproduces K to the numerical rank.
 
 Done as one matrix-vector product per step, the Schur products read all
 earlier rows at every step: m^2 N / 2 entries in all, at the speed of memory,
-not of arithmetic.  The greedy rule avoids most of that reading.  A block
-begins at some step ``base`` and takes the CANDIDATES indices with the
-largest residual diagonal.  One matrix product computes their Schur products
-against the rows before ``base``, reading those rows once.  Each later step
-whose pivot is a candidate adds only the product with the rows written since
-``base``; a pivot outside the block begins a new one.  The next greedy pivots
-are mostly among those largest entries, so the old rows are read about once
-per block instead of once per step.  The pivot is still chosen from the exact
-residual diagonal, so pivots, rank, stopping rule and ``hit_rank_cap`` are
-those of the plain loop; only the order in which the Schur products are
-summed differs, a change at roundoff level that can decide a pivot only
+not of arithmetic.  The greedy rule avoids most of that reading by working
+out its next pivots and computing their products together.  A block begins
+at some step ``base``.  The pool C is the POOL indices with the largest
+residual diagonal d, and tau the largest d outside C.  d never increases, so
+no index outside C can rise above tau, and while residual entries of C stay
+above tau the next greedy pivots are those of C's own residual block
+S = K[C, C] - L[C, :base] L[C, :base]^T.  One LAPACK pivoted Cholesky of S
+(``dpstrf``), stopped at tau, lists them in order; one matrix product
+computes the Schur products of the first CANDIDATES of them against the rows
+before ``base``, reading those rows once.  Each later step whose pivot is in
+the block adds only the product with the rows written since ``base``; a
+pivot outside the block begins a new one.  Steps look their pivot up in the
+block, so only which pivots it holds matters, not their order.  C is in index
+order, so ``dpstrf``'s first pivot breaks ties toward the smallest index as
+:func:`greedy_pivot` does; its row swaps can reorder later exact ties, which
+at worst leaves a tied pivot out of a block that ends inside the tie.  Per
+block that costs one POOL x POOL kernel block (``oracle.submatrix``), a
+gather of the pool's ``base`` x POOL entries of L^T, POOL^3 / 3 flops in
+``dpstrf`` and the (k, base) x (base, N) product for the k listed pivots,
+all of which the loop then takes unless roundoff reorders near-equal
+residual entries.  The pivot is still chosen
+from the exact residual diagonal, so pivots, rank, stopping rule and
+``hit_rank_cap`` are those of the plain loop, and a prediction that roundoff
+spoils costs only a new block; only the order in which the Schur products
+are summed differs, a change at roundoff level that can decide a pivot only
 between residual entries tied to roundoff (such as copies of one point).
-OMP steps keep the plain product: their pivots are seldom among the largest
-diagonal entries.
+OMP steps keep the plain product: their pivots do not follow the residual
+diagonal.
 
 ``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
 the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
@@ -47,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpstrf, dtrtri
 
 from .kernels import Dataset, KernelSpec, _as_points, cross_kernel_matrix, kernel_diagonal, sq_norms
 
@@ -63,11 +77,13 @@ DEFAULT_MAX_RANK = 2000
 # of the nonzero entries
 OMP_QUANTILE = 0.9
 
-# greedy steps take their Schur product from a block of CANDIDATES rows,
-# precomputed for the indices with the largest residual diagonal, once the
-# earlier rows hold at least BLOCK_MIN_ENTRIES entries (2 MB); below that one
-# matrix-vector product per step is cheaper
+# greedy steps take their Schur product from a block of at most CANDIDATES
+# rows, precomputed for the next pivots that a pivoted Cholesky of the POOL
+# indices with the largest residual diagonal lists, once the earlier rows hold
+# at least BLOCK_MIN_ENTRIES entries (2 MB); below that one matrix-vector
+# product per step is cheaper
 CANDIDATES = 32
+POOL = 64
 BLOCK_MIN_ENTRIES = 2**18
 
 
@@ -80,6 +96,8 @@ class KernelOracle:
 
     The squared norms of the points are computed once; each column reuses
     them and is bitwise equal to ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.
+    ``submatrix(idx)`` is the kernel block K[idx, idx]; only columns count in
+    ``queries``.
     """
 
     def __init__(self, spec: KernelSpec, points: Union[Dataset, np.ndarray]):
@@ -100,6 +118,10 @@ class KernelOracle:
         return cross_kernel_matrix(
             self._spec, self._pts, self._pts[j : j + 1], row_sq_norms=self._sq_norms
         )[:, 0]
+
+    def submatrix(self, idx: np.ndarray) -> np.ndarray:
+        pts = self._pts[idx]
+        return cross_kernel_matrix(self._spec, pts, pts, row_sq_norms=self._sq_norms[idx])
 
 
 @dataclass
@@ -160,6 +182,33 @@ def omp_pivot(d: np.ndarray, target_values: np.ndarray, w_running: np.ndarray) -
     return j
 
 
+def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor: float):
+    """The next at most k greedy pivots, ``piv`` first, and their columns of ``lt``.
+
+    ``lt`` holds the rows of L^T written so far and ``d`` the residual
+    diagonal; ``piv`` is the current step's greedy pivot.  The pivots are
+    those of ``dpstrf`` on the pool's residual block, stopped at the larger
+    of tau and the floor (module docstring).  ``dpstrf`` takes its first
+    pivot whatever the tolerance, so when roundoff, or a tie at the maximum
+    wider than the pool, makes that another index than ``piv``, the rest of
+    its list follows a step the loop does not take and the block is ``piv``
+    alone.  Returns the block's indices and ``lt[:, block]``.
+    """
+    n = d.size
+    p = min(POOL, n - 1)  # at least one point stays outside the pool
+    part = np.argpartition(d, n - p - 1)
+    tau = max(float(d[part[n - p - 1]]), floor)
+    pool = np.sort(part[n - p :])  # index order, so ties go to the smallest
+    cols = lt[:, pool]
+    s = oracle.submatrix(pool) - cols.T @ cols
+    _, order, rank, _ = dpstrf(s, tol=tau, lower=1, overwrite_a=1)
+    sel = order[: min(rank, k)] - 1
+    block = pool[sel]
+    if block.size and block[0] == piv:
+        return block, cols[:, sel]
+    return np.array([piv]), lt[:, [piv]]
+
+
 def pivoted_cholesky(
     oracle,
     epsilon: float,
@@ -172,8 +221,10 @@ def pivoted_cholesky(
 
     Parameters
     ----------
-    oracle : object with ``size``, ``diagonal()``, ``column(j)``
-        Column access to the PSD matrix.  Exactly ``rank`` columns are read.
+    oracle : object with ``size``, ``diagonal()``, ``column(j)``, ``submatrix(idx)``
+        Access to the PSD matrix: its diagonal, column j, and the block
+        K[idx, idx] as a new array.  Exactly ``rank`` columns are read, and
+        one POOL x POOL block per block of greedy steps.
     epsilon : float
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
@@ -183,11 +234,13 @@ def pivoted_cholesky(
         Hard cap on the number of pivots, >= 1; hitting it is reported
         through ``hit_rank_cap``, not raised.
 
-    Time is O(m^2 N) for rank m and N points.  Greedy steps take their Schur
-    products from blocks of precomputed candidates (module docstring) once
-    the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries; each block costs one
-    (CANDIDATES, N) product and a (CANDIDATES, N) buffer allocated once per
-    call.  The pivots are those of one matrix-vector product per step,
+    Time is O(m^2 N) for rank m and N points.  Once the earlier rows hold
+    ``BLOCK_MIN_ENTRIES`` entries, greedy steps take their Schur products
+    from blocks computed for the pivots the loop is about to take (module
+    docstring): a block begun at step i reads one POOL x POOL kernel block,
+    runs ``dpstrf`` on it and computes k <= CANDIDATES rows of products as
+    one (k, i) x (i, N) product into a buffer of at most (CANDIDATES, N)
+    allocated once per call.  The pivots are those of one matrix-vector product per step,
     except between residual entries tied to roundoff.  ``R`` is one
     triangular inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
     """
@@ -223,8 +276,8 @@ def pivoted_cholesky(
     pivots: list[int] = []
     w = np.zeros(n) if strategy == "omp" else None
     # block of precomputed Schur products: row cand_row[j] of prod holds
-    # lt[:base, j] @ lt[:base] for each candidate j of the block begun at
-    # step base
+    # lt[:base, j] @ lt[:base] for each predicted pivot j of the block begun
+    # at step base
     prod = None
     cand_row: dict[int, int] = {}
     base = 0
@@ -242,14 +295,12 @@ def pivoted_cholesky(
         if strategy == "greedy" and i * n >= BLOCK_MIN_ENTRIES:
             if piv not in cand_row:
                 base = i
-                k = min(CANDIDATES, n)
-                cand = np.argpartition(d, n - k)[n - k :]
-                if piv not in cand:  # ties at the maximum can leave it out
-                    cand[0] = piv
+                k = min(CANDIDATES, cap - i)
+                block, cols = _next_pivots(oracle, lt[:i], d, piv, k, floor)
                 if prod is None:
                     prod = np.empty((k, n))
-                np.matmul(lt[:base, cand].T, lt[:base], out=prod)
-                cand_row = {int(c): r for r, c in enumerate(cand)}
+                np.matmul(cols.T, lt[:base], out=prod[: block.size])
+                cand_row = {int(c): r for r, c in enumerate(block)}
             schur = lt[base:i].T @ lrow[base:]
             schur += prod[cand_row[piv]]
         else:

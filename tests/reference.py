@@ -24,7 +24,10 @@ from kdm.lowrank import CholeskyFactors, NumericsError
 
 
 class MatrixOracle:
-    """Column access to a materialized symmetric PSD matrix."""
+    """Column and block access to a materialized symmetric PSD matrix.
+
+    Only columns count in ``queries``.
+    """
 
     def __init__(self, matrix: np.ndarray):
         k = np.asarray(matrix, dtype=np.float64)
@@ -43,6 +46,9 @@ class MatrixOracle:
     def column(self, j: int) -> np.ndarray:
         self.queries += 1
         return self._k[:, j].copy()
+
+    def submatrix(self, idx: np.ndarray) -> np.ndarray:
+        return self._k[np.ix_(idx, idx)]
 
 
 @dataclass

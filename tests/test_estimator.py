@@ -24,7 +24,7 @@ from kdm.estimator import (
 )
 from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec, cross_kernel_matrix
-from kdm.lowrank import KernelOracle, pivoted_cholesky
+from kdm.lowrank import KernelOracle, NumericsError, pivoted_cholesky
 from reference import eval_h_full, fit_full, h_norm_gram, rkhs_gap
 
 
@@ -301,6 +301,20 @@ def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
             expected[g, f] = validation_loss(fit(tr_p, tr_q, spec, lam), va_p, va_q)
             assert losses[f * len(lambdas) + g] == expected[g, f]
     np.testing.assert_array_equal(res.mean_losses, expected.mean(axis=1))
+
+
+def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
+    rng = np.random.default_rng(25)
+    p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.3, 1, (60, 2))
+    dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0))
+    gram = dec.gram.copy()
+    model = estimator._solve(dec, 1e-3)
+    assert dec.gram.tobytes() == gram.tobytes()
+    m = model.rank
+    np.testing.assert_allclose((gram + 60 * 1e-3 * np.eye(m)) @ model.w, model.moment_gap, rtol=1e-10, atol=1e-12)
+    gram[m - 1, m - 2] = np.nan
+    with pytest.raises(NumericsError, match="not positive definite"):
+        estimator._solve(dataclasses.replace(dec, gram=gram), 1e-3)
 
 
 def test_cross_validate_unequal_sizes_truncate_with_warning():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,11 @@ def test_truncation_length_rules():
     assert _truncation_length(eig, "relative", 1e-15) == 3
     assert _truncation_length(np.array([0.9, 0.09, 0.01]), "explained", 0.99) == 2
     assert _truncation_length(np.array([0.9, 0.09, 0.01]), "explained", 1.0) == 3
+    # the cumulative fractions of these eight end one ulp below 1, and t = 1
+    # must still keep no more than the positive eigenvalues
+    eight = np.array([0.93, 0.84, 0.76, 0.72, 0.51, 0.07, 0.03, 0.02])
+    assert _truncation_length(eight, "explained", 1.0) == 8
+    assert _truncation_length(np.append(eight, 0.0), "explained", 1.0) == 8
     assert _truncation_length(np.zeros(3), "relative", 1e-9) == 0
     with pytest.raises(ValueError):
         _truncation_length(eig, "relative", 0.0)
@@ -127,6 +133,20 @@ def test_truncation_length_rules():
         _truncation_length(eig, "explained", 1.5)
     with pytest.raises(ValueError):
         _truncation_length(eig, "other", 0.5)
+
+
+def test_explained_truncation_skips_a_floored_eigenvalue():
+    # with one eigenvalue at zero, ell = 9 divided by it: statistic inf, p 0
+    rng = np.random.default_rng(0)
+    p, q = rng.normal(0.0, 1.0, (150, 2)), rng.normal(0.0, 1.0, (150, 2))
+    model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-3, max_rank=9)
+    eig = np.array([0.93, 0.84, 0.76, 0.72, 0.51, 0.07, 0.03, 0.02, 0.0])
+    model = dataclasses.replace(model, covariance=np.diag(eig))
+    res = run_test(model, truncation="explained", t=1.0)
+    assert res.ell == 8
+    v = model.moment_gap / np.sqrt(model.n)
+    assert res.statistic == pytest.approx(float(np.sum(v[:8] ** 2 / eig[:8])), rel=1e-12)
+    assert 0.0 < res.p_value < 1.0
 
 
 def test_degenerate_covariance_gives_null_result():

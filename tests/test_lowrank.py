@@ -301,13 +301,19 @@ def test_rank_major_loop_matches_row_major_reference(seed, n, d, family, strateg
     cap=st.one_of(st.none(), st.integers(1, 12)),
     duplicates=st.integers(0, 5),
     candidates=st.integers(1, 4),
+    pool=st.integers(2, 8),
 )
-def test_block_schur_products_match_row_major_reference(seed, n, d, family, strategy, cap, duplicates, candidates):
-    # with no size threshold every greedy step takes the block path, and
-    # with so few candidates the next pivot both hits and misses the block
+def test_block_schur_products_match_row_major_reference(
+    seed, n, d, family, strategy, cap, duplicates, candidates, pool
+):
+    # with no size threshold every greedy step takes the block path; with so
+    # small a pool the listed pivots stop at its bound, a pool can hold all
+    # points but one, and with so few candidates later pivots both hit and
+    # miss the block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
         mp.setattr(lowrank, "CANDIDATES", candidates)
+        mp.setattr(lowrank, "POOL", pool)
         _assert_matches_row_major_reference(seed, n, d, family, strategy, cap, duplicates)
 
 
@@ -345,18 +351,95 @@ def _assert_matches_row_major_reference(seed, n, d, family, strategy, cap, dupli
     assert np.abs(f.R - ref_r).max(initial=0.0) <= FACTOR_RTOL * np.abs(ref_r).max(initial=0.0)
 
 
-def test_block_path_full_size_keeps_reference_pivots():
+class _BlockRowCounter:
+    """numpy as ``kdm.lowrank`` sees it, recording the rows of each block product."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        if out is not None:
+            self.rows.append(out.shape[0])
+        return np.matmul(a, b, out=out)
+
+
+def test_block_path_full_size_keeps_reference_pivots(monkeypatch):
     # the size of one cross-validation fold of a 3,000 + 3,000 fit: blocks
-    # start at step 55 and most later pivots hit them
+    # start at step 55, every later step takes its Schur product from one
+    # precomputed row, and no block computes a row for an index the loop
+    # does not pivot
     rng = np.random.default_rng(5)
     pts = rng.normal(0.0, 1.0, (4800, 4))
     spec = KernelSpec("gaussian", rho=2.0)
-    f = pivoted_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
+    counter = _BlockRowCounter()
+    with monkeypatch.context() as mp:
+        mp.setattr(lowrank, "np", counter)
+        f = pivoted_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
+    first_block_step = -(-lowrank.BLOCK_MIN_ENTRIES // pts.shape[0])
+    assert f.rank == 400 and first_block_step == 55
+    assert sum(counter.rows) == f.rank - first_block_step
     ref_piv, ref_l, ref_r, ref_hit = _row_major_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
     np.testing.assert_array_equal(f.pivots, ref_piv)
     assert f.hit_rank_cap and ref_hit
     assert np.abs(f.Lt.T - ref_l).max() <= FACTOR_RTOL * np.abs(ref_l).max()
     assert np.abs(f.R - ref_r).max() <= FACTOR_RTOL * np.abs(ref_r).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 40),
+    kind=st.sampled_from(["gaussian", "laplace", "wishart", "lowrank"]),
+    cap=st.one_of(st.none(), st.integers(1, 30)),
+    candidates=st.integers(1, 6),
+    pool=st.integers(2, 12),
+)
+def test_listed_blocks_are_prefixes_of_the_next_pivots(seed, size, kind, cap, candidates, pool):
+    # each block begun at step i lists distinct points, and they are the
+    # pivots the reference loop takes from step i on, in its order, as far
+    # as it goes: the list does not know the trace tolerance, which stops
+    # the loop well above roundoff so that near-ties cannot decide a pivot
+    # (exact ties can be listed in another order; see the test below)
+    k = random_psd(np.random.default_rng(seed), size, kind)
+    eps = 1e-6 * float(np.trace(k))
+    ref_piv, _, _, _ = _row_major_cholesky(MatrixOracle(k), eps, max_rank=cap)
+    next_pivots = lowrank._next_pivots
+    blocks = []
+
+    def spy(oracle, lt, d, piv, kmax, floor):
+        block, cols = next_pivots(oracle, lt, d, piv, kmax, floor)
+        assert cols.tobytes() == lt[:, block].tobytes()
+        assert 1 <= block.size <= kmax
+        blocks.append((lt.shape[0], block))
+        return block, cols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
+        mp.setattr(lowrank, "CANDIDATES", candidates)
+        mp.setattr(lowrank, "POOL", pool)
+        mp.setattr(lowrank, "_next_pivots", spy)
+        f = pivoted_cholesky(MatrixOracle(k), eps, max_rank=cap)
+    np.testing.assert_array_equal(f.pivots, ref_piv)
+    assert blocks and blocks[0][0] == 0
+    for i, block in blocks:
+        assert np.unique(block).size == block.size
+        np.testing.assert_array_equal(block[: f.rank - i], ref_piv[i : i + block.size])
+
+
+@pytest.mark.parametrize("pool", [2, 64])
+def test_exact_ties_go_to_the_smallest_index_with_blocks(monkeypatch, pool):
+    # with the larger pool, dpstrf's row swaps list the first block as
+    # [2, 1, 0, 4]; each step still takes the smallest index of its exact
+    # maximum
+    monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
+    monkeypatch.setattr(lowrank, "POOL", pool)
+    k = np.diag([2.0, 2.0, 3.0, 1.0, 2.0])
+    f = pivoted_cholesky(MatrixOracle(k), 0.0)
+    np.testing.assert_array_equal(f.pivots, [2, 0, 1, 4, 3])
+    np.testing.assert_allclose(f.Lt.T @ f.Lt, k, rtol=1e-15, atol=0)
 
 
 def test_omp_steps_ignore_the_block_constants(monkeypatch):
