@@ -16,7 +16,7 @@ from .conditional import JointDataset, conditional_weights, fit_conditional, spl
 from .estimator import fit
 from .hypothesis import DEFAULT_TRUNCATION_T, TestResult, run_test
 from .kernels import KernelSpec, _as_points, _sq_dists
-from .metrics import energy_score
+from .metrics import _distances, _energy_scores
 from .simulate import MixtureConfig, draw_mixture_model, sample_distribution
 
 DEFAULT_EPS_REL = 1e-5
@@ -256,7 +256,11 @@ def mixture_energy_study(
 
         grid = cmodel.y_grid
         weights = conditional_weights(cmodel, test.x) * grid.shape[0]  # mean-one scaling
-        es_cond = energy_score(test.y, grid, weights)
-        es_unif = energy_score(test.y, grid)
+        # the two scores share the outcome and the candidate distances; the
+        # uniform weights stay an explicit array of ones, whose products
+        # give the bits energy_score gives
+        dist_y, dist_xx = _distances(test.y, grid), _distances(grid, grid)
+        es_cond = _energy_scores(weights, dist_y, dist_xx)
+        es_unif = _energy_scores(np.ones(weights.shape), dist_y, dist_xx)
         diffs[r] = float(np.mean(es_unif - es_cond))
     return MixtureStudy(differentials=diffs, clusters=clusters)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -86,7 +87,8 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     """Read a headered CSV into a Dataset, rejecting non-numeric cells.
 
     ``columns`` selects by index or by header name; omitted keeps all
-    columns.  Errors name the offending 1-based data row and the column.
+    columns.  Errors name the offending 1-based data row and the column.  A
+    first row of finite numbers only is rejected: it is data, not a header.
     """
     try:
         with open(path, newline="") as fh:
@@ -96,6 +98,8 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
             except StopIteration:
                 raise UsageError(f"{path}: empty file")
             header = [h.strip() for h in header]
+            if header and all(_is_finite_number(h) for h in header):
+                raise UsageError(f"{path}: row 1 holds only numbers, but row 1 must name the columns")
             if columns is None:
                 idx = list(range(len(header)))
             elif all(isinstance(c, int) for c in columns):
@@ -123,6 +127,13 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     if data is None or not np.all(np.isfinite(data)):
         _raise_first_bad_cell(path, header, idx, rows)
     return Dataset(data)
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def _raise_first_bad_cell(path: str, header: Sequence[str], idx: Sequence[int], rows) -> None:

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimator import KdmModel, PriorSpec, _decompose, _solve, eval_density_ratio
+from .estimator import KdmModel, PriorSpec, _decompose, _model, eval_density_ratio
 from .kernels import Dataset, KernelSpec, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
@@ -102,14 +102,17 @@ class ConditionalModel:
 
 
 def _reservoir_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    # Algorithm R; deterministic for a given generator state
+    # Algorithm R; deterministic for a given generator state.  One call
+    # draws j_t in [0, t] for every t = k..n-1, the draws of the scalar loop
+    # in its order; item t replaces slot j_t < k, and the last such t wins,
+    # which is the largest, since t only grows
     if n <= k:
         return np.arange(n)
+    t = np.arange(k, n)
+    j = rng.integers(0, t + 1)
+    keep = j < k
     reservoir = np.arange(k)
-    for t in range(k, n):
-        j = int(rng.integers(0, t + 1))
-        if j < k:
-            reservoir[j] = t
+    np.maximum.at(reservoir, j[keep], t[keep])
     return np.sort(reservoir)
 
 
@@ -155,7 +158,7 @@ def fit_conditional(
         seed=seed,
         _covariance=False,
     )
-    return ConditionalModel(base=_solve(dec, lam), y_grid=y_grid, scheme=scheme)
+    return ConditionalModel(base=_model(dec, lam), y_grid=y_grid, scheme=scheme)
 
 
 def _query_rows(cmodel: ConditionalModel, x) -> tuple[np.ndarray, bool]:

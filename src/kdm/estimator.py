@@ -238,14 +238,18 @@ def _decompose(
     )
 
 
-def _solve(dec: _Decomposition, lam: float) -> KdmModel:
+def _solve(dec: _Decomposition, lam: float, a: np.ndarray) -> np.ndarray:
+    """Weights w of the ridge system (G + n lam I) w = moment gap.
+
+    ``a`` is an m x m workspace in LAPACK's column order: the sum is formed
+    in it and the factor overwrites it, so the cached Gram serves every
+    lambda of a path and one workspace serves all of them.
+    """
     if lam <= 0:
         raise ValueError("lam must be > 0")
     n, m = dec.fields["n"], len(dec.fields["pivots"])
-    # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed.
-    # The sum is a new array, in LAPACK's column order so that the factor
-    # overwrites it: the cached Gram serves every lambda of the path.
-    a = np.array(dec.gram, order="F")
+    # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed
+    np.copyto(a, dec.gram)
     a.flat[:: m + 1] += n * lam
     c, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
     if info == 0:
@@ -254,6 +258,13 @@ def _solve(dec: _Decomposition, lam: float) -> KdmModel:
     # non-finite system shows only in w
     if info != 0 or not np.isfinite(w).all():
         raise NumericsError(f"ridge system is not positive definite or not finite (LAPACK info {info})")
+    return w
+
+
+def _model(dec: _Decomposition, lam: float) -> KdmModel:
+    """The fitted model of one lambda on a decomposition."""
+    m = len(dec.fields["pivots"])
+    w = _solve(dec, lam, np.empty((m, m), order="F"))
     return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, **dec.fields)
 
 
@@ -296,7 +307,7 @@ def fit(
         standardize=standardize,
         seed=seed,
     )
-    return _solve(dec, lam)
+    return _model(dec, lam)
 
 
 def _query_points(d: int, z) -> tuple[np.ndarray, bool]:
@@ -356,16 +367,18 @@ def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> float:
 def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambdas: list) -> list:
     """Validation loss of the solve at each lambda on one decomposition.
 
-    The validation points' kernel rows against the pivots and the prior at
-    the validation P points do not depend on lambda, so they are evaluated
-    once; each loss still equals :func:`validation_loss` of the solve.
+    The validation points' kernel rows against the pivots, the prior at the
+    validation P points and the solve's workspace do not depend on lambda,
+    so they are made once; no model is built per lambda, and each loss still
+    equals :func:`validation_loss` of the model :func:`fit` returns.
     """
     std, piv = dec.fields["standardizer"], dec.fields["pivot_points"]
     k_p, k_q = (cross_kernel_matrix(dec.fields["kernel"], std.apply(va), piv) for va in (va_p, va_q))
     pbar = dec.fields["prior"].evaluate(va_p)
+    a = np.empty((piv.shape[0],) * 2, order="F")
     losses = []
     for lam in lambdas:
-        beta = _solve(dec, lam).beta
+        beta = dec.R @ _solve(dec, lam, a)
         losses.append(_quadratic_loss(k_p @ beta, k_q @ beta, pbar))
     return losses
 

@@ -123,7 +123,9 @@ def sq_norms(points: Union[Dataset, np.ndarray]) -> np.ndarray:
     return np.sum(pts * pts, axis=1)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None) -> np.ndarray:
+def _sq_dists(
+    a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     # expanded form with a clamp at zero so duplicate points never go negative
     aa = (sq_norms(a) if aa is None else aa)[:, None]
     bb = sq_norms(b)[None, :]
@@ -131,8 +133,8 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None) -> 
     # temporary, and b is the single point of a kernel column; doubling is
     # exact, so the bits are those of 2 * (a @ b.T) whenever both are one
     # general matrix product (a is not b); the sum, the subtraction and the
-    # clamp run in place on one array
-    d2 = aa + bb
+    # clamp run in place on one array, ``out`` when given
+    d2 = np.add(aa, bb, out=out)
     d2 -= a @ (2.0 * b).T
     return np.maximum(d2, 0.0, out=d2)
 
@@ -143,21 +145,26 @@ def cross_kernel_matrix(
     cols: Union[Dataset, np.ndarray],
     *,
     row_sq_norms: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Evaluate k(z_i, z'_j) for every row point against every column point.
 
     ``row_sq_norms``, if given, must be ``sq_norms(rows)``; a caller that
     evaluates many column blocks against the same rows passes it to skip
-    recomputing the norms.  The result is bitwise the same either way.
+    recomputing the norms.  ``out``, if given, is a float64 array of the
+    result's shape that receives the entries and is returned.  The result is
+    bitwise the same either way.
     """
     a = _as_points(rows)
     b = _as_points(cols)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == "polynomial":
-        return (a @ b.T + spec.c) ** spec.q
+        k = np.add(a @ b.T, spec.c, out=out)
+        k **= spec.q
+        return k
     # exp(d2 / (-2 rho)) and exp(-rho sqrt(d2)), evaluated in place
-    d2 = _sq_dists(a, b, row_sq_norms)
+    d2 = _sq_dists(a, b, row_sq_norms, out)
     if spec.family == "gaussian":
         d2 /= -2.0 * spec.rho
     else:

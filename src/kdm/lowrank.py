@@ -10,12 +10,16 @@ decomposition selects m pivot indices pi_1..pi_m and produces
 
 Only the diagonal of K plus one full column per pivot are ever requested, so
 the cost is O(m^2 N) time.  ``Lt`` is the leading rows of a (cap, N) buffer:
-step i subtracts from its kernel column the Schur product of the i earlier
-rows with their entries at the pivot, and writes its whole row straight into
-the buffer.  Every row is written before it is read, so the buffer is left
-uninitialised, and the memory touched is O(m N) for the rank m reached, not
-for the cap.  With ``epsilon=0`` the loop runs until the residual diagonal is
-exhausted and L L^T reproduces K to the numerical rank.
+step i has the oracle write its kernel column straight into row i, then
+subtracts in place the Schur product of the i earlier rows with their entries
+at the pivot, and scales the row.  Every row is written before it is read, so
+the buffer is left uninitialised, and the memory touched is O(m N) for the
+rank m reached, not for the cap.  The other vectors a step needs are buffers
+allocated once per decomposition: the earlier rows' entries at the pivot, the
+Schur product, ell^2, the floor mask and the pivot indices.  A step allocates
+no array itself; only the column formula makes one temporary of N entries.
+With ``epsilon=0`` the loop runs until the residual diagonal is exhausted and
+L L^T reproduces K to the numerical rank.
 
 Done as one matrix-vector product per step, the Schur products read all
 earlier rows at every step: m^2 N / 2 entries in all, at the speed of memory,
@@ -57,6 +61,7 @@ at rank 2,000 on one core.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -96,6 +101,7 @@ class KernelOracle:
 
     The squared norms of the points are computed once; each column reuses
     them and is bitwise equal to ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.
+    ``column(j, out)`` writes the column into ``out`` and returns it.
     ``submatrix(idx)`` is the kernel block K[idx, idx]; only columns count in
     ``queries``.
     """
@@ -113,10 +119,14 @@ class KernelOracle:
     def diagonal(self) -> np.ndarray:
         return kernel_diagonal(self._spec, self._pts)
 
-    def column(self, j: int) -> np.ndarray:
+    def column(self, j: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         self.queries += 1
         return cross_kernel_matrix(
-            self._spec, self._pts, self._pts[j : j + 1], row_sq_norms=self._sq_norms
+            self._spec,
+            self._pts,
+            self._pts[j : j + 1],
+            row_sq_norms=self._sq_norms,
+            out=None if out is None else out[:, None],
         )[:, 0]
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
@@ -221,10 +231,12 @@ def pivoted_cholesky(
 
     Parameters
     ----------
-    oracle : object with ``size``, ``diagonal()``, ``column(j)``, ``submatrix(idx)``
-        Access to the PSD matrix: its diagonal, column j, and the block
-        K[idx, idx] as a new array.  Exactly ``rank`` columns are read, and
-        one POOL x POOL block per block of greedy steps.
+    oracle : object with ``size``, ``diagonal()``, ``column(j, out)``, ``submatrix(idx)``
+        Access to the PSD matrix: its diagonal, column j written into the
+        float64 vector ``out`` of N entries (a row of the factor buffer) and
+        returned, and the block K[idx, idx] as a new array.  Exactly
+        ``rank`` columns are read, and one POOL x POOL block per block of
+        greedy steps.
     epsilon : float
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
@@ -241,8 +253,11 @@ def pivoted_cholesky(
     runs ``dpstrf`` on it and computes k <= CANDIDATES rows of products as
     one (k, i) x (i, N) product into a buffer of at most (CANDIDATES, N)
     allocated once per call.  The pivots are those of one matrix-vector product per step,
-    except between residual entries tied to roundoff.  ``R`` is one
-    triangular inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
+    except between residual entries tied to roundoff.  Apart from that block
+    buffer, the factor buffer and the step vectors are allocated once, before
+    the loop; a step writes its column, Schur product, ell^2 and floor mask
+    into them.  ``R`` is one triangular inverse of the m x m pivot columns of
+    ``Lt``, O(m^3) time.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -271,9 +286,17 @@ def pivoted_cholesky(
     d[d <= floor] = 0.0
 
     # L^T, one row per pivot; step i writes all of row i and reads only the
-    # rows before it
+    # rows before it.  The per-step vectors live in buffers allocated here:
+    # the pivots, the earlier rows' entries at the pivot, the Schur product,
+    # ell^2 and the floor mask.  Every entry is written before it is read;
+    # the pivots are zeros only because the tests poison unwritten buffers
+    # with NaN, which an int array cannot hold
     lt = np.empty((cap, n))
-    pivots: list[int] = []
+    pivots = np.zeros(cap, dtype=np.intp)
+    lrow_buf = np.empty(cap)
+    schur = np.empty(n)
+    sq = np.empty(n)
+    low = np.empty(n, dtype=bool)
     w = np.zeros(n) if strategy == "omp" else None
     # block of precomputed Schur products: row cand_row[j] of prod holds
     # lt[:base, j] @ lt[:base] for each predicted pivot j of the block begun
@@ -289,9 +312,13 @@ def pivoted_cholesky(
             piv = greedy_pivot(d)
         else:
             piv = omp_pivot(d, target, w)
-        scale = 1.0 / np.sqrt(d[piv])
+        root = math.sqrt(float(d[piv]))
+        scale = 1.0 / root
 
-        lrow = lt[:i, piv].copy()
+        lrow = lrow_buf[:i]
+        np.copyto(lrow, lt[:i, piv])
+        # per-step products go through np.dot: np.matmul with out computes
+        # block rows only, which is how the tests count them
         if strategy == "greedy" and i * n >= BLOCK_MIN_ENTRIES:
             if piv not in cand_row:
                 base = i
@@ -301,28 +328,29 @@ def pivoted_cholesky(
                     prod = np.empty((k, n))
                 np.matmul(cols.T, lt[:base], out=prod[: block.size])
                 cand_row = {int(c): r for r, c in enumerate(block)}
-            schur = lt[base:i].T @ lrow[base:]
+            np.dot(lt[base:i].T, lrow[base:], out=schur)
             schur += prod[cand_row[piv]]
         else:
-            schur = lt[:i].T @ lrow
-        ell = np.subtract(oracle.column(piv), schur, out=lt[i])
+            np.dot(lt[:i].T, lrow, out=schur)
+        ell = oracle.column(piv, out=lt[i])
+        ell -= schur
         ell *= scale
-        if pivots:
-            ell[pivots] = 0.0  # Schur complement vanishes at previous pivots
-        ell[piv] = np.sqrt(d[piv])
+        ell[pivots[:i]] = 0.0  # Schur complement vanishes at previous pivots
+        ell[piv] = root
 
         if w is not None:
-            w += ell * (scale * (target[piv] - w[piv]))
+            w += np.multiply(ell, scale * (target[piv] - w[piv]), out=sq)
 
-        d -= ell * ell
+        d -= np.multiply(ell, ell, out=sq)
         d[piv] = 0.0
         if d.min() < -tol:
             raise NumericsError("residual diagonal went negative; oracle is not PSD")
-        d[d <= floor] = 0.0
+        d[np.less_equal(d, floor, out=low)] = 0.0
 
-        pivots.append(piv)
+        pivots[i] = piv
         i += 1
 
+    pivots = pivots[:i]
     r = np.zeros((0, 0))
     if i:
         r, info = dtrtri(lt[:i, pivots], lower=0)
@@ -330,7 +358,7 @@ def pivoted_cholesky(
             raise NumericsError(f"triangular inverse of the pivot block failed (LAPACK info {info})")
     residual = float(d.sum())
     return CholeskyFactors(
-        pivots=np.asarray(pivots, dtype=np.intp),
+        pivots=pivots,
         Lt=lt[:i],
         R=r,
         residual_trace=residual,

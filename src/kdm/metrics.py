@@ -71,10 +71,21 @@ def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = 
         raise ValueError("weights must have one entry per candidate (and one row per outcome)")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    misfit = np.sum(w * _distances(ys, pts), axis=1) / m
-    spread = np.sum((w @ _distances(pts, pts)) * w, axis=1) / (2.0 * m**2)
-    scores = misfit - spread
+    scores = _energy_scores(w, _distances(ys, pts), _distances(pts, pts))
     return float(scores[0]) if single else scores
+
+
+def _energy_scores(w: np.ndarray, dist_y: np.ndarray, dist_xx: np.ndarray) -> np.ndarray:
+    """Energy scores from weights (Q, m) and the distances of :func:`energy_score`.
+
+    ``dist_y`` is ``_distances(ys, xs)`` (Q, m) and ``dist_xx`` is
+    ``_distances(xs, xs)`` (m, m); a caller scoring the same outcomes and
+    candidates under several weight sets computes them once.
+    """
+    m = dist_xx.shape[0]
+    misfit = np.sum(w * dist_y, axis=1) / m
+    spread = np.sum((w @ dist_xx) * w, axis=1) / (2.0 * m**2)
+    return misfit - spread
 
 
 def energy_score_differential(baseline_scores: Sequence[float], method_scores: Sequence[float]) -> float:
@@ -122,7 +133,8 @@ def dawid_sebastiani(realized: np.ndarray, mean: np.ndarray, cov: np.ndarray) ->
 
     Solved through a Cholesky factorization, never an explicit inverse.  A
     covariance that fails to factor gets one diagonal boost of relative size
-    DS_JITTER_REL before the attempt is abandoned.
+    DS_JITTER_REL before the attempt is abandoned; one with a NaN or
+    infinite entry is rejected before any attempt.
     """
     mu = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     yv = np.atleast_1d(np.asarray(realized, dtype=np.float64))
@@ -130,6 +142,8 @@ def dawid_sebastiani(realized: np.ndarray, mean: np.ndarray, cov: np.ndarray) ->
     d = mu.shape[0]
     if yv.shape != (d,) or sig.shape != (d, d):
         raise ValueError("inconsistent dimensions")
+    if not np.isfinite(sig).all():
+        raise NumericsError("covariance has non-finite entries")
     sig = 0.5 * (sig + sig.T)
     boost = DS_JITTER_REL * float(np.trace(sig)) / d
     for attempt in range(2):

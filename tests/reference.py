@@ -7,7 +7,9 @@ stacked points, quadratic in memory, so the low-rank fit can be checked
 against it at small scale through ``eval_h_full`` and ``rkhs_gap``;
 ``h_norm_gram`` is the RKHS norm of a low-rank fit from its Gram matrix.
 ``median_heuristic_rho_reference`` and ``energy_score_broadcast`` are the
-plain numpy forms of the median heuristic and of the energy score.
+plain numpy forms of the median heuristic and of the energy score, and
+``reservoir_indices_scalar`` draws the grid subsample with one scalar draw
+per item.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ class MatrixOracle:
     def diagonal(self) -> np.ndarray:
         return np.diag(self._k).copy()
 
-    def column(self, j: int) -> np.ndarray:
+    def column(self, j: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         self.queries += 1
-        return self._k[:, j].copy()
+        if out is None:
+            return self._k[:, j].copy()
+        np.copyto(out, self._k[:, j])
+        return out
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         return self._k[np.ix_(idx, idx)]
@@ -207,3 +212,15 @@ def energy_score_broadcast(ys: np.ndarray, xs: np.ndarray, w: np.ndarray) -> np.
     diff = xs[:, None, :] - xs[None, :, :]
     spread = np.sum((w @ np.sqrt(np.sum(diff**2, axis=2))) * w, axis=1) / (2.0 * m**2)
     return misfit - spread
+
+
+def reservoir_indices_scalar(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Algorithm R as a loop: item t >= k replaces slot j ~ U{0..t} when j < k."""
+    if n <= k:
+        return np.arange(n)
+    reservoir = np.arange(k)
+    for t in range(k, n):
+        j = int(rng.integers(0, t + 1))
+        if j < k:
+            reservoir[j] = t
+    return np.sort(reservoir)

@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdm.bench as bench
 from kdm.bench import (
     independence_test,
     ks_to_uniform,
@@ -13,6 +14,7 @@ from kdm.bench import (
     rejection_study,
 )
 from kdm.kernels import KernelSpec
+from kdm.metrics import energy_score
 from kdm.simulate import sample_distribution
 from reference import median_heuristic_rho_reference
 
@@ -134,3 +136,36 @@ def test_mixture_energy_study_smoke():
     np.testing.assert_array_equal(study.differentials, again.differentials)
     with pytest.raises(ValueError):
         mixture_energy_study(0, seed=0)
+
+
+def test_mixture_energy_study_scores_are_those_of_energy_score(monkeypatch):
+    # the study computes the distances once for both weight sets; each
+    # score must keep the bits of an energy_score call.  At the default
+    # 500-point grid the rows of a product with one row of ones differ from
+    # those with a row per query, and with seed 7 that reaches the scores
+    seen = {"scores": []}
+
+    def spy_weights(cmodel, x):
+        seen["grid"], seen["weights"] = cmodel.y_grid, real_weights(cmodel, x)
+        return seen["weights"]
+
+    def spy_distances(a, b):
+        if b is not a:
+            seen["ys"] = a
+        return real_distances(a, b)
+
+    def spy_scores(w, dist_y, dist_xx):
+        seen["scores"].append(real_scores(w, dist_y, dist_xx))
+        return seen["scores"][-1]
+
+    real_weights, real_distances, real_scores = bench.conditional_weights, bench._distances, bench._energy_scores
+    monkeypatch.setattr(bench, "conditional_weights", spy_weights)
+    monkeypatch.setattr(bench, "_distances", spy_distances)
+    monkeypatch.setattr(bench, "_energy_scores", spy_scores)
+    study = mixture_energy_study(1, seed=7)
+    ys, grid = seen["ys"], seen["grid"]
+    assert grid.shape[0] == 500
+    weighted, uniform = seen["scores"]
+    assert weighted.tobytes() == energy_score(ys, grid, seen["weights"] * grid.shape[0]).tobytes()
+    assert uniform.tobytes() == energy_score(ys, grid).tobytes()
+    assert study.differentials[0] == float(np.mean(uniform - weighted))

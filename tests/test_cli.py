@@ -68,6 +68,21 @@ def test_ingest_csv_diagnostics(tmp_path):
         ingest_csv(str(tmp_path / "missing.csv"))
 
 
+def test_fit_rejects_a_headerless_csv_exit_1(capsys, tmp_path):
+    # a first row of numbers would become the header and lose a data row
+    p = write_csv(tmp_path / "p.csv", ["0.5", "1e-3"], [[0.1 * i, 0.2] for i in range(10)])
+    q = write_csv(tmp_path / "q.csv", ["a", "b"], [[0.2 * i, 0.1] for i in range(10)])
+    model = tmp_path / "model.kdm"
+    code, _, err = run_cli(capsys, "fit", "--p", p, "--q", q, "--lambda", "1e-3", "--out", str(model))
+    assert code == 1
+    assert f"{p}: row 1 holds only numbers, but row 1 must name the columns" in err
+    assert not model.exists()
+    # a header with one name, or with a non-finite number, still names columns
+    for header in (["a", "2"], ["nan", "inf"]):
+        path = write_csv(tmp_path / "ok.csv", header, [[1, 2], [3, 4]])
+        assert ingest_csv(path).n == 2
+
+
 def test_ingest_csv_accepts_the_float_grammar(tmp_path):
     # cells go through float() in bulk: the values are bitwise those of
     # float(), and the first bad cell is still the one named

@@ -21,6 +21,7 @@ from kdm.conditional import (
 from kdm.estimator import PriorSpec, eval_density_ratio, fit, save_model
 from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec
+from reference import reservoir_indices_scalar
 
 
 def reference_weights(cmodel, x):
@@ -302,6 +303,27 @@ def test_reservoir_indices():
     assert a.shape == (64,)
     assert np.all(np.diff(a) > 0)
     assert a.min() >= 0 and a.max() < 1000
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3000),
+    k=st.one_of(st.just(1), st.integers(1, 600)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reservoir_indices_match_the_scalar_loop(n, k, seed):
+    # the one-call draw gives the loop's subsample bit for bit, n <= k included
+    idx = _reservoir_indices(n, k, np.random.default_rng(seed))
+    ref = reservoir_indices_scalar(n, k, np.random.default_rng(seed))
+    assert idx.dtype == ref.dtype
+    np.testing.assert_array_equal(idx, ref)
+
+
+@pytest.mark.parametrize("n, k", [(3000, 500), (1000, 500), (5000, 2000), (2000, 1), (500, 500)])
+def test_reservoir_indices_match_the_scalar_loop_at_study_sizes(n, k):
+    for seed in range(10):
+        idx = _reservoir_indices(n, k, np.random.default_rng(seed))
+        np.testing.assert_array_equal(idx, reservoir_indices_scalar(n, k, np.random.default_rng(seed)))
 
 
 def test_grid_subsampling_and_explicit_grid():

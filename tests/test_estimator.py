@@ -308,13 +308,18 @@ def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
     p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.3, 1, (60, 2))
     dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0))
     gram = dec.gram.copy()
-    model = estimator._solve(dec, 1e-3)
+    model = estimator._model(dec, 1e-3)
     assert dec.gram.tobytes() == gram.tobytes()
     m = model.rank
     np.testing.assert_allclose((gram + 60 * 1e-3 * np.eye(m)) @ model.w, model.moment_gap, rtol=1e-10, atol=1e-12)
+    # one workspace serves a path: a solve after another gives the first bits
+    work = np.empty((m, m), order="F")
+    estimator._solve(dec, 1e-1, work)
+    assert estimator._solve(dec, 1e-3, work).tobytes() == model.w.tobytes()
+    assert dec.gram.tobytes() == gram.tobytes()
     gram[m - 1, m - 2] = np.nan
     with pytest.raises(NumericsError, match="not positive definite"):
-        estimator._solve(dataclasses.replace(dec, gram=gram), 1e-3)
+        estimator._model(dataclasses.replace(dec, gram=gram), 1e-3)
 
 
 def test_cross_validate_unequal_sizes_truncate_with_warning():

@@ -226,6 +226,29 @@ def test_kernel_oracle_column_bitwise_equals_cross_kernel(spec, d):
     assert oracle.queries == pts.shape[0]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec("gaussian", rho=0.8), KernelSpec("laplace", rho=1.7), KernelSpec("polynomial", c=1.0, q=3)],
+    ids=["gaussian", "laplace", "polynomial"],
+)
+def test_kernel_oracle_column_into_a_buffer_row(spec):
+    # the loop has each column written straight into a row of the factor
+    # buffer; an odd row length puts the rows at every 8-byte offset
+    rng = np.random.default_rng(12)
+    pts = rng.normal(0.0, 2.0, (57, 3))
+    pts[7] = pts[3]
+    oracle = KernelOracle(spec, pts)
+    buf = np.full((pts.shape[0], pts.shape[0]), np.nan)
+    for j in range(pts.shape[0]):
+        got = oracle.column(j, out=buf[j])
+        assert np.shares_memory(got, buf[j])
+        assert buf[j].tobytes() == oracle.column(j).tobytes()
+    assert oracle.queries == 2 * pts.shape[0]
+    ref = MatrixOracle(buf)
+    row = np.empty(pts.shape[0])
+    assert ref.column(5, out=row) is row and row.tobytes() == buf[:, 5].tobytes()
+
+
 def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, max_rank=None):
     """The decomposition loop as first written: L kept row-major in an (N, cap) buffer.
 

@@ -151,6 +151,16 @@ def test_dawid_sebastiani_jitter_recovers_singular_cov():
     assert math.isfinite(ds)
 
 
+@pytest.mark.parametrize(
+    "cov",
+    [[[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]]],
+    ids=["nan-offdiag", "nan-diag", "inf-diag", "inf-offdiag"],
+)
+def test_dawid_sebastiani_raises_numerics_error_for_non_finite_cov(cov):
+    with pytest.raises(NumericsError, match="non-finite"):
+        dawid_sebastiani([0.0, 0.0], [0.0, 0.0], cov)
+
+
 def test_dawid_sebastiani_raises_for_indefinite_cov():
     with pytest.raises(NumericsError):
         dawid_sebastiani([0.0, 0.0], [0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]])
