@@ -87,8 +87,10 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     """Read a headered CSV into a Dataset, rejecting non-numeric cells.
 
     ``columns`` selects by index or by header name; omitted keeps all
-    columns.  Errors name the offending 1-based data row and the column.  A
-    first row of finite numbers only is rejected: it is data, not a header.
+    columns.  Errors name the first offending 1-based data row and the
+    column: a row with more fields than the header, one without a selected
+    field, or a cell that is not a finite number.  A blank first row, or one
+    of finite numbers only, is rejected: it names no columns.
     """
     try:
         with open(path, newline="") as fh:
@@ -98,7 +100,9 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
             except StopIteration:
                 raise UsageError(f"{path}: empty file")
             header = [h.strip() for h in header]
-            if header and all(_is_finite_number(h) for h in header):
+            if header in ([], [""]):
+                raise UsageError(f"{path}: row 1 is empty, but row 1 must name the columns")
+            if all(_is_finite_number(h) for h in header):
                 raise UsageError(f"{path}: row 1 holds only numbers, but row 1 must name the columns")
             if columns is None:
                 idx = list(range(len(header)))
@@ -119,13 +123,22 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     if not rows:
         raise UsageError(f"{path}: no data rows")
     # convert in bulk (numpy parses each str with float(), so the grammar is
-    # Python's); only when that fails is the offending cell looked for
+    # Python's).  When every column is selected the rows go in as they are,
+    # and numpy rejects rows of unequal length; otherwise one pass over the
+    # row lengths finds a row longer than the header.  Only when a check
+    # fails is the offending row looked for
+    every = idx == list(range(len(header)))
     try:
-        data = np.array([[row[i] for i in idx] for row in rows], dtype=np.float64)
+        data = np.array(rows if every else [[row[i] for i in idx] for row in rows], dtype=np.float64)
     except (IndexError, ValueError):
         data = None
-    if data is None or not np.all(np.isfinite(data)):
-        _raise_first_bad_cell(path, header, idx, rows)
+    if (
+        data is None
+        or data.shape[1] != len(idx)
+        or (not every and max(map(len, rows)) > len(header))
+        or not np.all(np.isfinite(data))
+    ):
+        _raise_first_bad_row(path, header, idx, rows)
     return Dataset(data)
 
 
@@ -136,8 +149,10 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def _raise_first_bad_cell(path: str, header: Sequence[str], idx: Sequence[int], rows) -> None:
+def _raise_first_bad_row(path: str, header: Sequence[str], idx: Sequence[int], rows) -> None:
     for rownum, row in enumerate(rows, start=1):
+        if len(row) > len(header):
+            raise UsageError(f"{path}: row {rownum} has {len(row)} fields, but the header names {len(header)}")
         for i in idx:
             if i >= len(row):
                 raise UsageError(f"{path}: row {rownum} has only {len(row)} fields")
@@ -148,7 +163,7 @@ def _raise_first_bad_cell(path: str, header: Sequence[str], idx: Sequence[int], 
                 raise UsageError(f"{path}: cannot parse {cell!r} at row {rownum}, column {header[i]!r}")
             if not np.isfinite(v):
                 raise UsageError(f"{path}: non-finite value {cell!r} at row {rownum}, column {header[i]!r}")
-    raise AssertionError(f"{path}: bulk conversion failed but every cell parses")
+    raise AssertionError(f"{path}: bulk conversion failed but every row and cell is valid")
 
 
 def _fmt(v) -> str:

@@ -205,7 +205,10 @@ def _decompose(
     # vanishes for the prior zero; only a custom prior forms it, through an
     # m x n temporary.
     lt_p, lt_q = factors.Lt[:, :n], factors.Lt[:, n:]
-    gram = lt_p @ lt_p.T
+    # numpy forms lt_p lt_p^T with syrk, so the Gram is exactly symmetric
+    # and its transpose is the same matrix in LAPACK's column order: each
+    # ridge solve fills its workspace with a straight copy
+    gram = (lt_p @ lt_p.T).T
     lq1 = lt_q @ np.ones(n)
     p_star = None if prior.kind == "zero" else prior.evaluate(pts_p)
     lpp = None if p_star is None else lt_p @ p_star
@@ -241,9 +244,10 @@ def _decompose(
 def _solve(dec: _Decomposition, lam: float, a: np.ndarray) -> np.ndarray:
     """Weights w of the ridge system (G + n lam I) w = moment gap.
 
-    ``a`` is an m x m workspace in LAPACK's column order: the sum is formed
-    in it and the factor overwrites it, so the cached Gram serves every
-    lambda of a path and one workspace serves all of them.
+    ``a`` is an m x m workspace in LAPACK's column order, the order the
+    Gram is stored in: the sum is formed in it and the factor overwrites
+    it, so the cached Gram serves every lambda of a path and one workspace
+    serves all of them.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")

@@ -124,18 +124,23 @@ def sq_norms(points: Union[Dataset, np.ndarray]) -> np.ndarray:
 
 
 def _sq_dists(
-    a: np.ndarray, b: np.ndarray, aa: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+    a: np.ndarray,
+    b: np.ndarray,
+    aa: Optional[np.ndarray] = None,
+    bb: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     # expanded form with a clamp at zero so duplicate points never go negative
     aa = (sq_norms(a) if aa is None else aa)[:, None]
-    bb = sq_norms(b)[None, :]
-    # scaling the d-column operand b, not the product, saves a full-size
-    # temporary, and b is the single point of a kernel column; doubling is
-    # exact, so the bits are those of 2 * (a @ b.T) whenever both are one
-    # general matrix product (a is not b); the sum, the subtraction and the
-    # clamp run in place on one array, ``out`` when given
+    bb = (sq_norms(b) if bb is None else bb)[None, :]
+    # scaling the d-column operand with fewer points (such as the pivots of
+    # a block of kernel rows), not the product, saves a full-size temporary;
+    # doubling is exact, so the bits are those of 2 * (a @ b.T) whichever
+    # operand is scaled, whenever both are one general matrix product (a is
+    # not b); the sum, the subtraction and the clamp run in place on one
+    # array, ``out`` when given
     d2 = np.add(aa, bb, out=out)
-    d2 -= a @ (2.0 * b).T
+    d2 -= (2.0 * a) @ b.T if a.shape[0] < b.shape[0] else a @ (2.0 * b).T
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -145,13 +150,15 @@ def cross_kernel_matrix(
     cols: Union[Dataset, np.ndarray],
     *,
     row_sq_norms: Optional[np.ndarray] = None,
+    col_sq_norms: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Evaluate k(z_i, z'_j) for every row point against every column point.
 
-    ``row_sq_norms``, if given, must be ``sq_norms(rows)``; a caller that
-    evaluates many column blocks against the same rows passes it to skip
-    recomputing the norms.  ``out``, if given, is a float64 array of the
+    ``row_sq_norms`` and ``col_sq_norms``, if given, must be
+    ``sq_norms(rows)`` and ``sq_norms(cols)``; a caller that evaluates many
+    blocks against the same points passes their norms to skip recomputing
+    them.  ``out``, if given, is a float64 array of the
     result's shape that receives the entries and is returned.  The result is
     bitwise the same either way.
     """
@@ -164,7 +171,7 @@ def cross_kernel_matrix(
         k **= spec.q
         return k
     # exp(d2 / (-2 rho)) and exp(-rho sqrt(d2)), evaluated in place
-    d2 = _sq_dists(a, b, row_sq_norms, out)
+    d2 = _sq_dists(a, b, row_sq_norms, col_sq_norms, out)
     if spec.family == "gaussian":
         d2 /= -2.0 * spec.rho
     else:

@@ -1,6 +1,6 @@
 """Pivoted incomplete Cholesky decomposition with a biorthogonal factor.
 
-Given column access to a symmetric positive-semidefinite N x N matrix K, the
+Given row access to a symmetric positive-semidefinite N x N matrix K, the
 decomposition selects m pivot indices pi_1..pi_m and produces
 
 * ``Lt`` (m x N): the transpose of an incomplete Cholesky factor L, one row
@@ -8,49 +8,60 @@ decomposition selects m pivot indices pi_1..pi_m and produces
 * ``R``  (m x m): a biorthogonal factor satisfying K[:, piv] R = L and
   R^T L[piv, :] = I, hence R R^T = inv(K[piv, piv]).
 
-Only the diagonal of K plus one full column per pivot are ever requested, so
-the cost is O(m^2 N) time.  ``Lt`` is the leading rows of a (cap, N) buffer:
-step i has the oracle write its kernel column straight into row i, then
-subtracts in place the Schur product of the i earlier rows with their entries
-at the pivot, and scales the row.  Every row is written before it is read, so
-the buffer is left uninitialised, and the memory touched is O(m N) for the
-rank m reached, not for the cap.  The other vectors a step needs are buffers
-allocated once per decomposition: the earlier rows' entries at the pivot, the
-Schur product, ell^2, the floor mask and the pivot indices.  A step allocates
-no array itself; only the column formula makes one temporary of N entries.
-With ``epsilon=0`` the loop runs until the residual diagonal is exhausted and
+Only the diagonal of K plus one full row per pivot are requested (and the
+rows of a block cut short, below), so the cost is O(m^2 N) time.  ``Lt`` is
+the leading rows of a (cap, N) buffer: a plain step i has the oracle write
+its kernel row K[pi_i, :] straight into row i, then subtracts in place the
+Schur product of the i earlier rows with their entries at the pivot, and
+scales the row.  Every row is written before it is read, so the buffer is
+left uninitialised, and the memory touched is O(m N) for the rank m reached,
+not for the cap.  The other vectors a step needs are buffers allocated once
+per decomposition: the earlier rows' entries at the pivot, the Schur product,
+ell^2, the floor mask and the pivot indices.  A step allocates no array
+itself; only the kernel formula makes one temporary of N entries.  With
+``epsilon=0`` the loop runs until the residual diagonal is exhausted and
 L L^T reproduces K to the numerical rank.
 
 Done as one matrix-vector product per step, the Schur products read all
 earlier rows at every step: m^2 N / 2 entries in all, at the speed of memory,
 not of arithmetic.  The greedy rule avoids most of that reading by working
-out its next pivots and computing their products together.  A block begins
-at some step ``base``.  The pool C is the POOL indices with the largest
-residual diagonal d, and tau the largest d outside C.  d never increases, so
-no index outside C can rise above tau, and while residual entries of C stay
-above tau the next greedy pivots are those of C's own residual block
-S = K[C, C] - L[C, :base] L[C, :base]^T.  One LAPACK pivoted Cholesky of S
-(``dpstrf``), stopped at tau, lists them in order; one matrix product
-computes the Schur products of the first CANDIDATES of them against the rows
-before ``base``, reading those rows once.  Each later step whose pivot is in
-the block adds only the product with the rows written since ``base``; a
-pivot outside the block begins a new one.  Steps look their pivot up in the
-block, so only which pivots it holds matters, not their order.  C is in index
+out its next pivots and forming their rows together.  A block begins at some
+step ``base``.  The pool C is the POOL indices with the largest residual
+diagonal d, and tau the largest d outside C.  d never increases, so no index
+outside C can rise above tau, and while residual entries of C stay above tau
+the next greedy pivots are those of C's own residual block
+S_C = K[C, C] - L[C, :base] L[C, :base]^T.  One LAPACK pivoted Cholesky of
+S_C (``dpstrf``), stopped at tau, lists them in order.  Once the first k <=
+CANDIDATES of them, B, are fixed, the block is a left-looking Cholesky panel:
+one oracle call writes K[B, :] into the factor rows ``base`` to ``base + k``,
+one matrix product computes their Schur products against the rows before
+``base`` (reading those rows once) and one in-place subtraction removes them,
+leaving S = K[B, :] - L[B, :base] L[:, :base]^T.  With T the lower Cholesky
+factor (``dpotrf``) of S's own k x k pivot columns, the block's rows of L^T
+are T^{-1} S, one in-place triangular solve (``dtrsm``).  Should ``dpotrf``
+find that k x k block indefinite at order j through roundoff, the block keeps
+its first j - 1 rows; a block of one row is S scaled by one over the root of
+its residual diagonal entry, as a plain step scales it.  Each later step uses
+its precomputed row only if its pivot is the next one of B; otherwise it
+begins a new block, and so does a step after B's last row.  C is in index
 order, so ``dpstrf``'s first pivot breaks ties toward the smallest index as
 :func:`greedy_pivot` does; its row swaps can reorder later exact ties, which
-at worst leaves a tied pivot out of a block that ends inside the tie.  Per
-block that costs one POOL x POOL kernel block (``oracle.submatrix``), a
-gather of the pool's ``base`` x POOL entries of L^T, POOL^3 / 3 flops in
-``dpstrf`` and the (k, base) x (base, N) product for the k listed pivots,
-all of which the loop then takes unless roundoff reorders near-equal
-residual entries.  The pivot is still chosen
-from the exact residual diagonal, so pivots, rank, stopping rule and
-``hit_rank_cap`` are those of the plain loop, and a prediction that roundoff
-spoils costs only a new block; only the order in which the Schur products
-are summed differs, a change at roundoff level that can decide a pivot only
-between residual entries tied to roundoff (such as copies of one point).
-OMP steps keep the plain product: their pivots do not follow the residual
-diagonal.
+at worst cuts a block short inside the tie.  Per block that costs one POOL x
+POOL kernel block (``oracle.submatrix``), a gather of the pool's ``base`` x
+POOL entries of L^T, POOL^3 / 3 flops in ``dpstrf``, the k kernel rows, the
+(k, base) x (base, N) product, k^3 / 3 flops in ``dpotrf`` and k^2 N in the
+solve, all of which the loop then uses unless roundoff reorders near-equal
+residual entries or the stopping rule ends the loop inside the block.  Rows
+formed for a block cut short are left unused, so the oracle's row count can
+exceed the rank by them.  The pivot is still chosen from the exact residual
+diagonal, and each step still zeroes its row at the earlier pivots, sets its
+pivot entry to the root of the residual and updates d, so pivots, rank,
+stopping rule and ``hit_rank_cap`` are those of the plain loop, and a
+prediction that roundoff spoils costs only a new block; only the order in
+which the products are summed differs, a change at roundoff level that can
+decide a pivot only between residual entries tied to roundoff (such as
+copies of one point).  OMP steps keep the plain product: their pivots do not
+follow the residual diagonal.
 
 ``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
 the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
@@ -66,7 +77,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf, dtrtri
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpstrf, dtrtri
 
 from .kernels import Dataset, KernelSpec, _as_points, cross_kernel_matrix, kernel_diagonal, sq_norms
 
@@ -82,11 +94,11 @@ DEFAULT_MAX_RANK = 2000
 # of the nonzero entries
 OMP_QUANTILE = 0.9
 
-# greedy steps take their Schur product from a block of at most CANDIDATES
-# rows, precomputed for the next pivots that a pivoted Cholesky of the POOL
-# indices with the largest residual diagonal lists, once the earlier rows hold
-# at least BLOCK_MIN_ENTRIES entries (2 MB); below that one matrix-vector
-# product per step is cheaper
+# greedy steps take their rows of L^T from a block of at most CANDIDATES
+# rows, formed together for the next pivots that a pivoted Cholesky of the
+# POOL indices with the largest residual diagonal lists, once the earlier rows
+# hold at least BLOCK_MIN_ENTRIES entries (2 MB); below that one
+# matrix-vector product per step is cheaper
 CANDIDATES = 32
 POOL = 64
 BLOCK_MIN_ENTRIES = 2**18
@@ -97,12 +109,14 @@ class NumericsError(RuntimeError):
 
 
 class KernelOracle:
-    """Lazy columns of the kernel matrix of one point set against itself.
+    """Lazy rows of the kernel matrix of one point set against itself.
 
-    The squared norms of the points are computed once; each column reuses
-    them and is bitwise equal to ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.
-    ``column(j, out)`` writes the column into ``out`` and returns it.
-    ``submatrix(idx)`` is the kernel block K[idx, idx]; only columns count in
+    The squared norms of the points are computed once; ``rows(idx, out)``
+    reuses them for both operands, writes K[idx, :] into ``out`` (a float64
+    array of shape (len(idx), N)) and returns it.  The rows are bitwise equal
+    to ``cross_kernel_matrix(spec, pts[idx], pts)``, and one row to the
+    column ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.
+    ``submatrix(idx)`` is the kernel block K[idx, idx]; only rows count in
     ``queries``.
     """
 
@@ -119,15 +133,16 @@ class KernelOracle:
     def diagonal(self) -> np.ndarray:
         return kernel_diagonal(self._spec, self._pts)
 
-    def column(self, j: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        self.queries += 1
+    def rows(self, idx, out: Optional[np.ndarray] = None) -> np.ndarray:
+        self.queries += len(idx)
         return cross_kernel_matrix(
             self._spec,
+            self._pts[idx],
             self._pts,
-            self._pts[j : j + 1],
-            row_sq_norms=self._sq_norms,
-            out=None if out is None else out[:, None],
-        )[:, 0]
+            row_sq_norms=self._sq_norms[idx],
+            col_sq_norms=self._sq_norms,
+            out=out,
+        )
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         pts = self._pts[idx]
@@ -219,6 +234,37 @@ def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor:
     return np.array([piv]), lt[:, [piv]]
 
 
+def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, cols: np.ndarray, prod, scale: float) -> int:
+    """Write the rows of L^T for ``block``, the pivots of steps base, base + 1, ...
+
+    ``cols`` is ``lt[:base, block]``.  The oracle writes K[block, :] into
+    ``lt[base:base + k]``, one matrix product (into ``prod``) gives their
+    Schur products against the rows before ``base``, and after subtracting
+    them the rows hold S = K[block, :] - L[block, :base] L[:, :base]^T.
+    With T the lower Cholesky factor of S[:, block], the block's rows of L^T
+    are T^{-1} S: one triangular solve in place.  ``dpotrf`` can find
+    S[:, block] indefinite at some order j through roundoff; then only the
+    first j - 1 rows are kept.  One row is S scaled by ``scale``, 1 / sqrt
+    of its residual diagonal entry, as a plain step scales it.  Returns the
+    number of rows kept.
+    """
+    k = block.size
+    rows = oracle.rows(block, out=lt[base : base + k])
+    np.matmul(cols.T, lt[:base], out=prod[:k])
+    rows -= prod[:k]
+    if k > 1:
+        t, info = dpotrf(rows[:, block], lower=1, clean=0)
+        if info != 0:
+            k = max(info - 1, 1)
+    if k == 1:
+        rows[0] *= scale
+    else:
+        # the transposed rows are an F-ordered (N, k) view, so the solve
+        # X T^T = S^T runs in place
+        dtrsm(1.0, t[:k, :k], rows[:k].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return k
+
+
 def pivoted_cholesky(
     oracle,
     epsilon: float,
@@ -231,12 +277,13 @@ def pivoted_cholesky(
 
     Parameters
     ----------
-    oracle : object with ``size``, ``diagonal()``, ``column(j, out)``, ``submatrix(idx)``
-        Access to the PSD matrix: its diagonal, column j written into the
-        float64 vector ``out`` of N entries (a row of the factor buffer) and
-        returned, and the block K[idx, idx] as a new array.  Exactly
-        ``rank`` columns are read, and one POOL x POOL block per block of
-        greedy steps.
+    oracle : object with ``size``, ``diagonal()``, ``rows(idx, out)``, ``submatrix(idx)``
+        Access to the PSD matrix: its diagonal, the rows K[idx, :] written
+        into the C-ordered float64 array ``out`` of shape (len(idx), N)
+        (rows of the factor buffer) and returned, and the block K[idx, idx]
+        as a new array.  A plain step reads its pivot's row, a block of
+        greedy steps its k rows and one POOL x POOL block; the rows read
+        exceed ``rank`` only by those of blocks cut short.
     epsilon : float
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
@@ -247,17 +294,19 @@ def pivoted_cholesky(
         through ``hit_rank_cap``, not raised.
 
     Time is O(m^2 N) for rank m and N points.  Once the earlier rows hold
-    ``BLOCK_MIN_ENTRIES`` entries, greedy steps take their Schur products
-    from blocks computed for the pivots the loop is about to take (module
-    docstring): a block begun at step i reads one POOL x POOL kernel block,
-    runs ``dpstrf`` on it and computes k <= CANDIDATES rows of products as
-    one (k, i) x (i, N) product into a buffer of at most (CANDIDATES, N)
-    allocated once per call.  The pivots are those of one matrix-vector product per step,
-    except between residual entries tied to roundoff.  Apart from that block
-    buffer, the factor buffer and the step vectors are allocated once, before
-    the loop; a step writes its column, Schur product, ell^2 and floor mask
-    into them.  ``R`` is one triangular inverse of the m x m pivot columns of
-    ``Lt``, O(m^3) time.
+    ``BLOCK_MIN_ENTRIES`` entries, greedy steps take their rows from blocks
+    formed for the pivots the loop is about to take (module docstring): a
+    block begun at step i reads one POOL x POOL kernel block, runs ``dpstrf``
+    on it, has the oracle write the k <= CANDIDATES kernel rows of its
+    pivots into the factor buffer, subtracts their Schur products, computed
+    as one (k, i) x (i, N) product into a buffer of at most (CANDIDATES, N)
+    allocated once per call, and finishes the rows with one k x k Cholesky
+    factor and one triangular solve in place.  The pivots are those of one
+    matrix-vector product per step, except between residual entries tied to
+    roundoff.  Apart from that block buffer, the factor buffer and the step
+    vectors are allocated once, before the loop; a step writes its row,
+    Schur product, ell^2 and floor mask into them.  ``R`` is one triangular
+    inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -286,11 +335,12 @@ def pivoted_cholesky(
     d[d <= floor] = 0.0
 
     # L^T, one row per pivot; step i writes all of row i and reads only the
-    # rows before it.  The per-step vectors live in buffers allocated here:
-    # the pivots, the earlier rows' entries at the pivot, the Schur product,
-    # ell^2 and the floor mask.  Every entry is written before it is read;
-    # the pivots are zeros only because the tests poison unwritten buffers
-    # with NaN, which an int array cannot hold
+    # rows before it, or a block begun at step i writes its rows together.
+    # The per-step vectors live in buffers allocated here: the pivots, the
+    # earlier rows' entries at the pivot, the Schur product, ell^2 and the
+    # floor mask.  Every entry is written before it is read; the pivots are
+    # zeros only because the tests poison unwritten buffers with NaN, which
+    # an int array cannot hold
     lt = np.empty((cap, n))
     pivots = np.zeros(cap, dtype=np.intp)
     lrow_buf = np.empty(cap)
@@ -298,12 +348,12 @@ def pivoted_cholesky(
     sq = np.empty(n)
     low = np.empty(n, dtype=bool)
     w = np.zeros(n) if strategy == "omp" else None
-    # block of precomputed Schur products: row cand_row[j] of prod holds
-    # lt[:base, j] @ lt[:base] for each predicted pivot j of the block begun
-    # at step base
+    # a block begun at step base holds the finished rows lt[base:block_end]
+    # of its pivots block[:block_end - base]; prod receives its Schur
+    # products against the rows before base
     prod = None
-    cand_row: dict[int, int] = {}
-    base = 0
+    block = None
+    base = block_end = 0
 
     # the floor keeps d >= 0, so a sum above epsilon >= 0 means a positive entry
     i = 0
@@ -315,26 +365,24 @@ def pivoted_cholesky(
         root = math.sqrt(float(d[piv]))
         scale = 1.0 / root
 
-        lrow = lrow_buf[:i]
-        np.copyto(lrow, lt[:i, piv])
-        # per-step products go through np.dot: np.matmul with out computes
-        # block rows only, which is how the tests count them
         if strategy == "greedy" and i * n >= BLOCK_MIN_ENTRIES:
-            if piv not in cand_row:
+            if i >= block_end or block[i - base] != piv:
                 base = i
                 k = min(CANDIDATES, cap - i)
                 block, cols = _next_pivots(oracle, lt[:i], d, piv, k, floor)
                 if prod is None:
                     prod = np.empty((k, n))
-                np.matmul(cols.T, lt[:base], out=prod[: block.size])
-                cand_row = {int(c): r for r, c in enumerate(block)}
-            np.dot(lt[base:i].T, lrow[base:], out=schur)
-            schur += prod[cand_row[piv]]
+                block_end = i + _block_rows(oracle, lt, i, block, cols, prod, scale)
+            ell = lt[i]
         else:
+            lrow = lrow_buf[:i]
+            np.copyto(lrow, lt[:i, piv])
+            # np.dot, not np.matmul with out: the tests count those calls as
+            # block products
             np.dot(lt[:i].T, lrow, out=schur)
-        ell = oracle.column(piv, out=lt[i])
-        ell -= schur
-        ell *= scale
+            ell = oracle.rows([piv], out=lt[i : i + 1])[0]
+            ell -= schur
+            ell *= scale
         ell[pivots[:i]] = 0.0  # Schur complement vanishes at previous pivots
         ell[piv] = root
 

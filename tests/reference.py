@@ -1,6 +1,6 @@
 """Validation-only references the tests check the package against.
 
-``MatrixOracle`` gives column access to a materialized matrix and
+``MatrixOracle`` gives row access to a materialized matrix and
 ``verify_factors`` recomputes the structural identities of a decomposition
 against it.  ``fit_full`` solves the exact representer system over all 2n
 stacked points, quadratic in memory, so the low-rank fit can be checked
@@ -26,9 +26,9 @@ from kdm.lowrank import CholeskyFactors, NumericsError
 
 
 class MatrixOracle:
-    """Column and block access to a materialized symmetric PSD matrix.
+    """Row and block access to a materialized symmetric PSD matrix.
 
-    Only columns count in ``queries``.
+    Only rows count in ``queries``.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -45,12 +45,9 @@ class MatrixOracle:
     def diagonal(self) -> np.ndarray:
         return np.diag(self._k).copy()
 
-    def column(self, j: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        self.queries += 1
-        if out is None:
-            return self._k[:, j].copy()
-        np.copyto(out, self._k[:, j])
-        return out
+    def rows(self, idx, out: Optional[np.ndarray] = None) -> np.ndarray:
+        self.queries += len(idx)
+        return np.take(self._k, idx, axis=0, out=out)
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         return self._k[np.ix_(idx, idx)]

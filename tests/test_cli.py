@@ -99,6 +99,49 @@ def test_ingest_csv_accepts_the_float_grammar(tmp_path):
         ingest_csv(later)
 
 
+def test_fit_rejects_a_row_longer_than_the_header_exit_1(capsys, tmp_path):
+    # extra cells were dropped: "a,b" then "1,2,3" read as [[1, 2]]
+    p = write_csv(tmp_path / "p.csv", ["a", "b"], [[0.1 * i, 0.2] for i in range(9)] + [[1, 2, 3]])
+    q = write_csv(tmp_path / "q.csv", ["a", "b"], [[0.2 * i, 0.1] for i in range(10)])
+    model = tmp_path / "model.kdm"
+    code, _, err = run_cli(capsys, "fit", "--p", p, "--q", q, "--lambda", "1e-3", "--out", str(model))
+    assert code == 1
+    assert f"{p}: row 10 has 3 fields, but the header names 2" in err
+    assert not model.exists()
+    # with some columns selected, and whatever comes first: the first
+    # offending row is named, be it too long, too short or holding a bad cell
+    for cols in (None, [0], ["b"]):
+        for rows, message in [
+            ([[1, 2], [3, 4, 5], [6], ["oops", 7]], "row 2 has 3 fields, but the header names 2$"),
+            ([[1, 2], ["oops", 7], [3, 4, 5]], "cannot parse 'oops' at row 2, column 'a'$"),
+            ([[1, 2], [], [3, 4, 5]], "row 2 has only 0 fields$"),
+            ([[1, 2, ""], [3, 4]], "row 1 has 3 fields, but the header names 2$"),
+        ]:
+            if cols == ["b"] and "oops" in message:
+                message = "row 3 has 3 fields, but the header names 2$"
+            path = write_csv(tmp_path / "long.csv", ["a", "b"], rows)
+            with pytest.raises(UsageError, match=message):
+                ingest_csv(path, cols)
+    # every row one field longer than the header is rejected too
+    path = write_csv(tmp_path / "wide.csv", ["a", "b"], [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(UsageError, match="row 1 has 3 fields, but the header names 2$"):
+        ingest_csv(path)
+
+
+def test_fit_rejects_a_blank_first_row_exit_1(capsys, tmp_path):
+    # the blank header selected no columns and failed later, in Dataset,
+    # with a message naming neither the file nor the row
+    q = write_csv(tmp_path / "q.csv", ["a", "b"], [[0.2 * i, 0.1] for i in range(10)])
+    model = tmp_path / "model.kdm"
+    for first in ("", "   "):
+        p = tmp_path / "blank.csv"
+        p.write_text(first + "\n" + "".join(f"{0.1 * i},0.2\n" for i in range(10)))
+        code, _, err = run_cli(capsys, "fit", "--p", str(p), "--q", q, "--lambda", "1e-3", "--out", str(model))
+        assert code == 1
+        assert f"{p}: row 1 is empty, but row 1 must name the columns" in err
+    assert not model.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -210,29 +210,57 @@ def test_duplicated_points_collapse_rank():
     assert f.rank == 3 and not f.hit_rank_cap
 
 
-@pytest.mark.parametrize("d", [1, 3, 7])
-@pytest.mark.parametrize(
-    "spec",
-    [KernelSpec("gaussian", rho=0.8), KernelSpec("laplace", rho=1.7), KernelSpec("polynomial", c=1.0, q=3)],
-    ids=["gaussian", "laplace", "polynomial"],
-)
-def test_kernel_oracle_column_bitwise_equals_cross_kernel(spec, d):
+FAMILY_SPECS = [KernelSpec("gaussian", rho=0.8), KernelSpec("laplace", rho=1.7), KernelSpec("polynomial", c=1.0, q=3)]
+
+
+def _points_with_duplicates(d):
     rng = np.random.default_rng(10 + d)
     pts = rng.normal(0.0, 2.0, (50, d))
-    pts = np.vstack([pts, pts[:5], pts[:1]])  # exact duplicates
+    return np.vstack([pts, pts[:5], pts[:1]])  # exact duplicates
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 9, 12])
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=["gaussian", "laplace", "polynomial"])
+def test_kernel_oracle_column_bitwise_equals_cross_kernel(spec, d):
+    # a plain step reads one row; it must keep the bits of the kernel column
+    pts = _points_with_duplicates(d)
     oracle = KernelOracle(spec, pts)
     for j in range(pts.shape[0]):
-        assert oracle.column(j).tobytes() == cross_kernel_matrix(spec, pts, pts[j : j + 1])[:, 0].tobytes()
+        assert oracle.rows([j])[0].tobytes() == cross_kernel_matrix(spec, pts, pts[j : j + 1])[:, 0].tobytes()
     assert oracle.queries == pts.shape[0]
+    k = cross_kernel_matrix(spec, pts, pts)
+    k = 0.5 * (k + k.T)  # exactly symmetric
+    ref = MatrixOracle(k)
+    for j in range(pts.shape[0]):
+        assert ref.rows([j])[0].tobytes() == k[:, j].tobytes()
+    assert ref.queries == pts.shape[0]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [KernelSpec("gaussian", rho=0.8), KernelSpec("laplace", rho=1.7), KernelSpec("polynomial", c=1.0, q=3)],
-    ids=["gaussian", "laplace", "polynomial"],
-)
+@pytest.mark.parametrize("d", [1, 3, 7, 9, 12])
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=["gaussian", "laplace", "polynomial"])
+def test_kernel_oracle_rows_bitwise_equal_cross_kernel(spec, d):
+    # a block's rows, duplicates among them, written into rows of a buffer
+    pts = _points_with_duplicates(d)
+    n = pts.shape[0]
+    idx = np.array([3, 51, 0, 55, 17, 3, n - 1])
+    oracle = KernelOracle(spec, pts)
+    buf = np.full((10, n), np.nan)
+    got = oracle.rows(idx, out=buf[2 : 2 + idx.size])
+    assert np.shares_memory(got, buf)
+    assert buf[2 : 2 + idx.size].tobytes() == cross_kernel_matrix(spec, pts[idx], pts).tobytes()
+    assert np.isnan(buf[: 2]).all() and np.isnan(buf[2 + idx.size :]).all()
+    assert oracle.rows(idx).tobytes() == got.tobytes()
+    assert oracle.queries == 2 * idx.size
+    k = cross_kernel_matrix(spec, pts, pts)
+    ref = MatrixOracle(k)
+    view = buf[2 : 2 + idx.size]
+    assert ref.rows(idx, out=view) is view and view.tobytes() == k[idx].tobytes()
+    assert ref.queries == idx.size
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=["gaussian", "laplace", "polynomial"])
 def test_kernel_oracle_column_into_a_buffer_row(spec):
-    # the loop has each column written straight into a row of the factor
+    # the loop has each row written straight into a row of the factor
     # buffer; an odd row length puts the rows at every 8-byte offset
     rng = np.random.default_rng(12)
     pts = rng.normal(0.0, 2.0, (57, 3))
@@ -240,13 +268,13 @@ def test_kernel_oracle_column_into_a_buffer_row(spec):
     oracle = KernelOracle(spec, pts)
     buf = np.full((pts.shape[0], pts.shape[0]), np.nan)
     for j in range(pts.shape[0]):
-        got = oracle.column(j, out=buf[j])
+        got = oracle.rows([j], out=buf[j : j + 1])
         assert np.shares_memory(got, buf[j])
-        assert buf[j].tobytes() == oracle.column(j).tobytes()
+        assert buf[j].tobytes() == oracle.rows([j])[0].tobytes()
     assert oracle.queries == 2 * pts.shape[0]
     ref = MatrixOracle(buf)
-    row = np.empty(pts.shape[0])
-    assert ref.column(5, out=row) is row and row.tobytes() == buf[:, 5].tobytes()
+    row = np.empty((1, pts.shape[0]))
+    assert ref.rows([5], out=row) is row and row[0].tobytes() == buf[5].tobytes()
 
 
 def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, max_rank=None):
@@ -273,7 +301,7 @@ def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, max
         piv = greedy_pivot(d) if strategy == "greedy" else omp_pivot(d, omp_target, w)
         scale = 1.0 / np.sqrt(d[piv])
         lrow = lbuf[piv, :i].copy()
-        ell = oracle.column(piv) - lbuf[:, :i] @ lrow
+        ell = oracle.rows([piv])[0] - lbuf[:, :i] @ lrow
         ell *= scale
         if pivots:
             ell[pivots] = 0.0
@@ -481,6 +509,100 @@ def test_omp_steps_ignore_the_block_constants(monkeypatch):
     np.testing.assert_array_equal(forced.pivots, ref_piv)
 
 
+class _BlockSpy:
+    """Records, per block, its first step, its listed rows and the rows it kept."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        real = lowrank._block_rows
+
+        def spy(oracle, lt, base, block, cols, prod, scale):
+            kept = real(oracle, lt, base, block, cols, prod, scale)
+            self.blocks.append((base, block.size, kept))
+            return kept
+
+        monkeypatch.setattr(lowrank, "_block_rows", spy)
+
+    def discarded(self, rank):
+        """Rows formed but not used, dropped or cut off by the next block or the loop's end."""
+        ends = [base for base, _, _ in self.blocks[1:]] + [rank]
+        return sum(size - (end - base) for (base, size, _), end in zip(self.blocks, ends))
+
+
+def test_block_solve_runs_in_place_on_the_factor_rows(monkeypatch):
+    # the loop ignores what dtrsm returns: the solve must overwrite the
+    # block's rows of the factor buffer through their transposed view
+    real, calls = lowrank.dtrsm, []
+
+    def spy(alpha, a, b, **kwargs):
+        x = real(alpha, a, b, **kwargs)
+        calls.append((np.shares_memory(x, b) and x.ctypes.data == b.ctypes.data, b.base is not None, b.shape))
+        return x
+
+    monkeypatch.setattr(lowrank, "dtrsm", spy)
+    blocks = _BlockSpy(monkeypatch)
+    pts = np.random.default_rng(8).normal(0.0, 1.0, (3000, 3))
+    pivoted_cholesky(KernelOracle(KernelSpec("gaussian", rho=1.0), pts), 0.0, max_rank=150)
+    assert calls and all(in_place and view for in_place, view, _ in calls)
+    assert all(shape[0] == 3000 and shape[1] > 1 for _, _, shape in calls)
+    assert len(calls) == sum(kept > 1 for _, _, kept in blocks.blocks)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_indefinite_block_keeps_its_leading_rows(monkeypatch, order):
+    # near-duplicate points, every block's pivot block reported indefinite at
+    # the given order as dpotrf reports roundoff: the block keeps order - 1
+    # rows (at least one), and the pivots are those of the plain loop
+    rng = np.random.default_rng(30)
+    pts = rng.normal(0.0, 1.0, (60, 2))
+    pts = np.vstack([pts, pts[:20] + 1e-5 * rng.normal(0.0, 1.0, (20, 2))])
+    k = cross_kernel_matrix(KernelSpec("gaussian", rho=0.7), pts, pts)
+    k = 0.5 * (k + k.T)
+    eps = 1e-9 * float(np.trace(k))
+    plain = pivoted_cholesky(MatrixOracle(k), eps)
+    real, failed = lowrank.dpotrf, []
+
+    def spy(a, **kwargs):
+        if a.shape[0] >= order:
+            a = a.copy()
+            a[order - 1, order - 1] = -1.0
+        t, info = real(a, **kwargs)
+        failed.append(info)
+        return t, info
+
+    monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
+    monkeypatch.setattr(lowrank, "CANDIDATES", 6)
+    monkeypatch.setattr(lowrank, "dpotrf", spy)
+    blocks = _BlockSpy(monkeypatch)
+    oracle = MatrixOracle(k)
+    f = pivoted_cholesky(oracle, eps)
+    assert failed and all(info == order for info in failed)
+    assert all(kept == max(order - 1, 1) for _, size, kept in blocks.blocks if size > 1)
+    np.testing.assert_array_equal(f.pivots, plain.pivots)
+    assert np.abs(f.Lt - plain.Lt).max() <= FACTOR_RTOL * np.abs(plain.Lt).max()
+    assert np.abs(f.R - plain.R).max() <= FACTOR_RTOL * np.abs(plain.R).max()
+    assert oracle.queries == f.rank + blocks.discarded(f.rank) > f.rank
+
+
+def test_blocks_cut_short_read_only_their_discarded_rows(monkeypatch):
+    monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
+    # cut by a pivot outside the block: dpstrf lists the exact ties of the
+    # first block as [2, 1, 0, 4], and the loop takes 0 after 2
+    blocks = _BlockSpy(monkeypatch)
+    oracle = MatrixOracle(np.diag([2.0, 2.0, 3.0, 1.0, 2.0]))
+    f = pivoted_cholesky(oracle, 0.0)
+    assert blocks.blocks[0] == (0, 4, 4) and blocks.blocks[1][0] == 1
+    assert oracle.queries == f.rank + blocks.discarded(f.rank) and blocks.discarded(f.rank) >= 3
+    # cut by the stopping rule: the listed pivots do not know epsilon
+    k = random_psd(np.random.default_rng(4), 40, "gaussian")
+    blocks = _BlockSpy(monkeypatch)
+    oracle = MatrixOracle(k)
+    f = pivoted_cholesky(oracle, 1e-3 * float(np.trace(k)))
+    base, size, kept = blocks.blocks[-1]
+    assert f.rank < base + kept and f.residual_trace <= f.epsilon
+    assert oracle.queries == f.rank + blocks.discarded(f.rank) > f.rank
+
+
 class _NanFilledNumpy:
     """numpy as ``kdm.lowrank`` sees it, except that ``empty`` fills with NaN."""
 
@@ -513,7 +635,9 @@ def test_factor_buffers_are_written_before_read(monkeypatch, n, cap, strategy):
 
     plain = run()
     monkeypatch.setattr(lowrank, "np", _NanFilledNumpy())
+    blocks = _BlockSpy(monkeypatch)
     filled = run()
+    assert bool(blocks.blocks) == (n == 3000)
     np.testing.assert_array_equal(filled.pivots, plain.pivots)
     assert filled.Lt.tobytes() == plain.Lt.tobytes()
     assert filled.R.tobytes() == plain.R.tobytes()
