@@ -33,6 +33,7 @@ from .bench import (
 from .conditional import JointDataset, conditional_moments, fit_conditional
 from .estimator import (
     PriorSpec,
+    _check_lambdas,
     cross_validate,
     fit,
     grid_product,
@@ -88,9 +89,9 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
 
     ``columns`` selects by index or by header name; omitted keeps all
     columns.  Errors name the first offending 1-based data row and the
-    column: a row with more fields than the header, one without a selected
-    field, or a cell that is not a finite number.  A blank first row, or one
-    of finite numbers only, is rejected: it names no columns.
+    column: a row with more or fewer fields than the header, or a cell that
+    is not a finite number.  A blank first row, or one of finite numbers
+    only, is rejected: it names no columns.
     """
     try:
         with open(path, newline="") as fh:
@@ -125,8 +126,8 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     # convert in bulk (numpy parses each str with float(), so the grammar is
     # Python's).  When every column is selected the rows go in as they are,
     # and numpy rejects rows of unequal length; otherwise one pass over the
-    # row lengths finds a row longer than the header.  Only when a check
-    # fails is the offending row looked for
+    # row lengths finds a row longer or shorter than the header.  Only when
+    # a check fails is the offending row looked for
     every = idx == list(range(len(header)))
     try:
         data = np.array(rows if every else [[row[i] for i in idx] for row in rows], dtype=np.float64)
@@ -135,7 +136,7 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     if (
         data is None
         or data.shape[1] != len(idx)
-        or (not every and max(map(len, rows)) > len(header))
+        or (not every and set(map(len, rows)) != {len(header)})
         or not np.all(np.isfinite(data))
     ):
         _raise_first_bad_row(path, header, idx, rows)
@@ -153,9 +154,9 @@ def _raise_first_bad_row(path: str, header: Sequence[str], idx: Sequence[int], r
     for rownum, row in enumerate(rows, start=1):
         if len(row) > len(header):
             raise UsageError(f"{path}: row {rownum} has {len(row)} fields, but the header names {len(header)}")
+        if len(row) < len(header):
+            raise UsageError(f"{path}: row {rownum} has only {len(row)} fields")
         for i in idx:
-            if i >= len(row):
-                raise UsageError(f"{path}: row {rownum} has only {len(row)} fields")
             cell = row[i].strip()
             try:
                 v = float(cell)
@@ -212,6 +213,21 @@ def _size_cap(text: str) -> int:
     return value
 
 
+def _ridge(text: str) -> float:
+    """argparse type of --lambda: a finite number > 0."""
+    try:
+        value = float(text)
+        _check_lambdas([value])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _ridges(text: str) -> list:
+    """argparse type of --lambdas: comma-separated finite numbers > 0, possibly none."""
+    return [_ridge(v) for v in text.split(",") if v.strip()]
+
+
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", choices=["gaussian", "laplace", "polynomial"], default="gaussian")
     p.add_argument("--rho", type=float, default=1.0, help="gaussian/laplace length-scale parameter")
@@ -220,7 +236,7 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="ridge parameter > 0")
+    p.add_argument("--lambda", dest="lam", type=_ridge, required=True, help="ridge parameter > 0")
     p.add_argument("--epsilon", type=float, default=None, help="absolute decomposition tolerance")
     p.add_argument("--epsilon-rel", type=float, default=1e-6, help="tolerance relative to the kernel trace")
     p.add_argument("--prior", choices=["one", "zero"], default="one")
@@ -280,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", required=True)
     p.add_argument("--kernel", choices=["gaussian", "laplace"], default="gaussian")
     p.add_argument("--rhos", required=True, help="comma-separated length scales")
-    p.add_argument("--lambdas", required=True, help="comma-separated ridge values")
+    p.add_argument("--lambdas", type=_ridges, required=True, help="comma-separated ridge values > 0")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--epsilon-rel", type=float, default=1e-6)
     p.add_argument("--prior", choices=["one", "zero"], default="one")
@@ -308,7 +324,7 @@ def build_parser() -> _Parser:
     b.add_argument("--level", type=float, default=0.05)
     b.add_argument("--c", type=float, default=None)
     b.add_argument("--rho", type=float, default=None, help="fixed Gaussian length scale (median heuristic if omitted)")
-    b.add_argument("--lambda", dest="lam", type=float, default=1e-3)
+    b.add_argument("--lambda", dest="lam", type=_ridge, default=1e-3)
     b.add_argument("--epsilon-rel", type=float, default=1e-5)
     b.add_argument("--max-rank", type=_size_cap, default=256)
     b.add_argument("--scheme", choices=["three_split", "shifted"], default="three_split")
@@ -322,7 +338,7 @@ def build_parser() -> _Parser:
     b.add_argument("--n-train", type=int, default=1000)
     b.add_argument("--n-test", type=int, default=200)
     b.add_argument("--grid-cap", type=_size_cap, default=500)
-    b.add_argument("--lambda", dest="lam", type=float, default=1e-3)
+    b.add_argument("--lambda", dest="lam", type=_ridge, default=1e-3)
     b.add_argument("--epsilon-rel", type=float, default=1e-5)
     b.add_argument("--max-rank", type=_size_cap, default=400)
     b.add_argument("--seed", type=int, required=True)
@@ -454,10 +470,9 @@ def _cmd_cv(args) -> dict:
     if args.out:
         _check_out(args.out, args.force)
     rhos = [float(v) for v in args.rhos.split(",") if v.strip()]
-    lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
-    if not rhos or not lambdas:
+    if not rhos or not args.lambdas:
         raise UsageError("empty --rhos or --lambdas")
-    grid = grid_product([KernelSpec(args.kernel, rho=r) for r in rhos], lambdas)
+    grid = grid_product([KernelSpec(args.kernel, rho=r) for r in rhos], args.lambdas)
     result = cross_validate(
         ingest_csv(args.p),
         ingest_csv(args.q),

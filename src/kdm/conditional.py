@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimator import KdmModel, PriorSpec, _decompose, _model, eval_density_ratio
+from .estimator import KdmModel, PriorSpec, _check_lambdas, _decompose, _model, eval_density_ratio
 from .kernels import Dataset, KernelSpec, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
@@ -139,8 +139,7 @@ def fit_conditional(
     :func:`fit` returns, except that it carries no test covariance
     (``covariance`` is None): no conditional estimate reads it.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    _check_lambdas([lam])
     if grid_cap < 1:
         raise ValueError(f"grid_cap must be >= 1, got {grid_cap}")
     sample_p, sample_q = split_joint_sample(joint, scheme)

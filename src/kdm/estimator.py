@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dormqr, dpotrf, dpotrs, dptsv, dsytrd, dsytrd_lwork
 
 from .kernels import (
     Dataset,
@@ -241,34 +241,42 @@ def _decompose(
     )
 
 
-def _solve(dec: _Decomposition, lam: float, a: np.ndarray) -> np.ndarray:
-    """Weights w of the ridge system (G + n lam I) w = moment gap.
+def _solve(dec: _Decomposition, lam: float) -> np.ndarray:
+    """Weights w of the ridge system (G + n lam I) w = moment gap, for one lambda.
 
-    ``a`` is an m x m workspace in LAPACK's column order, the order the
-    Gram is stored in: the sum is formed in it and the factor overwrites
-    it, so the cached Gram serves every lambda of a path and one workspace
-    serves all of them.
+    The sum is formed in a copy of the Gram, in the LAPACK column order the
+    Gram is stored in, and factored by Cholesky.  Callers check ``lam``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
     n, m = dec.fields["n"], len(dec.fields["pivots"])
     # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed
-    np.copyto(a, dec.gram)
+    a = dec.gram.copy(order="F")
     a.flat[:: m + 1] += n * lam
     c, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
-    if info == 0:
-        w, info = dpotrs(c, dec.fields["moment_gap"], lower=1)
-    # OpenBLAS's dpotrf passes a NaN pivot without a nonzero info, so a
-    # non-finite system shows only in w
-    if info != 0 or not np.isfinite(w).all():
-        raise NumericsError(f"ridge system is not positive definite or not finite (LAPACK info {info})")
+    w, info = dpotrs(c, dec.fields["moment_gap"], lower=1) if info == 0 else (None, info)
+    _check_ridge(info, w)
     return w
+
+
+def _check_ridge(info: int, x: Optional[np.ndarray]) -> None:
+    """Raise unless a ridge solve succeeded (LAPACK ``info`` 0) with a finite solution ``x``.
+
+    OpenBLAS's dpotrf passes a NaN pivot without a nonzero info, and dptsv
+    a NaN diagonal, so a non-finite system can show only in ``x``.
+    """
+    if info != 0 or not np.isfinite(x).all():
+        raise NumericsError(f"ridge system is not positive definite or not finite (LAPACK info {info})")
+
+
+def _check_lambdas(lambdas: Sequence[float]) -> None:
+    """Reject any ridge parameter that is not a finite number > 0."""
+    for lam in lambdas:
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be > 0 and finite, got {lam!r}")
 
 
 def _model(dec: _Decomposition, lam: float) -> KdmModel:
     """The fitted model of one lambda on a decomposition."""
-    m = len(dec.fields["pivots"])
-    w = _solve(dec, lam, np.empty((m, m), order="F"))
+    w = _solve(dec, lam)
     return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, **dec.fields)
 
 
@@ -296,8 +304,7 @@ def fit(
     (the P sample's rows first).  The fit is deterministic: no randomness
     enters anywhere.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    _check_lambdas([lam])
     dec = _decompose(
         sample_p,
         sample_q,
@@ -358,33 +365,66 @@ def validation_loss(model: KdmModel, val_p, val_q) -> float:
     vp, vq = _as_dataset(val_p), _as_dataset(val_q)
     if vp.d != model.d or vq.d != model.d:
         raise ValueError("validation sample dimension differs from model")
-    return _quadratic_loss(eval_h(model, vp.points), eval_h(model, vq.points), model.prior.evaluate(vp.points))
+    return float(_quadratic_loss(eval_h(model, vp.points), eval_h(model, vq.points), model.prior.evaluate(vp.points)))
 
 
-def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> float:
-    """Validation loss from h at the P and Q points and the prior at the P points."""
-    cross = float(hq.sum()) / hq.shape[0] - float(pbar @ hp) / hp.shape[0]
-    quad = float(hp @ hp) / hp.shape[0]
+def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> Union[float, np.ndarray]:
+    """Validation loss from h at the P and Q points and the prior at the P points.
+
+    ``hp`` and ``hq`` hold one model's values, (n,), or L models' values as
+    columns, (n, L); the loss is a scalar or an (L,) array accordingly.
+    """
+    cross = hq.sum(axis=0) / hq.shape[0] - pbar @ hp / hp.shape[0]
+    quad = (hp * hp).sum(axis=0) / hp.shape[0]
     return -2.0 * cross + quad
 
 
-def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambdas: list) -> list:
-    """Validation loss of the solve at each lambda on one decomposition.
+def _path_weights(dec: _Decomposition, lambdas: np.ndarray) -> np.ndarray:
+    """Ridge weights at every lambda of a path: column j solves (G + n lambdas[j] I) w = moment gap.
 
-    The validation points' kernel rows against the pivots, the prior at the
-    validation P points and the solve's workspace do not depend on lambda,
-    so they are made once; no model is built per lambda, and each loss still
-    equals :func:`validation_loss` of the model :func:`fit` returns.
+    One tridiagonal reduction G = Q T Q^T (dsytrd) serves the whole path, so
+    each lambda costs one O(m) tridiagonal solve (dptsv) of
+    (T + n lambda I) y = Q^T gap, and Q maps all the y back at once.  LAPACK
+    stores Q as m - 1 reflectors below the subdiagonal; they act on the last
+    m - 1 rows the way a QR factor's reflectors act, so dormqr applies them.
+    """
+    n, gap, m = dec.fields["n"], dec.fields["moment_gap"], dec.gram.shape[0]
+    shifts, info = n * lambdas, 0
+    if m == 1:  # no reflectors: T is G
+        y = gap[:, None] / (dec.gram + shifts)
+    else:
+        c, d, e, tau, _ = dsytrd(dec.gram, lower=1, lwork=int(dsytrd_lwork(m, lower=1)[0]))
+        refl = c[1:, :-1]
+        y = np.empty((m, len(shifts)), order="F")
+        lwork = int(dormqr("L", "T", refl, tau, y[1:], -1)[1][0])
+        rhs = gap[:, None].copy()
+        rhs[1:] = dormqr("L", "T", refl, tau, rhs[1:], lwork)[0]
+        for j, shift in enumerate(shifts):
+            _, _, x, info = dptsv(d + shift, e, rhs)
+            if info != 0:
+                break
+            y[:, j] = x[:, 0]
+        y[1:] = dormqr("L", "N", refl, tau, y[1:], lwork)[0]
+    _check_ridge(info, y)
+    return y
+
+
+def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
+    """Validation loss of the ridge solution at each lambda on one decomposition.
+
+    The weights of all lambdas come from one reduction of the Gram
+    (:func:`_path_weights`), and the validation points' kernel rows against
+    the pivots and the prior at the validation P points are made once, so
+    each lambda adds O(m^2) work: no model is built per lambda.  Each loss
+    equals :func:`validation_loss` of the model :func:`fit` returns to
+    roundoff.
     """
     std, piv = dec.fields["standardizer"], dec.fields["pivot_points"]
     k_p, k_q = (cross_kernel_matrix(dec.fields["kernel"], std.apply(va), piv) for va in (va_p, va_q))
-    pbar = dec.fields["prior"].evaluate(va_p)
-    a = np.empty((piv.shape[0],) * 2, order="F")
-    losses = []
-    for lam in lambdas:
-        beta = dec.R @ _solve(dec, lam, a)
-        losses.append(_quadratic_loss(k_p @ beta, k_q @ beta, pbar))
-    return losses
+    # each distinct lambda is solved once, so equal lambdas tie exactly
+    distinct, back = np.unique(np.asarray(lambdas, dtype=np.float64), return_inverse=True)
+    beta = dec.R @ _path_weights(dec, distinct)
+    return _quadratic_loss(k_p @ beta, k_q @ beta, dec.fields["prior"].evaluate(va_p))[back]
 
 
 @dataclass
@@ -418,13 +458,15 @@ def cross_validate(
 
     Folds are drawn once from ``seed`` and shared across the whole grid, with
     the i-th fold of the P-sample paired with the i-th fold of the Q-sample.
+    Every lambda of the grid is checked before any fold is decomposed.
     Decompositions, the validation points' kernel rows against the pivots and
     the prior at the validation P points are computed once per fold and
-    kernel and reused across lambda values, so grids dense in lambda cost
-    little extra.  Each loss equals :func:`validation_loss` of a fresh fit
-    on the training fold.  Ties resolve to the earliest grid entry.  Every
-    fold is decomposed with the greedy rule at a tolerance relative to its
-    own kernel trace.
+    kernel, and one tridiagonal reduction of the fold's m x m Gram, O(m^3),
+    serves all its lambda values, which then cost O(m^2) each: grids dense
+    in lambda cost little extra.  Each loss equals :func:`validation_loss`
+    of a fresh fit on the training fold to roundoff.  Ties resolve to the
+    earliest grid entry.  Every fold is decomposed with the greedy rule at a
+    tolerance relative to its own kernel trace.
     """
     pts_p, pts_q = _common_size(sample_p, sample_q)
     n = pts_p.shape[0]
@@ -432,6 +474,7 @@ def cross_validate(
         raise ValueError("folds must lie in [2, n]")
     if len(grid) == 0:
         raise ValueError("empty grid")
+    _check_lambdas([lam for _, lam in grid])
     rng = np.random.default_rng(seed)
     chunks_p = np.array_split(rng.permutation(n), folds)
     chunks_q = np.array_split(rng.permutation(n), folds)

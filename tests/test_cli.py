@@ -126,6 +126,11 @@ def test_fit_rejects_a_row_longer_than_the_header_exit_1(capsys, tmp_path):
     path = write_csv(tmp_path / "wide.csv", ["a", "b"], [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(UsageError, match="row 1 has 3 fields, but the header names 2$"):
         ingest_csv(path)
+    # a short row is rejected also when only unselected fields are missing
+    path = write_csv(tmp_path / "short.csv", ["a", "b", "c"], [[1, 2, 3], [4, 5]])
+    for cols in (["a"], [0, 1]):
+        with pytest.raises(UsageError, match=f"{path}: row 2 has only 2 fields$"):
+            ingest_csv(path, cols)
 
 
 def test_fit_rejects_a_blank_first_row_exit_1(capsys, tmp_path):
@@ -379,6 +384,23 @@ def test_cv_flow(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "cv", "--p", p, "--q", q, "--rhos", "", "--lambdas", "1", "--seed", "1")
     assert code == 1 and "empty" in err
+
+
+def test_lambda_flags_must_be_finite_and_positive_exit_1(capsys, tmp_path):
+    # a ridge parameter is checked when the flags are parsed, so the message
+    # names the flag and no output is written
+    p = write_csv(tmp_path / "p.csv", ["a"], [[0.1 * i] for i in range(12)])
+    q = write_csv(tmp_path / "q.csv", ["a"], [[0.2 * i] for i in range(12)])
+    out = tmp_path / "out.json"
+    for lambdas in ("1e-3,inf", "nan", "1e-3,-1", "0", "abc"):
+        code, _, err = run_cli(
+            capsys, "cv", "--p", p, "--q", q, "--rhos", "1", "--lambdas", lambdas, "--seed", "0", "--out", str(out)
+        )
+        assert code == 1 and "argument --lambdas:" in err, (lambdas, err)
+    for lam in ("inf", "nan", "-1e-3", "abc"):
+        code, _, err = run_cli(capsys, "fit", "--p", p, "--q", q, "--lambda", lam, "--out", str(out))
+        assert code == 1 and "argument --lambda:" in err, (lam, err)
+    assert not out.exists()
 
 
 def test_score_energy_and_r2(capsys, tmp_path):

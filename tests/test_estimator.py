@@ -262,14 +262,41 @@ def test_cross_validate_tie_goes_to_first_entry():
     assert res.lam == 1e-3
 
 
+def documented_folds(n, folds, seed):
+    """(train P, train Q, validation P, validation Q) row indices of each fold.
+
+    These are the folds cross_validate documents: one permutation per sample
+    from ``seed``, split into ``folds`` chunks, the i-th chunks validating.
+    """
+    fold_rng = np.random.default_rng(seed)
+    chunks_p = np.array_split(fold_rng.permutation(n), folds)
+    chunks_q = np.array_split(fold_rng.permutation(n), folds)
+    rest = [[j for j in range(folds) if j != f] for f in range(folds)]
+    return [
+        (np.concatenate([chunks_p[j] for j in rest[f]]), np.concatenate([chunks_q[j] for j in rest[f]]),
+         chunks_p[f], chunks_q[f])
+        for f in range(folds)
+    ]
+
+
+def separate_fit_losses(p, q, spec, lambdas, folds, seed, **kwargs):
+    """(lambda, fold) losses of fresh fits on the documented folds."""
+    losses = np.empty((len(lambdas), folds))
+    for f, (tr_p, tr_q, va_p, va_q) in enumerate(documented_folds(p.shape[0], folds, seed)):
+        for g, lam in enumerate(lambdas):
+            losses[g, f] = validation_loss(fit(p[tr_p], q[tr_q], spec, lam, **kwargs), p[va_p], q[va_q])
+    return losses
+
+
 def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
-    # the solves of one fold share a cached Gram and cached validation kernel
-    # rows; each (fold, lambda) loss must give the bits of validation_loss of
-    # a fresh fit at its lambda, so adding n*lam*I may never touch the cache
+    # one reduction of each fold's Gram serves the whole path: each (fold,
+    # lambda) loss equals validation_loss of a fresh fit at its lambda to
+    # roundoff (the fresh fit factors G + n*lam*I by Cholesky), the lambdas
+    # need not be sorted, and a repeated lambda repeats its loss exactly
     rng = np.random.default_rng(23)
     p, q = rng.normal(0, 1, (90, 2)), rng.normal(0.4, 1, (90, 2))
     spec = KernelSpec("gaussian", rho=1.0)
-    lambdas = [1e-1, 1e-4, 1e-2, 1e-4]
+    lambdas = [1e-1, 1e-6, 1e-2, 1e-4, 1e-6, 3.0]
     folds, losses = [], []
 
     def spy_decompose(tr_p, tr_q, kern, **kwargs):
@@ -286,21 +313,36 @@ def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
     monkeypatch.setattr(estimator, "_quadratic_loss", spy_loss)
     res = cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=5)
     monkeypatch.undo()
-    assert len(folds) == 3 and len(losses) == 3 * len(lambdas)
-    # the folds cross_validate documents: one permutation per sample from seed
-    fold_rng = np.random.default_rng(5)
-    chunks_p = np.array_split(fold_rng.permutation(90), 3)
-    chunks_q = np.array_split(fold_rng.permutation(90), 3)
-    expected = np.empty((len(lambdas), 3))
-    for f, (tr_p, tr_q) in enumerate(folds):
-        rest = [j for j in range(3) if j != f]
-        np.testing.assert_array_equal(tr_p, p[np.concatenate([chunks_p[j] for j in rest])])
-        np.testing.assert_array_equal(tr_q, q[np.concatenate([chunks_q[j] for j in rest])])
-        va_p, va_q = p[chunks_p[f]], q[chunks_q[f]]
-        for g, lam in enumerate(lambdas):
-            expected[g, f] = validation_loss(fit(tr_p, tr_q, spec, lam), va_p, va_q)
-            assert losses[f * len(lambdas) + g] == expected[g, f]
-    np.testing.assert_array_equal(res.mean_losses, expected.mean(axis=1))
+    # one decomposition and one loss evaluation per fold cover every lambda
+    assert len(folds) == 3 and len(losses) == 3
+    for (tr_p, tr_q), (idx_p, idx_q, _, _) in zip(folds, documented_folds(90, 3, 5)):
+        np.testing.assert_array_equal(tr_p, p[idx_p])
+        np.testing.assert_array_equal(tr_q, q[idx_q])
+    expected = separate_fit_losses(p, q, spec, lambdas, 3, 5)
+    # each fold's losses cover its distinct lambdas, in ascending order
+    distinct = [lambdas.index(lam) for lam in sorted(set(lambdas))]
+    np.testing.assert_allclose(np.column_stack(losses), expected[distinct], rtol=1e-8)
+    np.testing.assert_allclose(res.mean_losses, expected.mean(axis=1), rtol=1e-8)
+    assert res.mean_losses[1] == res.mean_losses[4]
+    assert res.lam == lambdas[int(np.argmin(expected.mean(axis=1)))]
+
+
+@pytest.mark.parametrize("case", ["rank1", "rank2"])
+def test_cross_validate_lambda_path_at_rank_one_and_two(case):
+    # identical points give a rank-1 factor, which has no reflectors, and two
+    # distinct values a rank-2 one, whose single reflector is the identity
+    rng = np.random.default_rng(29)
+    if case == "rank1":
+        p, q, prior = np.zeros((30, 1)), np.zeros((30, 1)), PriorSpec.zero()
+    else:
+        (p, q), prior = bernoulli_samples(0.3, 0.7, 60, rng), PriorSpec.one()
+    spec = KernelSpec("gaussian", rho=1.0)
+    lambdas = [1e-2, 1e-5, 1.0, 1e-5]
+    assert fit(p, q, spec, 1e-2, prior=prior).rank == (1 if case == "rank1" else 2)
+    res = cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=2, prior=prior)
+    expected = separate_fit_losses(p, q, spec, lambdas, 3, 2, prior=prior)
+    np.testing.assert_allclose(res.mean_losses, expected.mean(axis=1), rtol=1e-8)
+    assert len(set(res.mean_losses.tolist())) == 3
 
 
 def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
@@ -309,17 +351,32 @@ def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
     dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0))
     gram = dec.gram.copy()
     model = estimator._model(dec, 1e-3)
-    assert dec.gram.tobytes() == gram.tobytes()
     m = model.rank
     np.testing.assert_allclose((gram + 60 * 1e-3 * np.eye(m)) @ model.w, model.moment_gap, rtol=1e-10, atol=1e-12)
-    # one workspace serves a path: a solve after another gives the first bits
-    work = np.empty((m, m), order="F")
-    estimator._solve(dec, 1e-1, work)
-    assert estimator._solve(dec, 1e-3, work).tobytes() == model.w.tobytes()
+    # a solve after another gives the first bits, and the path the same
+    # weights to roundoff: no solve writes to the shared Gram
+    estimator._solve(dec, 1e-1)
+    assert estimator._solve(dec, 1e-3).tobytes() == model.w.tobytes()
+    path = estimator._path_weights(dec, np.array([1e-1, 1e-3]))
+    np.testing.assert_allclose(path[:, 1], model.w, rtol=1e-9, atol=1e-12 * np.abs(model.w).max())
     assert dec.gram.tobytes() == gram.tobytes()
     gram[m - 1, m - 2] = np.nan
-    with pytest.raises(NumericsError, match="not positive definite"):
-        estimator._model(dataclasses.replace(dec, gram=gram), 1e-3)
+    for solve in (lambda d: estimator._model(d, 1e-3), lambda d: estimator._path_weights(d, np.array([1e-3, 1.0]))):
+        with pytest.raises(NumericsError, match="not positive definite"):
+            solve(dataclasses.replace(dec, gram=gram))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+def test_lambda_must_be_finite_and_positive(monkeypatch, bad):
+    # the whole grid is checked before any fold is decomposed
+    rng = np.random.default_rng(26)
+    p = rng.normal(0, 1, (30, 1))
+    spec = KernelSpec("gaussian")
+    with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+        fit(p, p, spec, lam=bad)
+    monkeypatch.setattr(estimator, "_decompose", None)
+    with pytest.raises(ValueError, match=f"lam must be > 0 and finite, got {bad!r}"):
+        cross_validate(p, p, grid_product([spec], [1e-3, bad]), folds=3, seed=0)
 
 
 def test_cross_validate_unequal_sizes_truncate_with_warning():
