@@ -4,7 +4,11 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure.  Every
 output artifact (CSV, model bundle, JSON) is written deterministically: fixed
 field order, shortest round-trip float formatting, no timestamps.  Wall-clock
 timing goes to stderr only, so reruns of a seeded command produce identical
-bytes.  The KDM_THREADS environment variable caps the BLAS thread pools when
+bytes.  Every subcommand takes ``--out`` and ``--force``: an existing ``--out``
+file is refused unless ``--force`` is given, before any work starts.
+``simulate``, ``fit`` and ``condexp`` write their artifact there; the other
+commands optionally copy their JSON report there, without its ``command``
+field.  The KDM_THREADS environment variable caps the BLAS thread pools when
 the tool starts (see the console entry point); computations are sequential,
 so results do not depend on it.
 """
@@ -23,17 +27,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
-from .bench import (
-    ks_to_uniform,
-    median_heuristic_rho,
-    mixture_energy_study,
-    rejection_study,
-)
-from .conditional import JointDataset, conditional_moments, fit_conditional
+from . import __version__, bench
+from .bench import ks_to_uniform, mixture_energy_study, rejection_study
+from .conditional import DEFAULT_GRID_CAP, SCHEMES, JointDataset, conditional_moments, fit_conditional
 from .estimator import (
+    DEFAULT_EPSILON_REL,
     PriorSpec,
-    _check_lambdas,
     cross_validate,
     fit,
     grid_product,
@@ -41,8 +40,8 @@ from .estimator import (
     load_model,
     save_model,
 )
-from .hypothesis import run_test
-from .kernels import Dataset, KernelSpec
+from .hypothesis import DEFAULT_TRUNCATION_T, run_test
+from .kernels import FAMILIES, Dataset, KernelSpec
 from .lowrank import NumericsError
 from .metrics import (
     ForecastRecord,
@@ -167,10 +166,6 @@ def _raise_first_bad_row(path: str, header: Sequence[str], idx: Sequence[int], r
     raise AssertionError(f"{path}: bulk conversion failed but every row and cell is valid")
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _check_out(path: str, force: bool) -> None:
     """Reject an output path before any work: an existing file without --force, or a missing directory."""
     if os.path.exists(path) and not force:
@@ -184,12 +179,7 @@ def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in np.atleast_2d(rows):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _kernel_from_args(args) -> KernelSpec:
@@ -213,32 +203,57 @@ def _size_cap(text: str) -> int:
     return value
 
 
-def _ridge(text: str) -> float:
-    """argparse type of --lambda: a finite number > 0."""
+def _finite(text: str, strict: bool) -> float:
+    """A finite number > 0 (``strict``) or >= 0, else an argparse error."""
     try:
         value = float(text)
-        _check_lambdas([value])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise argparse.ArgumentTypeError(f"must be a finite number {'>' if strict else '>='} 0, got {text!r}")
     return value
 
 
-def _ridges(text: str) -> list:
-    """argparse type of --lambdas: comma-separated finite numbers > 0, possibly none."""
-    return [_ridge(v) for v in text.split(",") if v.strip()]
+def _positive(text: str) -> float:
+    """argparse type of a ridge parameter or a length scale: a finite number > 0."""
+    return _finite(text, strict=True)
 
 
-def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=["gaussian", "laplace", "polynomial"], default="gaussian")
-    p.add_argument("--rho", type=float, default=1.0, help="gaussian/laplace length-scale parameter")
-    p.add_argument("--c", type=float, default=1.0, help="polynomial offset")
+def _nonnegative(text: str) -> float:
+    """argparse type of a tolerance or the polynomial offset: a finite number >= 0."""
+    return _finite(text, strict=False)
+
+
+def _positives(text: str) -> list:
+    """argparse type of --lambdas and --rhos: comma-separated finite numbers > 0, possibly none."""
+    return [_positive(v) for v in text.split(",") if v.strip()]
+
+
+def _add_out(p: argparse.ArgumentParser, artifact: Optional[str] = None) -> None:
+    """--out and --force: the path of the ``artifact`` a command writes, or else of a copy of its JSON report."""
+    if artifact is None:
+        p.add_argument("--out", default=None, help="write the report JSON here as well")
+    else:
+        p.add_argument("--out", required=True, help=artifact)
+    p.add_argument("--force", action="store_true", help="overwrite an existing --out file")
+    p.set_defaults(copy_report=artifact is None)
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """The kernel, ridge parameter and absolute tolerance of the single fit of `fit` and `condexp`."""
+    p.add_argument("--kernel", choices=FAMILIES, default="gaussian")
+    p.add_argument("--rho", type=_positive, default=1.0, help="gaussian/laplace length-scale parameter")
+    p.add_argument("--c", type=_nonnegative, default=1.0, help="polynomial offset")
     p.add_argument("--degree", type=int, default=2, help="polynomial degree")
+    p.add_argument("--lambda", dest="lam", type=_positive, required=True, help="ridge parameter > 0")
+    p.add_argument("--epsilon", type=_nonnegative, default=None, help="absolute decomposition tolerance")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=_ridge, required=True, help="ridge parameter > 0")
-    p.add_argument("--epsilon", type=float, default=None, help="absolute decomposition tolerance")
-    p.add_argument("--epsilon-rel", type=float, default=1e-6, help="tolerance relative to the kernel trace")
+    """The decomposition and prior flags of `fit`, `condexp` and `cv`."""
+    p.add_argument(
+        "--epsilon-rel", type=_nonnegative, default=DEFAULT_EPSILON_REL, help="tolerance relative to the kernel trace"
+    )
     p.add_argument("--prior", choices=["one", "zero"], default="one")
     p.add_argument("--max-rank", type=_size_cap, default=None)
     p.add_argument("--standardize", action="store_true")
@@ -255,64 +270,55 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float, default=None, help="dependence strength (distribution default if omitted)")
     p.add_argument("--clusters", type=int, default=2, help="mixture only")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_out(p, "joint sample CSV")
 
     p = sub.add_parser("fit", help="fit the density-ratio model from two CSV samples")
     p.add_argument("--p", required=True, help="denominator sample CSV")
     p.add_argument("--q", required=True, help="numerator sample CSV")
     p.add_argument("--p-cols", default=None)
     p.add_argument("--q-cols", default=None)
-    _add_kernel_flags(p)
+    _add_model_flags(p)
     _add_fit_flags(p)
     p.add_argument("--strategy", choices=["greedy", "omp"], default="greedy")
-    p.add_argument("--omp-target", default=None, help="CSV with one target value per stacked point")
-    p.add_argument("--out", required=True, help="model bundle path")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--omp-target", default=None, help="CSV with one target value per P row, then per Q row")
+    _add_out(p, "model bundle path")
 
     p = sub.add_parser("test", help="chi-square test of the prior ratio on a fitted model")
     p.add_argument("--model", required=True)
     p.add_argument("--truncation", choices=["relative", "explained"], default="relative")
-    p.add_argument("--t", type=float, default=1e-9)
+    p.add_argument("--t", type=float, default=DEFAULT_TRUNCATION_T)
     p.add_argument("--eta", type=float, default=None, help="also report the norm bound at this level")
-    p.add_argument("--out", default=None, help="write the result JSON here as well")
-    p.add_argument("--force", action="store_true")
+    _add_out(p)
 
     p = sub.add_parser("condexp", help="conditional moments of y given x from a joint CSV")
     p.add_argument("--joint", required=True)
     p.add_argument("--xcols", required=True)
     p.add_argument("--ycols", required=True)
-    p.add_argument("--scheme", choices=["shifted", "three_split"], default="shifted")
-    _add_kernel_flags(p)
+    p.add_argument("--scheme", choices=SCHEMES, default="shifted")
+    _add_model_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--grid-cap", type=_size_cap, default=2000)
+    p.add_argument("--grid-cap", type=_size_cap, default=DEFAULT_GRID_CAP)
     p.add_argument("--seed", type=int, required=True, help="grid subsampling stream")
     p.add_argument("--query", required=True, help="CSV of x rows to condition on")
-    p.add_argument("--out", required=True, help="moments CSV")
-    p.add_argument("--force", action="store_true")
+    _add_out(p, "moments CSV")
 
     p = sub.add_parser("cv", help="cross-validate (rho, lambda) on two CSV samples")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--kernel", choices=["gaussian", "laplace"], default="gaussian")
-    p.add_argument("--rhos", required=True, help="comma-separated length scales")
-    p.add_argument("--lambdas", type=_ridges, required=True, help="comma-separated ridge values > 0")
+    p.add_argument("--rhos", type=_positives, required=True, help="comma-separated length scales > 0")
+    p.add_argument("--lambdas", type=_positives, required=True, help="comma-separated ridge values > 0")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--epsilon-rel", type=float, default=1e-6)
-    p.add_argument("--prior", choices=["one", "zero"], default="one")
-    p.add_argument("--max-rank", type=_size_cap, default=None)
-    p.add_argument("--standardize", action="store_true")
+    _add_fit_flags(p)
     p.add_argument("--seed", type=int, required=True, help="fold assignment stream")
-    p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true")
+    _add_out(p)
 
     p = sub.add_parser("score", help="compare forecast files under a scoring metric")
     p.add_argument("--metric", required=True, choices=["energy", "r2", "r2-2", "ds"])
     p.add_argument("--pred", required=True, help="method forecasts CSV")
     p.add_argument("--baseline", required=True, help="baseline forecasts CSV")
     p.add_argument("--realized", default=None, help="realized outcomes CSV (not used by energy)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true")
+    _add_out(p)
 
     p = sub.add_parser("bench", help="Monte Carlo studies")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
@@ -323,33 +329,31 @@ def build_parser() -> _Parser:
     b.add_argument("--reps", type=int, required=True)
     b.add_argument("--level", type=float, default=0.05)
     b.add_argument("--c", type=float, default=None)
-    b.add_argument("--rho", type=float, default=None, help="fixed Gaussian length scale (median heuristic if omitted)")
-    b.add_argument("--lambda", dest="lam", type=_ridge, default=1e-3)
-    b.add_argument("--epsilon-rel", type=float, default=1e-5)
-    b.add_argument("--max-rank", type=_size_cap, default=256)
-    b.add_argument("--scheme", choices=["three_split", "shifted"], default="three_split")
-    b.add_argument("--t", type=float, default=1e-9)
+    b.add_argument(
+        "--rho", type=_positive, default=None, help="fixed Gaussian length scale (median heuristic if omitted)"
+    )
+    b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
+    b.add_argument("--max-rank", type=_size_cap, default=bench.DEFAULT_MAX_RANK)
+    b.add_argument("--scheme", choices=SCHEMES, default="three_split")
+    b.add_argument("--t", type=float, default=DEFAULT_TRUNCATION_T)
     b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--out", default=None)
-    b.add_argument("--force", action="store_true")
+    _add_out(b)
 
     b = bench_sub.add_parser("mixture", help="energy-score study on random Gaussian mixtures")
     b.add_argument("--runs", type=int, required=True)
     b.add_argument("--n-train", type=int, default=1000)
     b.add_argument("--n-test", type=int, default=200)
     b.add_argument("--grid-cap", type=_size_cap, default=500)
-    b.add_argument("--lambda", dest="lam", type=_ridge, default=1e-3)
-    b.add_argument("--epsilon-rel", type=float, default=1e-5)
+    b.add_argument("--lambda", dest="lam", type=_positive, default=1e-3)
+    b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
     b.add_argument("--max-rank", type=_size_cap, default=400)
     b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--out", default=None)
-    b.add_argument("--force", action="store_true")
+    _add_out(b)
 
     return parser
 
 
 def _cmd_simulate(args) -> dict:
-    _check_out(args.out, args.force)
     if args.dist == "mixture":
         joint = sample_gaussian_mixture(MixtureConfig(n_clusters=args.clusters), args.n, args.seed)
     else:
@@ -369,14 +373,7 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _omp_target_from_args(args) -> Optional[np.ndarray]:
-    if args.omp_target is None:
-        return None
-    return ingest_csv(args.omp_target).points[:, 0]
-
-
 def _cmd_fit(args) -> dict:
-    _check_out(args.out, args.force)
     ds_p = ingest_csv(args.p, parse_columns(args.p_cols))
     ds_q = ingest_csv(args.q, parse_columns(args.q_cols))
     model = fit(
@@ -388,7 +385,7 @@ def _cmd_fit(args) -> dict:
         epsilon_rel=args.epsilon_rel,
         prior=_prior_from_args(args),
         strategy=args.strategy,
-        omp_target=_omp_target_from_args(args),
+        omp_target=None if args.omp_target is None else ingest_csv(args.omp_target).points[:, 0],
         max_rank=args.max_rank,
         standardize=args.standardize,
     )
@@ -411,19 +408,12 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_test(args) -> dict:
-    if args.out:
-        _check_out(args.out, args.force)
     model = load_model(args.model)
     result = run_test(model, args.truncation, args.t, eta=args.eta)
-    payload = result.to_dict()
-    payload.update({"model": args.model, "kernel": model.kernel.to_dict(), "lambda": model.lam})
-    if args.out:
-        _write_json(args.out, {**payload, "seed": None, "version": __version__})
-    return payload
+    return {**result.to_dict(), "model": args.model, "kernel": model.kernel.to_dict(), "lambda": model.lam}
 
 
 def _cmd_condexp(args) -> dict:
-    _check_out(args.out, args.force)
     xcols, ycols = parse_columns(args.xcols), parse_columns(args.ycols)
     ds_x = ingest_csv(args.joint, xcols)
     ds_y = ingest_csv(args.joint, ycols)
@@ -467,12 +457,9 @@ def _cmd_condexp(args) -> dict:
 
 
 def _cmd_cv(args) -> dict:
-    if args.out:
-        _check_out(args.out, args.force)
-    rhos = [float(v) for v in args.rhos.split(",") if v.strip()]
-    if not rhos or not args.lambdas:
+    if not args.rhos or not args.lambdas:
         raise UsageError("empty --rhos or --lambdas")
-    grid = grid_product([KernelSpec(args.kernel, rho=r) for r in rhos], args.lambdas)
+    grid = grid_product([KernelSpec(args.kernel, rho=r) for r in args.rhos], args.lambdas)
     result = cross_validate(
         ingest_csv(args.p),
         ingest_csv(args.q),
@@ -484,16 +471,13 @@ def _cmd_cv(args) -> dict:
         standardize=args.standardize,
         seed=args.seed,
     )
-    payload = {
+    return {
         "kernel": result.kernel.to_dict(),
         "lambda": result.lam,
         "folds": args.folds,
         "grid": [{"kernel": k.to_dict(), "lambda": l} for k, l in grid],
         "mean_losses": result.mean_losses.tolist(),
     }
-    if args.out:
-        _write_json(args.out, {**payload, "seed": args.seed, "version": __version__})
-    return payload
 
 
 def _records_from_points(points: np.ndarray, realized: np.ndarray, d: int) -> list:
@@ -506,8 +490,6 @@ def _records_from_points(points: np.ndarray, realized: np.ndarray, d: int) -> li
 
 
 def _cmd_score(args) -> dict:
-    if args.out:
-        _check_out(args.out, args.force)
     pred = ingest_csv(args.pred).points
     base = ingest_csv(args.baseline).points
     if pred.shape[0] != base.shape[0]:
@@ -539,14 +521,10 @@ def _cmd_score(args) -> dict:
             records = _records_from_points(pred, realized, d)
             baseline = _records_from_points(base, realized, d)
             payload["excess_scoring_loss"] = excess_scoring_loss(records, baseline)
-    if args.out:
-        _write_json(args.out, {**payload, "seed": None, "version": __version__})
     return payload
 
 
 def _cmd_bench(args) -> dict:
-    if args.out:
-        _check_out(args.out, args.force)
     if args.bench_command == "independence":
         kernel = None if args.rho is None else KernelSpec("gaussian", rho=args.rho)
         study = rejection_study(
@@ -557,13 +535,12 @@ def _cmd_bench(args) -> dict:
             level=args.level,
             c=args.c,
             kernel=kernel,
-            lam=args.lam,
             epsilon_rel=args.epsilon_rel,
             max_rank=args.max_rank,
             scheme=args.scheme,
             t=args.t,
         )
-        payload = {
+        return {
             "dist": study.distribution,
             "n": study.n,
             "reps": study.reps,
@@ -573,26 +550,22 @@ def _cmd_bench(args) -> dict:
             "ks_to_uniform": ks_to_uniform(study.p_values),
             "p_values": study.p_values.tolist(),
         }
-    else:
-        study = mixture_energy_study(
-            args.runs,
-            args.seed,
-            n_train=args.n_train,
-            n_test=args.n_test,
-            grid_cap=args.grid_cap,
-            lam=args.lam,
-            epsilon_rel=args.epsilon_rel,
-            max_rank=args.max_rank,
-        )
-        payload = {
-            "runs": len(study.differentials),
-            "median_differential": study.median_differential,
-            "differentials": study.differentials.tolist(),
-            "clusters": study.clusters.tolist(),
-        }
-    if args.out:
-        _write_json(args.out, {**payload, "seed": args.seed, "version": __version__})
-    return payload
+    study = mixture_energy_study(
+        args.runs,
+        args.seed,
+        n_train=args.n_train,
+        n_test=args.n_test,
+        grid_cap=args.grid_cap,
+        lam=args.lam,
+        epsilon_rel=args.epsilon_rel,
+        max_rank=args.max_rank,
+    )
+    return {
+        "runs": len(study.differentials),
+        "median_differential": study.median_differential,
+        "differentials": study.differentials.tolist(),
+        "clusters": study.clusters.tolist(),
+    }
 
 
 _HANDLERS = {
@@ -611,14 +584,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        payload = _HANDLERS[args.command](args)
-        report = {
-            "command": args.command,
-            "version": __version__,
-            "seed": getattr(args, "seed", None),
-            **payload,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
+        if args.out:
+            _check_out(args.out, args.force)
+        report = {**_HANDLERS[args.command](args), "seed": getattr(args, "seed", None), "version": __version__}
+        if args.out and args.copy_report:
+            with open(args.out, "w") as fh:
+                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        print(json.dumps({"command": args.command, **report}, sort_keys=True, indent=2))
         print(f"[kdm] {args.command} finished in {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return 0
     except (UsageError, ValueError, OSError) as exc:

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .estimator import KdmModel, PriorSpec, _check_lambdas, _decompose, _model, eval_density_ratio
+from .estimator import DEFAULT_EPSILON_REL, KdmModel, PriorSpec, _check_lambdas, _decompose, _model, eval_density_ratio
 from .kernels import Dataset, KernelSpec, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
@@ -124,7 +124,7 @@ def fit_conditional(
     scheme: str = "shifted",
     prior: Optional[PriorSpec] = None,
     epsilon: Optional[float] = None,
-    epsilon_rel: float = 1e-6,
+    epsilon_rel: float = DEFAULT_EPSILON_REL,
     max_rank: Optional[int] = None,
     standardize: bool = False,
     grid_cap: int = DEFAULT_GRID_CAP,

@@ -182,9 +182,17 @@ def _decompose(
     seed: Optional[int] = None,
     _covariance: bool = True,
 ) -> _Decomposition:
-    pts_p, pts_q = _common_size(sample_p, sample_q)
+    _check_tolerances(epsilon, epsilon_rel)
+    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
+    pts_p, pts_q = _common_size(sp, sq)
     n = pts_p.shape[0]
     prior = prior if prior is not None else PriorSpec.one()
+    if omp_target is not None:
+        # one value per input row, P's first: keep those of the rows kept
+        target = np.asarray(omp_target, dtype=np.float64)
+        if target.shape != (sp.n + sq.n,):
+            raise ValueError(f"omp_target needs one value per input row, {sp.n} + {sq.n}, got shape {target.shape}")
+        omp_target = np.concatenate([target[:n], target[sp.n : sp.n + n]])
 
     stacked = np.vstack([pts_p, pts_q])
     standardizer = _input_transform(kernel, stacked, standardize)
@@ -267,6 +275,13 @@ def _check_ridge(info: int, x: Optional[np.ndarray]) -> None:
         raise NumericsError(f"ridge system is not positive definite or not finite (LAPACK info {info})")
 
 
+def _check_tolerances(epsilon: Optional[float], epsilon_rel: float) -> None:
+    """Reject a decomposition tolerance that is not a finite number >= 0."""
+    for name, value in (("epsilon", epsilon), ("epsilon_rel", epsilon_rel)):
+        if value is not None and not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def _check_lambdas(lambdas: Sequence[float]) -> None:
     """Reject any ridge parameter that is not a finite number > 0."""
     for lam in lambdas:
@@ -300,9 +315,10 @@ def fit(
     ``sample_p`` and ``sample_q`` are the denominator and numerator samples.
     ``epsilon`` is the absolute decomposition tolerance; when omitted it
     defaults to ``epsilon_rel`` times the kernel trace of the stacked sample.
-    ``strategy="omp"`` needs ``omp_target``, one value per stacked point
-    (the P sample's rows first).  The fit is deterministic: no randomness
-    enters anywhere.
+    ``strategy="omp"`` needs ``omp_target``, one value per input row, the P
+    sample's rows first; when the sizes differ, the values of the rows cut
+    from the larger sample are cut with them.  Both tolerances must be finite
+    numbers >= 0.  The fit is deterministic: no randomness enters anywhere.
     """
     _check_lambdas([lam])
     dec = _decompose(

@@ -7,6 +7,7 @@ unbounded, so its sup can only be reported empirically over a data set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -26,10 +27,10 @@ class KernelSpec:
     rho : float
         Squared length scale for ``gaussian`` (k = exp(-|z-z'|^2 / (2 rho))),
         decay rate for ``laplace`` (k = exp(-rho |z-z'|)).  Ignored by the
-        polynomial family.
+        polynomial family, but must be finite like every parameter.
     c : float
-        Offset of the polynomial kernel k = (<z, z'> + c)^q.  Must be >= 0
-        so the kernel stays positive semidefinite.
+        Offset of the polynomial kernel k = (<z, z'> + c)^q.  Must be finite
+        and >= 0 so the kernel stays positive semidefinite.
     q : int
         Degree of the polynomial kernel, >= 1.
     """
@@ -42,10 +43,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "gaussian" and not self.rho > 0:
-            raise ValueError("gaussian kernel needs rho > 0")
-        if self.family == "laplace" and not self.rho > 0:
-            raise ValueError("laplace kernel needs rho > 0")
+        if not (math.isfinite(self.rho) and math.isfinite(self.c)):
+            raise ValueError(f"kernel parameters must be finite, got rho={self.rho!r}, c={self.c!r}")
+        if self.family != "polynomial" and not self.rho > 0:
+            raise ValueError(f"{self.family} kernel needs rho > 0")
         if self.family == "polynomial":
             if self.c < 0:
                 raise ValueError("polynomial kernel needs c >= 0")

@@ -454,3 +454,102 @@ def test_bench_mixture_smoke(capsys):
     )
     assert code == 0
     assert payload["runs"] == 1 and len(payload["differentials"]) == 1
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Small inputs for every subcommand: two samples, a fitted model, a joint sample, a query, score files."""
+    root = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(30)
+    files = {
+        "p": write_csv(root / "p.csv", ["a", "b"], rng.normal(0, 1, (60, 2))),
+        "q": write_csv(root / "q.csv", ["a", "b"], rng.normal(0.5, 1, (60, 2))),
+        "joint": write_csv(root / "joint.csv", ["x", "y"], rng.normal(0, 1, (60, 2))),
+        "query": write_csv(root / "query.csv", ["x"], [[-1.0], [1.0]]),
+        "base": write_csv(root / "base.csv", ["s"], [[1.0], [2.0]]),
+        "pred": write_csv(root / "pred.csv", ["s"], [[0.0], [1.0]]),
+        "model": str(root / "model.kdm"),
+    }
+    assert main(["fit", "--p", files["p"], "--q", files["q"], "--lambda", "1e-3", "--out", files["model"]]) == 0
+    return files
+
+
+def command(name, f):
+    """The arguments of one subcommand on the ``cli_inputs`` files, without --out."""
+    return {
+        "simulate": ["simulate", "--dist", "circle", "--n", "30", "--seed", "1"],
+        "fit": ["fit", "--p", f["p"], "--q", f["q"], "--rho", "2.0", "--lambda", "1e-3"],
+        "test": ["test", "--model", f["model"], "--eta", "0.1"],
+        "condexp": [
+            "condexp", "--joint", f["joint"], "--xcols", "x", "--ycols", "y", "--lambda", "1e-3", "--seed", "0",
+            "--query", f["query"],
+        ],
+        "cv": [
+            "cv", "--p", f["p"], "--q", f["q"], "--rhos", "1.0", "--lambdas", "1e-3,1e-1", "--folds", "2",
+            "--seed", "1",
+        ],
+        "score": ["score", "--metric", "energy", "--pred", f["pred"], "--baseline", f["base"]],
+        "bench independence": ["bench", "independence", "--dist", "circle", "--n", "30", "--reps", "2", "--seed", "3"],
+        "bench mixture": [
+            "bench", "mixture", "--runs", "1", "--n-train", "60", "--n-test", "5", "--grid-cap", "20",
+            "--max-rank", "30", "--seed", "4",
+        ],
+    }[name]
+
+
+REPORT_COMMANDS = ["test", "cv", "score", "bench independence", "bench mixture"]
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_out_file_is_the_report_without_command(capsys, tmp_path, cli_inputs, name):
+    out = tmp_path / "report.json"
+    code, report, _ = run_cli(capsys, *command(name, cli_inputs), "--out", str(out))
+    assert code == 0 and report.pop("command") == name.split()[0]
+    assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["simulate", "fit", "condexp", *REPORT_COMMANDS])
+def test_every_command_refuses_an_existing_out_without_force(capsys, tmp_path, cli_inputs, name):
+    out = tmp_path / "taken"
+    out.write_bytes(b"keep me\n")
+    code, _, err = run_cli(capsys, *command(name, cli_inputs), "--out", str(out))
+    assert code == 1 and f"refusing to overwrite {out} (pass --force)" in err
+    assert out.read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("cv", "--rhos", "1.0,inf"),
+        ("cv", "--rhos", "abc"),
+        ("cv", "--rhos", "1.0,0"),
+        ("cv", "--epsilon-rel", "nan"),
+        ("fit", "--rho", "inf"),
+        ("fit", "--c", "nan"),
+        ("fit", "--epsilon", "nan"),
+        ("fit", "--epsilon", "inf"),
+        ("fit", "--epsilon-rel", "inf"),
+        ("fit", "--epsilon-rel", "-1e-6"),
+        ("condexp", "--epsilon-rel", "nan"),
+        ("bench independence", "--rho", "inf"),
+    ],
+)
+def test_length_scales_and_tolerances_must_be_finite_exit_1(capsys, tmp_path, cli_inputs, name, flag, value):
+    # before: --rhos 1,inf chose rho = Infinity and exit 0, --rhos abc named
+    # no flag, and a NaN offset or tolerance ended in a numerical failure
+    argv = command(name, cli_inputs)
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    argv.append(f"{flag}={value}")  # a negative value would read as a flag
+    if flag == "--c":
+        argv += ["--kernel", "polynomial"]
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1 and f"argument {flag}: must be a finite number" in err, err
+    assert not out.exists()
+
+
+def test_bench_independence_has_no_ridge_flag(capsys, cli_inputs):
+    # the independence test reads no ridge solution, so --lambda changed nothing
+    code, _, err = run_cli(capsys, *command("bench independence", cli_inputs), "--lambda", "1e-2")
+    assert code == 1 and "unrecognized arguments: --lambda" in err

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdm import estimator
+from kdm.conditional import JointDataset, fit_conditional
 from kdm.estimator import (
     PriorSpec,
     cross_validate,
@@ -377,6 +378,42 @@ def test_lambda_must_be_finite_and_positive(monkeypatch, bad):
     monkeypatch.setattr(estimator, "_decompose", None)
     with pytest.raises(ValueError, match=f"lam must be > 0 and finite, got {bad!r}"):
         cross_validate(p, p, grid_product([spec], [1e-3, bad]), folds=3, seed=0)
+
+
+@pytest.mark.parametrize("name", ["epsilon", "epsilon_rel"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+def test_tolerance_must_be_finite_and_nonnegative(name, bad):
+    # before: an infinite or NaN tolerance ended in "kernel matrix is
+    # numerically zero", a NumericsError, instead of naming the argument
+    rng = np.random.default_rng(27)
+    p = rng.normal(0, 1, (30, 2))
+    spec = KernelSpec("gaussian")
+    message = f"{name} must be a finite number >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        fit(p, p, spec, 1e-3, **{name: bad})
+    with pytest.raises(ValueError, match=message):
+        fit_conditional(JointDataset(p[:, :1], p[:, 1:]), spec, 1e-3, **{name: bad})
+    if name == "epsilon_rel":  # cross_validate has no absolute tolerance
+        with pytest.raises(ValueError, match=message):
+            cross_validate(p, p, [(spec, 1e-3)], folds=3, epsilon_rel=bad, seed=0)
+
+
+def test_omp_target_is_cut_with_unequal_samples():
+    # the target holds one value per input row, P's first; when the samples
+    # are cut to the smaller size, P's values of the dropped rows go with them
+    rng = np.random.default_rng(28)
+    p, q = rng.normal(0, 1, (200, 2)), rng.normal(0.3, 1, (150, 2))
+    target = rng.normal(0, 1, 350)
+    spec = KernelSpec("gaussian", rho=1.0)
+    with pytest.warns(RuntimeWarning, match="truncating both to 150"):
+        model = fit(p, q, spec, 1e-3, strategy="omp", omp_target=target, max_rank=30)
+    cut = np.concatenate([target[:150], target[200:]])
+    equal = fit(p[:150], q, spec, 1e-3, strategy="omp", omp_target=cut, max_rank=30)
+    np.testing.assert_array_equal(model.pivots, equal.pivots)
+    np.testing.assert_array_equal(model.beta, equal.beta)
+    # the values of the stacked cut samples no longer pass, silently misaligned
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=r"one value per input row, 200 \+ 150"):
+        fit(p, q, spec, 1e-3, strategy="omp", omp_target=target[:300])
 
 
 def test_cross_validate_unequal_sizes_truncate_with_warning():

@@ -117,6 +117,18 @@ def test_spec_validation():
         KernelSpec("polynomial", c=-0.5)
     with pytest.raises(ValueError):
         KernelSpec("polynomial", q=0)
+    # an infinite length scale is a constant kernel, a NaN offset no kernel
+    for bad in (
+        dict(family="gaussian", rho=np.inf),
+        dict(family="laplace", rho=np.inf),
+        dict(family="laplace", rho=np.nan),
+        dict(family="polynomial", c=np.nan),
+        dict(family="polynomial", c=np.inf),
+        dict(family="polynomial", rho=np.inf),
+        dict(family="gaussian", c=np.nan),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            KernelSpec(**bad)
 
 
 def test_spec_dict_round_trip():
