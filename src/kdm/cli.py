@@ -215,7 +215,7 @@ def _finite(text: str, strict: bool) -> float:
 
 
 def _positive(text: str) -> float:
-    """argparse type of a ridge parameter or a length scale: a finite number > 0."""
+    """argparse type of a ridge parameter, a length scale or ``--t``: a finite number > 0."""
     return _finite(text, strict=True)
 
 
@@ -286,7 +286,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("test", help="chi-square test of the prior ratio on a fitted model")
     p.add_argument("--model", required=True)
     p.add_argument("--truncation", choices=["relative", "explained"], default="relative")
-    p.add_argument("--t", type=float, default=DEFAULT_TRUNCATION_T)
+    p.add_argument("--t", type=_positive, default=DEFAULT_TRUNCATION_T)
     p.add_argument("--eta", type=float, default=None, help="also report the norm bound at this level")
     _add_out(p)
 
@@ -335,7 +335,7 @@ def build_parser() -> _Parser:
     b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
     b.add_argument("--max-rank", type=_size_cap, default=bench.DEFAULT_MAX_RANK)
     b.add_argument("--scheme", choices=SCHEMES, default="three_split")
-    b.add_argument("--t", type=float, default=DEFAULT_TRUNCATION_T)
+    b.add_argument("--t", type=_positive, default=DEFAULT_TRUNCATION_T)
     b.add_argument("--seed", type=int, required=True)
     _add_out(b)
 

@@ -319,6 +319,9 @@ def fit(
     sample's rows first; when the sizes differ, the values of the rows cut
     from the larger sample are cut with them.  Both tolerances must be finite
     numbers >= 0.  The fit is deterministic: no randomness enters anywhere.
+    ``seed`` is only recorded, as ``KdmModel.seed`` and in the saved bundle;
+    no computation reads it yet (a randomized test calibration or pivot rule
+    would draw from it).
     """
     _check_lambdas([lam])
     dec = _decompose(

@@ -105,21 +105,21 @@ class TestResult:
 
 
 def _truncation_length(eig: np.ndarray, rule: str, t: float) -> int:
+    if rule == "relative" and not 0 < t < np.inf:
+        raise ValueError(f"relative truncation needs a finite t > 0, got {t}")
+    if rule == "explained" and not 0 < t <= 1:
+        raise ValueError("explained-variation truncation needs t in (0, 1]")
+    if rule not in ("relative", "explained"):
+        raise ValueError(f"unknown truncation rule {rule!r}")
     pos = eig[eig > 0]
     if pos.size == 0:
         return 0
     if rule == "relative":
-        if t <= 0:
-            raise ValueError("relative truncation needs t > 0")
         return int(np.sum(pos >= t * pos[0]))
-    if rule == "explained":
-        if not 0 < t <= 1:
-            raise ValueError("explained-variation truncation needs t in (0, 1]")
-        frac = np.cumsum(pos) / pos.sum()
-        # the last fraction can round to just below 1, and t = 1 must still
-        # keep only positive eigenvalues
-        return min(int(np.searchsorted(frac, t) + 1), pos.size)
-    raise ValueError(f"unknown truncation rule {rule!r}")
+    frac = np.cumsum(pos) / pos.sum()
+    # the last fraction can round to just below 1, and t = 1 must still keep
+    # only positive eigenvalues
+    return min(int(np.searchsorted(frac, t) + 1), pos.size)
 
 
 def run_test(
@@ -132,8 +132,9 @@ def run_test(
 
     Eigenvalues of the estimated covariance below EIG_FLOOR_REL times the
     largest are zeroed; the truncation rule then keeps ell leading components
-    ("relative": eigenvalues >= t * largest; "explained": smallest count
-    reaching a fraction t of the total).  A degenerate covariance yields
+    ("relative": eigenvalues >= t * largest, for a finite t > 0;
+    "explained": smallest count reaching a fraction t in (0, 1] of the
+    total); any other t raises ``ValueError``.  A degenerate covariance yields
     statistic 0 with p-value 1.  Passing ``eta`` additionally reports the
     finite-sample norm check at that confidence level, with the larger of the
     requested tolerance and the residual trace reached as its epsilon.

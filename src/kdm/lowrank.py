@@ -10,41 +10,39 @@ decomposition selects m pivot indices pi_1..pi_m and produces
 
 Only the diagonal of K plus one full row per pivot are requested (and the
 rows of a block cut short, below), so the cost is O(m^2 N) time.  ``Lt`` is
-the leading rows of a (cap, N) buffer: a plain step i has the oracle write
-its kernel row K[pi_i, :] straight into row i, then subtracts in place the
-Schur product of the i earlier rows with their entries at the pivot, and
-scales the row.  Every row is written before it is read, so the buffer is
-left uninitialised, and the memory touched is O(m N) for the rank m reached,
-not for the cap.  The other vectors a step needs are buffers allocated once
-per decomposition: the earlier rows' entries at the pivot, the Schur product,
-ell^2, the floor mask and the pivot indices.  A step allocates no array
-itself; only the kernel formula makes one temporary of N entries.  With
+the leading rows of a (cap, N) buffer, and every row of it is formed one way:
+as a row of a block B of k >= 1 pivots begun at some step ``base``.  One
+oracle call writes K[B, :] into the factor rows ``base`` to ``base + k``, one
+matrix product computes their Schur products against the rows before
+``base`` and one in-place subtraction removes them, leaving
+S = K[B, :] - L[B, :base] L[:, :base]^T.  A block of one pivot is S scaled
+by one over the root of its residual diagonal entry.  For k > 1, with T the
+lower Cholesky factor (``dpotrf``) of S's own k x k pivot columns, the
+block's rows of L^T are T^{-1} S, one in-place triangular solve (``dtrsm``);
+should ``dpotrf`` find that k x k block indefinite at order j through
+roundoff, the block keeps its first j - 1 rows, and at least the first.
+Each later step uses its precomputed row only if its pivot is the next one
+of B; otherwise it begins a new block, and so does a step after B's last
+row.  Every row is written before it is read, so the buffer is left
+uninitialised, and the memory touched is O(m N) for the rank m reached, not
+for the cap.  The block's Schur products, ell^2, the floor mask and the
+pivot indices are buffers allocated once per decomposition.  With
 ``epsilon=0`` the loop runs until the residual diagonal is exhausted and
 L L^T reproduces K to the numerical rank.
 
-Done as one matrix-vector product per step, the Schur products read all
-earlier rows at every step: m^2 N / 2 entries in all, at the speed of memory,
-not of arithmetic.  The greedy rule avoids most of that reading by working
-out its next pivots and forming their rows together.  A block begins at some
-step ``base``.  The pool C is the POOL indices with the largest residual
-diagonal d, and tau the largest d outside C.  d never increases, so no index
-outside C can rise above tau, and while residual entries of C stay above tau
-the next greedy pivots are those of C's own residual block
-S_C = K[C, C] - L[C, :base] L[C, :base]^T.  One LAPACK pivoted Cholesky of
-S_C (``dpstrf``), stopped at tau, lists them in order.  Once the first k <=
-CANDIDATES of them, B, are fixed, the block is a left-looking Cholesky panel:
-one oracle call writes K[B, :] into the factor rows ``base`` to ``base + k``,
-one matrix product computes their Schur products against the rows before
-``base`` (reading those rows once) and one in-place subtraction removes them,
-leaving S = K[B, :] - L[B, :base] L[:, :base]^T.  With T the lower Cholesky
-factor (``dpotrf``) of S's own k x k pivot columns, the block's rows of L^T
-are T^{-1} S, one in-place triangular solve (``dtrsm``).  Should ``dpotrf``
-find that k x k block indefinite at order j through roundoff, the block keeps
-its first j - 1 rows; a block of one row is S scaled by one over the root of
-its residual diagonal entry, as a plain step scales it.  Each later step uses
-its precomputed row only if its pivot is the next one of B; otherwise it
-begins a new block, and so does a step after B's last row.  C is in index
-order, so ``dpstrf``'s first pivot breaks ties toward the smallest index as
+Only the choice of B depends on the pivot rule and the size.  An OMP step,
+and a greedy step while the earlier rows hold fewer than BLOCK_MIN_ENTRIES
+entries, is a block of its own pivot alone: one matrix-vector product per
+step, which reads all earlier rows at every step, m^2 N / 2 entries in all,
+at the speed of memory, not of arithmetic.  Past that size the greedy rule
+avoids most of that reading by working out its next pivots.  The pool C is
+the POOL indices with the largest residual diagonal d, and tau the largest d
+outside C.  d never increases, so no index outside C can rise above tau, and
+while residual entries of C stay above tau the next greedy pivots are those
+of C's own residual block S_C = K[C, C] - L[C, :base] L[C, :base]^T.  One
+LAPACK pivoted Cholesky of S_C (``dpstrf``), stopped at tau, lists them in
+order, and B is the first k <= CANDIDATES of them.  C is in index order, so
+``dpstrf``'s first pivot breaks ties toward the smallest index as
 :func:`greedy_pivot` does; its row swaps can reorder later exact ties, which
 at worst cuts a block short inside the tie.  Per block that costs one POOL x
 POOL kernel block (``oracle.submatrix``), a gather of the pool's ``base`` x
@@ -56,12 +54,12 @@ formed for a block cut short are left unused, so the oracle's row count can
 exceed the rank by them.  The pivot is still chosen from the exact residual
 diagonal, and each step still zeroes its row at the earlier pivots, sets its
 pivot entry to the root of the residual and updates d, so pivots, rank,
-stopping rule and ``hit_rank_cap`` are those of the plain loop, and a
+stopping rule and ``hit_rank_cap`` are those of blocks of one pivot, and a
 prediction that roundoff spoils costs only a new block; only the order in
 which the products are summed differs, a change at roundoff level that can
 decide a pivot only between residual entries tied to roundoff (such as
-copies of one point).  OMP steps keep the plain product: their pivots do not
-follow the residual diagonal.
+copies of one point).  OMP pivots do not follow the residual diagonal, so
+their blocks stay at one pivot.
 
 ``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
 the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
@@ -97,8 +95,8 @@ OMP_QUANTILE = 0.9
 # greedy steps take their rows of L^T from a block of at most CANDIDATES
 # rows, formed together for the next pivots that a pivoted Cholesky of the
 # POOL indices with the largest residual diagonal lists, once the earlier rows
-# hold at least BLOCK_MIN_ENTRIES entries (2 MB); below that one
-# matrix-vector product per step is cheaper
+# hold at least BLOCK_MIN_ENTRIES entries (2 MB); below that a block of the
+# step's own pivot alone, one matrix-vector product, is cheaper
 CANDIDATES = 32
 POOL = 64
 BLOCK_MIN_ENTRIES = 2**18
@@ -207,8 +205,8 @@ def omp_pivot(d: np.ndarray, target_values: np.ndarray, w_running: np.ndarray) -
     return j
 
 
-def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor: float):
-    """The next at most k greedy pivots, ``piv`` first, and their columns of ``lt``.
+def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor: float) -> np.ndarray:
+    """The next at most k greedy pivots, ``piv`` first.
 
     ``lt`` holds the rows of L^T written so far and ``d`` the residual
     diagonal; ``piv`` is the current step's greedy pivot.  The pivots are
@@ -217,7 +215,7 @@ def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor:
     pivot whatever the tolerance, so when roundoff, or a tie at the maximum
     wider than the pool, makes that another index than ``piv``, the rest of
     its list follows a step the loop does not take and the block is ``piv``
-    alone.  Returns the block's indices and ``lt[:, block]``.
+    alone.
     """
     n = d.size
     p = min(POOL, n - 1)  # at least one point stays outside the pool
@@ -227,30 +225,29 @@ def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor:
     cols = lt[:, pool]
     s = oracle.submatrix(pool) - cols.T @ cols
     _, order, rank, _ = dpstrf(s, tol=tau, lower=1, overwrite_a=1)
-    sel = order[: min(rank, k)] - 1
-    block = pool[sel]
+    block = pool[order[: min(rank, k)] - 1]
     if block.size and block[0] == piv:
-        return block, cols[:, sel]
-    return np.array([piv]), lt[:, [piv]]
+        return block
+    return np.array([piv])
 
 
-def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, cols: np.ndarray, prod, scale: float) -> int:
+def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.ndarray, scale: float) -> int:
     """Write the rows of L^T for ``block``, the pivots of steps base, base + 1, ...
 
-    ``cols`` is ``lt[:base, block]``.  The oracle writes K[block, :] into
-    ``lt[base:base + k]``, one matrix product (into ``prod``) gives their
-    Schur products against the rows before ``base``, and after subtracting
-    them the rows hold S = K[block, :] - L[block, :base] L[:, :base]^T.
-    With T the lower Cholesky factor of S[:, block], the block's rows of L^T
-    are T^{-1} S: one triangular solve in place.  ``dpotrf`` can find
-    S[:, block] indefinite at some order j through roundoff; then only the
-    first j - 1 rows are kept.  One row is S scaled by ``scale``, 1 / sqrt
-    of its residual diagonal entry, as a plain step scales it.  Returns the
-    number of rows kept.
+    The oracle writes K[block, :] into ``lt[base:base + k]``, one matrix
+    product of the gathered columns ``lt[:base, block]`` with the rows before
+    ``base`` (into ``prod``) gives their Schur products, and after
+    subtracting them the rows hold S = K[block, :] - L[block, :base]
+    L[:, :base]^T.  One row is S scaled by ``scale``, 1 / sqrt of its
+    residual diagonal entry.  For k > 1, with T the lower Cholesky factor of
+    S[:, block], the block's rows of L^T are T^{-1} S: one triangular solve
+    in place.  ``dpotrf`` can find S[:, block] indefinite at some order j
+    through roundoff; then only the first j - 1 rows are kept, and at least
+    the first, scaled as one row is.  Returns the number of rows kept.
     """
     k = block.size
     rows = oracle.rows(block, out=lt[base : base + k])
-    np.matmul(cols.T, lt[:base], out=prod[:k])
+    np.matmul(lt[:base, block].T, lt[:base], out=prod[:k])
     rows -= prod[:k]
     if k > 1:
         t, info = dpotrf(rows[:, block], lower=1, clean=0)
@@ -281,9 +278,9 @@ def pivoted_cholesky(
         Access to the PSD matrix: its diagonal, the rows K[idx, :] written
         into the C-ordered float64 array ``out`` of shape (len(idx), N)
         (rows of the factor buffer) and returned, and the block K[idx, idx]
-        as a new array.  A plain step reads its pivot's row, a block of
-        greedy steps its k rows and one POOL x POOL block; the rows read
-        exceed ``rank`` only by those of blocks cut short.
+        as a new array.  A block of one pivot reads that pivot's row, a
+        listed block of greedy pivots its k rows and one POOL x POOL block;
+        the rows read exceed ``rank`` only by those of blocks cut short.
     epsilon : float
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
@@ -293,20 +290,19 @@ def pivoted_cholesky(
         Hard cap on the number of pivots, >= 1; hitting it is reported
         through ``hit_rank_cap``, not raised.
 
-    Time is O(m^2 N) for rank m and N points.  Once the earlier rows hold
-    ``BLOCK_MIN_ENTRIES`` entries, greedy steps take their rows from blocks
-    formed for the pivots the loop is about to take (module docstring): a
-    block begun at step i reads one POOL x POOL kernel block, runs ``dpstrf``
-    on it, has the oracle write the k <= CANDIDATES kernel rows of its
-    pivots into the factor buffer, subtracts their Schur products, computed
-    as one (k, i) x (i, N) product into a buffer of at most (CANDIDATES, N)
-    allocated once per call, and finishes the rows with one k x k Cholesky
-    factor and one triangular solve in place.  The pivots are those of one
-    matrix-vector product per step, except between residual entries tied to
-    roundoff.  Apart from that block buffer, the factor buffer and the step
-    vectors are allocated once, before the loop; a step writes its row,
-    Schur product, ell^2 and floor mask into them.  ``R`` is one triangular
-    inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
+    Time is O(m^2 N) for rank m and N points.  Every row of ``Lt`` comes
+    from one block of k pivots (module docstring): the oracle writes their k
+    kernel rows into the factor buffer, their Schur products, one (k, i) x
+    (i, N) product for a block begun at step i, go into a buffer of at most
+    (CANDIDATES, N) and are subtracted, and the rows are scaled (k = 1) or
+    finished with one k x k Cholesky factor and one triangular solve in
+    place.  A block is the step's pivot alone for OMP and for greedy steps
+    before the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries; after that a
+    greedy block is up to CANDIDATES pivots that ``dpstrf`` on one POOL x
+    POOL kernel block lists.  The pivots do not depend on the block sizes,
+    except between residual entries tied to roundoff.  The factor buffer and
+    the step vectors are allocated once, before the loop.  ``R`` is one
+    triangular inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -334,24 +330,19 @@ def pivoted_cholesky(
     floor = DIAG_FLOOR_REL * dmax
     d[d <= floor] = 0.0
 
-    # L^T, one row per pivot; step i writes all of row i and reads only the
-    # rows before it, or a block begun at step i writes its rows together.
-    # The per-step vectors live in buffers allocated here: the pivots, the
-    # earlier rows' entries at the pivot, the Schur product, ell^2 and the
-    # floor mask.  Every entry is written before it is read; the pivots are
-    # zeros only because the tests poison unwritten buffers with NaN, which
-    # an int array cannot hold
+    # L^T, one row per pivot, written by blocks: a block begun at step base
+    # writes the rows lt[base:block_end] of its pivots block[:block_end -
+    # base] and reads only the rows before base; prod receives their Schur
+    # products.  The other step vectors live in buffers allocated here: the
+    # pivots, ell^2 and the floor mask.  Every entry is written before it is
+    # read; the pivots are zeros only because the tests poison unwritten
+    # buffers with NaN, which an int array cannot hold
     lt = np.empty((cap, n))
     pivots = np.zeros(cap, dtype=np.intp)
-    lrow_buf = np.empty(cap)
-    schur = np.empty(n)
+    prod = np.empty((min(CANDIDATES, cap), n))
     sq = np.empty(n)
     low = np.empty(n, dtype=bool)
     w = np.zeros(n) if strategy == "omp" else None
-    # a block begun at step base holds the finished rows lt[base:block_end]
-    # of its pivots block[:block_end - base]; prod receives its Schur
-    # products against the rows before base
-    prod = None
     block = None
     base = block_end = 0
 
@@ -364,25 +355,16 @@ def pivoted_cholesky(
             piv = omp_pivot(d, target, w)
         root = math.sqrt(float(d[piv]))
         scale = 1.0 / root
+        pivots[i] = piv
 
-        if strategy == "greedy" and i * n >= BLOCK_MIN_ENTRIES:
-            if i >= block_end or block[i - base] != piv:
-                base = i
-                k = min(CANDIDATES, cap - i)
-                block, cols = _next_pivots(oracle, lt[:i], d, piv, k, floor)
-                if prod is None:
-                    prod = np.empty((k, n))
-                block_end = i + _block_rows(oracle, lt, i, block, cols, prod, scale)
-            ell = lt[i]
-        else:
-            lrow = lrow_buf[:i]
-            np.copyto(lrow, lt[:i, piv])
-            # np.dot, not np.matmul with out: the tests count those calls as
-            # block products
-            np.dot(lt[:i].T, lrow, out=schur)
-            ell = oracle.rows([piv], out=lt[i : i + 1])[0]
-            ell -= schur
-            ell *= scale
+        if i >= block_end or block[i - base] != piv:
+            base = i
+            if strategy == "greedy" and i * n >= BLOCK_MIN_ENTRIES:
+                block = _next_pivots(oracle, lt[:i], d, piv, min(CANDIDATES, cap - i), floor)
+            else:
+                block = pivots[i : i + 1]  # a view, so a step allocates no index array
+            block_end = i + _block_rows(oracle, lt, i, block, prod, scale)
+        ell = lt[i]
         ell[pivots[:i]] = 0.0  # Schur complement vanishes at previous pivots
         ell[piv] = root
 
@@ -394,8 +376,6 @@ def pivoted_cholesky(
         if d.min() < -tol:
             raise NumericsError("residual diagonal went negative; oracle is not PSD")
         d[np.less_equal(d, floor, out=low)] = 0.0
-
-        pivots[i] = piv
         i += 1
 
     pivots = pivots[:i]

@@ -532,11 +532,16 @@ def test_every_command_refuses_an_existing_out_without_force(capsys, tmp_path, c
         ("fit", "--epsilon-rel", "-1e-6"),
         ("condexp", "--epsilon-rel", "nan"),
         ("bench independence", "--rho", "inf"),
+        ("test", "--t", "nan"),
+        ("test", "--t", "inf"),
+        ("test", "--t", "0"),
+        ("bench independence", "--t", "nan"),
     ],
 )
 def test_length_scales_and_tolerances_must_be_finite_exit_1(capsys, tmp_path, cli_inputs, name, flag, value):
     # before: --rhos 1,inf chose rho = Infinity and exit 0, --rhos abc named
-    # no flag, and a NaN offset or tolerance ended in a numerical failure
+    # no flag, a NaN offset or tolerance ended in a numerical failure, and
+    # --t nan or inf reported ell 0 and p-value 1 with exit 0
     argv = command(name, cli_inputs)
     if flag in argv:
         del argv[argv.index(flag) : argv.index(flag) + 2]

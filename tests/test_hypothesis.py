@@ -135,6 +135,17 @@ def test_truncation_length_rules():
         _truncation_length(eig, "other", 0.5)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_relative_truncation_needs_a_finite_t(t):
+    # a NaN or infinite t kept no eigenvalue, so the test reported ell 0 and
+    # p-value 1: "the prior explains the data", whatever the data
+    for eig in (np.array([1.0, 1e-3, 0.0]), np.zeros(3)):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            _truncation_length(eig, "relative", t)
+    with pytest.raises(ValueError, match="finite t > 0"):
+        run_test(fitted_model(seed=4), t=t)
+
+
 def test_explained_truncation_skips_a_floored_eigenvalue():
     # with one eigenvalue at zero, ell = 9 divided by it: statistic inf, p 0
     rng = np.random.default_rng(0)

@@ -402,36 +402,45 @@ def _assert_matches_row_major_reference(seed, n, d, family, strategy, cap, dupli
     assert np.abs(f.R - ref_r).max(initial=0.0) <= FACTOR_RTOL * np.abs(ref_r).max(initial=0.0)
 
 
-class _BlockRowCounter:
-    """numpy as ``kdm.lowrank`` sees it, recording the rows of each block product."""
+class _BlockSpy:
+    """Records, per ``_block_rows`` call, its first step, its listed rows, the rows it kept and a copy of them."""
 
-    def __init__(self):
-        self.rows = []
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        self.written = []
+        real = lowrank._block_rows
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+        def spy(oracle, lt, base, block, prod, scale):
+            kept = real(oracle, lt, base, block, prod, scale)
+            self.blocks.append((base, block.size, kept))
+            self.written.append(lt[base : base + kept].copy())
+            return kept
 
-    def matmul(self, a, b, out=None):
-        if out is not None:
-            self.rows.append(out.shape[0])
-        return np.matmul(a, b, out=out)
+        monkeypatch.setattr(lowrank, "_block_rows", spy)
+
+    def discarded(self, rank):
+        """Rows formed but not used, dropped or cut off by the next block or the loop's end."""
+        ends = [base for base, _, _ in self.blocks[1:]] + [rank]
+        return sum(size - (end - base) for (base, size, _), end in zip(self.blocks, ends))
 
 
 def test_block_path_full_size_keeps_reference_pivots(monkeypatch):
-    # the size of one cross-validation fold of a 3,000 + 3,000 fit: blocks
-    # start at step 55, every later step takes its Schur product from one
-    # precomputed row, and no block computes a row for an index the loop
-    # does not pivot
+    # the size of one cross-validation fold of a 3,000 + 3,000 fit: steps
+    # before 55 are blocks of one pivot, later blocks list more than one,
+    # every later step takes its row from one of them, and no block computes
+    # a row for an index the loop does not pivot
     rng = np.random.default_rng(5)
     pts = rng.normal(0.0, 1.0, (4800, 4))
     spec = KernelSpec("gaussian", rho=2.0)
-    counter = _BlockRowCounter()
     with monkeypatch.context() as mp:
-        mp.setattr(lowrank, "np", counter)
+        blocks = _BlockSpy(mp)
         f = pivoted_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
     first_block_step = -(-lowrank.BLOCK_MIN_ENTRIES // pts.shape[0])
     assert f.rank == 400 and first_block_step == 55
-    assert sum(counter.rows) == f.rank - first_block_step
+    assert blocks.blocks[:first_block_step] == [(j, 1, 1) for j in range(first_block_step)]
+    later = blocks.blocks[first_block_step:]
+    assert later[0][0] == first_block_step and all(size > 1 for _, size, _ in later)
+    assert sum(size for _, size, _ in later) == f.rank - first_block_step
     ref_piv, ref_l, ref_r, ref_hit = _row_major_cholesky(KernelOracle(spec, pts), 0.0, max_rank=400)
     np.testing.assert_array_equal(f.pivots, ref_piv)
     assert f.hit_rank_cap and ref_hit
@@ -461,11 +470,10 @@ def test_listed_blocks_are_prefixes_of_the_next_pivots(seed, size, kind, cap, ca
     blocks = []
 
     def spy(oracle, lt, d, piv, kmax, floor):
-        block, cols = next_pivots(oracle, lt, d, piv, kmax, floor)
-        assert cols.tobytes() == lt[:, block].tobytes()
-        assert 1 <= block.size <= kmax
+        block = next_pivots(oracle, lt, d, piv, kmax, floor)
+        assert block[0] == piv and 1 <= block.size <= kmax
         blocks.append((lt.shape[0], block))
-        return block, cols
+        return block
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
@@ -507,26 +515,6 @@ def test_omp_steps_ignore_the_block_constants(monkeypatch):
     assert forced.R.tobytes() == plain.R.tobytes()
     ref_piv, _, _, _ = _row_major_cholesky(KernelOracle(spec, pts), 0.0, "omp", omp_target=target, max_rank=120)
     np.testing.assert_array_equal(forced.pivots, ref_piv)
-
-
-class _BlockSpy:
-    """Records, per block, its first step, its listed rows and the rows it kept."""
-
-    def __init__(self, monkeypatch):
-        self.blocks = []
-        real = lowrank._block_rows
-
-        def spy(oracle, lt, base, block, cols, prod, scale):
-            kept = real(oracle, lt, base, block, cols, prod, scale)
-            self.blocks.append((base, block.size, kept))
-            return kept
-
-        monkeypatch.setattr(lowrank, "_block_rows", spy)
-
-    def discarded(self, rank):
-        """Rows formed but not used, dropped or cut off by the next block or the loop's end."""
-        ends = [base for base, _, _ in self.blocks[1:]] + [rank]
-        return sum(size - (end - base) for (base, size, _), end in zip(self.blocks, ends))
 
 
 def test_block_solve_runs_in_place_on_the_factor_rows(monkeypatch):
@@ -637,9 +625,61 @@ def test_factor_buffers_are_written_before_read(monkeypatch, n, cap, strategy):
     monkeypatch.setattr(lowrank, "np", _NanFilledNumpy())
     blocks = _BlockSpy(monkeypatch)
     filled = run()
-    assert bool(blocks.blocks) == (n == 3000)
+    assert any(size > 1 for _, size, _ in blocks.blocks) == (n == 3000)
     np.testing.assert_array_equal(filled.pivots, plain.pivots)
     assert filled.Lt.tobytes() == plain.Lt.tobytes()
     assert filled.R.tobytes() == plain.R.tobytes()
     assert filled.residual_trace == plain.residual_trace
     assert filled.hit_rank_cap == plain.hit_rank_cap
+
+
+@pytest.mark.parametrize(
+    "n, cap, strategy",
+    [(300, 40, "greedy"), (3000, 150, "greedy"), (600, 120, "omp")],
+    ids=["greedy-plain", "greedy-blocks", "omp"],
+)
+def test_every_factor_row_comes_from_one_block_rows_call(monkeypatch, n, cap, strategy):
+    # each call's rows are used from its first step up to the next call's
+    # first step (or the loop's end): those ranges tile the rank, and each
+    # row of Lt is the row that call wrote, changed only at its pivot and at
+    # the earlier pivots.  Plain greedy and OMP steps are blocks of one pivot
+    rng = np.random.default_rng(8)
+    pts = rng.normal(0.0, 1.0, (n, 3))
+    target = np.sin(pts.sum(axis=1)) if strategy == "omp" else None
+    blocks = _BlockSpy(monkeypatch)
+    oracle = KernelOracle(KernelSpec("gaussian", rho=1.0), pts)
+    f = pivoted_cholesky(oracle, 0.0, strategy, omp_target=target, max_rank=cap)
+    assert f.rank == cap
+    bases = [base for base, _, _ in blocks.blocks]
+    ends = bases[1:] + [f.rank]
+    assert bases[0] == 0
+    assert sum(end - base for base, end in zip(bases, ends)) == f.rank
+    for (base, _, kept), end, rows in zip(blocks.blocks, ends, blocks.written):
+        assert base < end <= base + kept
+        for r in range(base, end):
+            free = np.ones(n, dtype=bool)
+            free[f.pivots[: r + 1]] = False
+            assert f.Lt[r, free].tobytes() == rows[r - base, free].tobytes()
+    assert oracle.queries == f.rank + blocks.discarded(f.rank)
+    multi = [size for _, size, _ in blocks.blocks if size > 1]
+    assert bool(multi) == (n == 3000)
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "omp"])
+def test_one_pivot_blocks_keep_the_bits_of_one_gemv_per_step(strategy):
+    # a block of one pivot forms its row as a plain step did: the kernel row
+    # less one matrix-vector product with the gathered pivot entries of the
+    # earlier rows, times 1 / root; a strided view of those entries, for
+    # one, rounds differently
+    rng = np.random.default_rng(11)
+    pts = rng.normal(0.0, 1.0, (300, 3))
+    target = np.sin(pts.sum(axis=1)) if strategy == "omp" else None
+    oracle = KernelOracle(KernelSpec("gaussian", rho=1.0), pts)
+    f = pivoted_cholesky(oracle, 0.0, strategy, omp_target=target, max_rank=40)
+    assert f.rank == 40
+    for i, piv in enumerate(f.pivots):
+        ell = oracle.rows([piv])[0] - np.dot(f.Lt[:i].T, f.Lt[:i, piv].copy())
+        ell *= 1.0 / f.Lt[i, piv]
+        free = np.ones(pts.shape[0], dtype=bool)
+        free[f.pivots[: i + 1]] = False
+        assert f.Lt[i, free].tobytes() == ell[free].tobytes(), i
