@@ -40,7 +40,6 @@ _EXPORTS = {
     "eval_density_ratio": "estimator",
     "eval_h": "estimator",
     "fit": "estimator",
-    "grid_product": "estimator",
     "h_norm": "estimator",
     "load_model": "estimator",
     "save_model": "estimator",

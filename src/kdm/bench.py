@@ -105,7 +105,11 @@ class RejectionStudy:
     reps: int
     level: float
     p_values: np.ndarray
-    rejection_rate: float
+
+    @property
+    def rejection_rate(self) -> float:
+        """Share of the p-values at or below ``level``."""
+        return float(np.mean(self.p_values <= self.level))
 
     @property
     def mc_stderr(self) -> float:
@@ -150,7 +154,6 @@ def rejection_study(
         reps=reps,
         level=level,
         p_values=pvals,
-        rejection_rate=float(np.mean(pvals <= level)),
     )
 
 

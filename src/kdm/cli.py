@@ -35,7 +35,6 @@ from .estimator import (
     PriorSpec,
     cross_validate,
     fit,
-    grid_product,
     h_norm,
     load_model,
     save_model,
@@ -459,11 +458,12 @@ def _cmd_condexp(args) -> dict:
 def _cmd_cv(args) -> dict:
     if not args.rhos or not args.lambdas:
         raise UsageError("empty --rhos or --lambdas")
-    grid = grid_product([KernelSpec(args.kernel, rho=r) for r in args.rhos], args.lambdas)
+    kernels = [KernelSpec(args.kernel, rho=r) for r in args.rhos]
     result = cross_validate(
         ingest_csv(args.p),
         ingest_csv(args.q),
-        grid,
+        kernels,
+        args.lambdas,
         args.folds,
         epsilon_rel=args.epsilon_rel,
         prior=_prior_from_args(args),
@@ -475,8 +475,8 @@ def _cmd_cv(args) -> dict:
         "kernel": result.kernel.to_dict(),
         "lambda": result.lam,
         "folds": args.folds,
-        "grid": [{"kernel": k.to_dict(), "lambda": l} for k, l in grid],
-        "mean_losses": result.mean_losses.tolist(),
+        "grid": [{"kernel": k.to_dict(), "lambda": lam} for k in kernels for lam in args.lambdas],
+        "mean_losses": result.mean_losses.ravel().tolist(),
     }
 
 

@@ -133,11 +133,12 @@ def fit_conditional(
     """Split the joint sample, fit the ratio model, and attach a y grid.
 
     The grid holds the sample's own y rows, subsampled down to
-    min(n, grid_cap) entries with the given seed when there are more; a
-    model over another grid is ``ConditionalModel(base, y_grid, scheme)``.
-    The decomposition uses the greedy rule.  The base model is the one
-    :func:`fit` returns, except that it carries no test covariance
-    (``covariance`` is None): no conditional estimate reads it.
+    min(n, grid_cap) entries when there are more; ``seed`` is the stream of
+    that subsampling and of nothing else.  A model over another grid is
+    ``ConditionalModel(base, y_grid, scheme)``.  The decomposition uses the
+    greedy rule.  The base model is the one :func:`fit` returns with no
+    ``seed`` (its ``seed`` is None), except that it carries no test
+    covariance (``covariance`` is None): no conditional estimate reads it.
     """
     _check_lambdas([lam])
     if grid_cap < 1:
@@ -154,7 +155,6 @@ def fit_conditional(
         prior=prior,
         max_rank=max_rank,
         standardize=standardize,
-        seed=seed,
         _covariance=False,
     )
     return ConditionalModel(base=_model(dec, lam), y_grid=y_grid, scheme=scheme)

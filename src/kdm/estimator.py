@@ -103,10 +103,14 @@ class KdmModel:
     epsilon: float
     residual_trace: float
     kappa_inf: float
-    kappa_empirical: bool
     standardizer: Standardizer
     hit_rank_cap: bool = False
     seed: Optional[int] = None
+
+    @property
+    def kappa_empirical(self) -> bool:
+        """Whether ``kappa_inf`` is taken over the data, not the kernel's true sup."""
+        return kernel_sup_is_empirical(self.kernel)
 
     @property
     def rank(self) -> int:
@@ -241,7 +245,6 @@ def _decompose(
             epsilon=factors.epsilon,
             residual_trace=factors.residual_trace,
             kappa_inf=kernel_sup(kernel, zs),
-            kappa_empirical=kernel_sup_is_empirical(kernel),
             standardizer=standardizer,
             hit_rank_cap=factors.hit_rank_cap,
             seed=seed,
@@ -357,12 +360,10 @@ def eval_h(model: KdmModel, z) -> Union[float, np.ndarray]:
     return float(vals[0]) if single else vals
 
 
-def eval_density_ratio(model: KdmModel, z, clip: bool = False) -> Union[float, np.ndarray]:
-    """Estimated dQ/dP at z; ``clip`` truncates negatives at zero."""
+def eval_density_ratio(model: KdmModel, z) -> Union[float, np.ndarray]:
+    """Estimated dQ/dP at z, unclipped: the estimate can be negative."""
     pts, single = _query_points(model.d, z)
     vals = model.prior.evaluate(pts) + eval_h(model, pts)
-    if clip:
-        vals = np.maximum(vals, 0.0)
     return float(vals[0]) if single else vals
 
 
@@ -448,23 +449,22 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
 
 @dataclass
 class CvResult:
-    """Grid search outcome: chosen entry plus the per-entry mean losses."""
+    """Grid search outcome: the chosen kernel and lambda, and the mean losses.
+
+    ``mean_losses[i, j]`` is the mean validation loss of ``kernels[i]`` at
+    ``lambdas[j]``.
+    """
 
     kernel: KernelSpec
     lam: float
     mean_losses: np.ndarray
-    grid: list
-
-
-def grid_product(kernels: Sequence[KernelSpec], lambdas: Sequence[float]) -> list:
-    """All (kernel, lambda) pairs, kernels outermost, in stable order."""
-    return [(k, float(l)) for k in kernels for l in lambdas]
 
 
 def cross_validate(
     sample_p,
     sample_q,
-    grid: Sequence,
+    kernels: Sequence[KernelSpec],
+    lambdas: Sequence[float],
     folds: int,
     *,
     epsilon_rel: float = DEFAULT_EPSILON_REL,
@@ -473,44 +473,39 @@ def cross_validate(
     standardize: bool = False,
     seed: int = 0,
 ) -> CvResult:
-    """K-fold selection of (kernel, lambda) by mean validation loss.
+    """K-fold selection of a kernel and a lambda by mean validation loss.
 
-    Folds are drawn once from ``seed`` and shared across the whole grid, with
-    the i-th fold of the P-sample paired with the i-th fold of the Q-sample.
-    Every lambda of the grid is checked before any fold is decomposed.
-    Decompositions, the validation points' kernel rows against the pivots and
-    the prior at the validation P points are computed once per fold and
-    kernel, and one tridiagonal reduction of the fold's m x m Gram, O(m^3),
-    serves all its lambda values, which then cost O(m^2) each: grids dense
-    in lambda cost little extra.  Each loss equals :func:`validation_loss`
-    of a fresh fit on the training fold to roundoff.  Ties resolve to the
-    earliest grid entry.  Every fold is decomposed with the greedy rule at a
-    tolerance relative to its own kernel trace.
+    Every kernel is scored at every lambda; ``mean_losses`` has shape
+    (len(kernels), len(lambdas)).  Folds are drawn once from ``seed`` and
+    shared across the whole grid, with the i-th fold of the P-sample paired
+    with the i-th fold of the Q-sample.  Every lambda is checked before any
+    fold is decomposed.  Decompositions, the validation points' kernel rows
+    against the pivots and the prior at the validation P points are computed
+    once per fold and kernel, and one tridiagonal reduction of the fold's
+    m x m Gram, O(m^3), serves all the lambdas, which then cost O(m^2) each:
+    grids dense in lambda cost little extra.  Each loss equals
+    :func:`validation_loss` of a fresh fit on the training fold to roundoff.
+    Ties resolve to the earliest kernel, then the earliest lambda.  Every fold
+    is decomposed with the greedy rule at a tolerance relative to its own
+    kernel trace.
     """
     pts_p, pts_q = _common_size(sample_p, sample_q)
     n = pts_p.shape[0]
     if folds < 2 or folds > n:
         raise ValueError("folds must lie in [2, n]")
-    if len(grid) == 0:
+    if len(kernels) == 0 or len(lambdas) == 0:
         raise ValueError("empty grid")
-    _check_lambdas([lam for _, lam in grid])
+    _check_lambdas(lambdas)
     rng = np.random.default_rng(seed)
-    chunks_p = np.array_split(rng.permutation(n), folds)
-    chunks_q = np.array_split(rng.permutation(n), folds)
+    parts_p = np.array_split(rng.permutation(n), folds)
+    parts_q = np.array_split(rng.permutation(n), folds)
 
-    kernels_in_order: list[KernelSpec] = []
-    for k, _ in grid:
-        if k not in kernels_in_order:
-            kernels_in_order.append(k)
-
-    losses = np.zeros((len(grid), folds))
+    losses = np.zeros((len(kernels), len(lambdas), folds))
     for f in range(folds):
-        val_p_idx, val_q_idx = chunks_p[f], chunks_q[f]
-        tr_p_idx = np.concatenate([chunks_p[j] for j in range(folds) if j != f])
-        tr_q_idx = np.concatenate([chunks_q[j] for j in range(folds) if j != f])
-        tr_p, tr_q = pts_p[tr_p_idx], pts_q[tr_q_idx]
-        va_p, va_q = pts_p[val_p_idx], pts_q[val_q_idx]
-        for kern in kernels_in_order:
+        tr_p = pts_p[np.concatenate(parts_p[:f] + parts_p[f + 1 :])]
+        tr_q = pts_q[np.concatenate(parts_q[:f] + parts_q[f + 1 :])]
+        va_p, va_q = pts_p[parts_p[f]], pts_q[parts_q[f]]
+        for i, kern in enumerate(kernels):
             dec = _decompose(
                 tr_p,
                 tr_q,
@@ -521,14 +516,13 @@ def cross_validate(
                 standardize=standardize,
                 _covariance=False,
             )
-            rows = [g for g, (gk, _) in enumerate(grid) if gk == kern]
-            losses[rows, f] = _path_losses(dec, va_p, va_q, [grid[g][1] for g in rows])
+            losses[i, :, f] = _path_losses(dec, va_p, va_q, lambdas)
 
-    mean_losses = losses.mean(axis=1)
+    mean_losses = losses.mean(axis=2)
     if not np.all(np.isfinite(mean_losses)):
         raise NumericsError("validation losses are not finite")
-    best = int(np.argmin(mean_losses))
-    return CvResult(kernel=grid[best][0], lam=grid[best][1], mean_losses=mean_losses, grid=list(grid))
+    i, j = np.unravel_index(np.argmin(mean_losses), mean_losses.shape)
+    return CvResult(kernel=kernels[i], lam=float(lambdas[j]), mean_losses=mean_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -671,24 +665,32 @@ def load_model(path: str) -> KdmModel:
         return _model_from_bundle(header, arrays)
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks field {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
-    prior = PriorSpec.one() if header["prior"]["kind"] == "one" else PriorSpec.zero()
+    """The model a bundle's header and arrays describe; a ValueError names the field at fault."""
+    prior = header["prior"]
+    kind = prior.get("kind") if isinstance(prior, dict) else None
+    if kind not in ("one", "zero"):
+        raise ValueError(f"field 'prior' is {prior!r}; expected kind 'one' or 'zero'")
+    hit_rank_cap = header["hit_rank_cap"]
+    if type(hit_rank_cap) is not bool:
+        raise ValueError(f"field 'hit_rank_cap' is {hit_rank_cap!r}; expected true or false")
     std, d = header["standardizer"], arrays["pivot_points"].shape[1]
     if std is None:
         std = {"mean": [0.0] * d, "scale": [1.0] * d}
     return KdmModel(
         kernel=KernelSpec.from_dict(header["kernel"]),
         lam=float(header["lam"]),
-        prior=prior,
+        prior=PriorSpec.one() if kind == "one" else PriorSpec.zero(),
         n=header["n"],
         epsilon=float(header["epsilon"]),
         residual_trace=float(header["residual_trace"]),
         kappa_inf=float(header["kappa_inf"]),
-        kappa_empirical=bool(header["kappa_empirical"]),
         standardizer=Standardizer(mean=np.asarray(std["mean"]), scale=np.asarray(std["scale"])),
-        hit_rank_cap=bool(header["hit_rank_cap"]),
+        hit_rank_cap=hit_rank_cap,
         seed=header["seed"],
         **arrays,
     )

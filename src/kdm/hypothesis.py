@@ -49,19 +49,19 @@ def finite_sample_bound(
     epsilon: float,
     kappa_inf: float,
     pi_inf: float,
-    s: float = 0.0,
 ) -> C_coefficients:
     """High-probability threshold on the fitted correction norm.
 
-    With probability at least 1 - eta under the null (true correction norm
-    <= s), the fitted h satisfies ||h||_H <= rhs.  ``epsilon`` is the absolute
-    decomposition tolerance actually used.
+    With probability at least 1 - eta under the null (the prior is the true
+    ratio, so the true correction is zero), the fitted h satisfies
+    ||h||_H <= rhs.  ``epsilon`` is the absolute decomposition tolerance
+    actually used.
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
-    if lam <= 0 or n < 1 or epsilon < 0 or kappa_inf <= 0 or pi_inf < 0 or s < 0:
+    if lam <= 0 or n < 1 or epsilon < 0 or kappa_inf <= 0 or pi_inf < 0:
         raise ValueError("invalid bound parameters")
-    c_fs = 2.0 * np.sqrt(2.0 * np.log(2.0 / eta) * kappa_inf) * (1.0 + pi_inf + s * np.sqrt(kappa_inf))
+    c_fs = 2.0 * np.sqrt(2.0 * np.log(2.0 / eta) * kappa_inf) * (1.0 + pi_inf)
     c_ae = np.sqrt(epsilon) * (1.0 + np.sqrt(kappa_inf / lam)) * (pi_inf + 1.0)
     rhs = (c_fs + c_ae) / (lam * np.sqrt(n))
     return C_coefficients(c_fs=float(c_fs), c_ae=float(c_ae), rhs=float(rhs))
@@ -174,9 +174,7 @@ def run_test(
         # a capped decomposition stops above its requested tolerance; the
         # bound must use the trace the factors actually reached
         eps_reached = max(model.epsilon, model.residual_trace)
-        bound = finite_sample_bound(
-            eta, model.lam, model.n, eps_reached, model.kappa_inf, model.prior.pi_inf, s=0.0
-        )
+        bound = finite_sample_bound(eta, model.lam, model.n, eps_reached, model.kappa_inf, model.prior.pi_inf)
         result.h_norm = h_norm(model)
         result.norm_bound = bound.rhs
         result.bound_holds = bool(result.h_norm <= bound.rhs)

@@ -58,11 +58,15 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
+        """The spec :meth:`to_dict` wrote; a degree ``q`` that is not integral is refused."""
+        q = d.get("q", 2)
+        if type(q) not in (int, float) or q % 1:
+            raise ValueError(f"kernel field 'q' is {q!r}; expected an integer")
         return cls(
             family=d["family"],
             rho=float(d.get("rho", 1.0)),
             c=float(d.get("c", 0.0)),
-            q=int(d.get("q", 2)),
+            q=int(q),
         )
 
 

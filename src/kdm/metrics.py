@@ -69,6 +69,9 @@ def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = 
         w = w[None, :]
     if w.shape != (q, m):
         raise ValueError("weights must have one entry per candidate (and one row per outcome)")
+    for name, arr in (("outcomes", ys), ("candidates", pts), ("weights", w)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contain NaN or infinite entries")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     scores = _energy_scores(w, _distances(ys, pts), _distances(pts, pts))

@@ -36,6 +36,9 @@ DEFAULT_C = {
     "log": 1.0,
 }
 
+# each coordinate of a mixture cluster mean is uniform on [-MEAN_RANGE, MEAN_RANGE]
+MEAN_RANGE = 0.2
+
 SeedLike = Union[int, np.random.Generator]
 
 
@@ -133,7 +136,6 @@ class MixtureConfig:
     n_clusters: int
     dim_x: int = 2
     dim_y: int = 2
-    mean_range: float = 0.2
 
     def __post_init__(self) -> None:
         if self.n_clusters < 1:
@@ -193,7 +195,7 @@ def draw_mixture_model(config: MixtureConfig, seed: SeedLike) -> MixtureModel:
     k = config.n_clusters
     dim = config.dim_x + config.dim_y
     weights = rng.dirichlet(np.ones(k))
-    means = rng.uniform(-config.mean_range, config.mean_range, (k, dim))
+    means = rng.uniform(-MEAN_RANGE, MEAN_RANGE, (k, dim))
     correlations = np.stack([random_correlation(dim, rng) for _ in range(k)])
     return MixtureModel(
         weights=weights,

@@ -31,7 +31,6 @@ from kdm.estimator import (
     eval_density_ratio,
     eval_h,
     fit,
-    grid_product,
 )
 from kdm.kernels import KernelSpec, cross_kernel_matrix
 from kdm.lowrank import pivoted_cholesky
@@ -132,16 +131,14 @@ def test_criterion_2_lowrank_matches_dense_solver():
 
 
 def test_criterion_3_discrete_ratio_recovery():
-    grid = grid_product(
-        [KernelSpec("gaussian", rho=r) for r in (0.25, 0.5, 1.0)],
-        [1e-6, 1e-4, 1e-2, 1.0],
-    )
+    kernels = [KernelSpec("gaussian", rho=r) for r in (0.25, 0.5, 1.0)]
+    lambdas = [1e-6, 1e-4, 1e-2, 1.0]
     g0s, g1s = [], []
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         p = (rng.uniform(0, 1, 2000) < 0.5).astype(float)[:, None]
         q = (rng.uniform(0, 1, 2000) < 0.7).astype(float)[:, None]
-        best = cross_validate(p, q, grid, folds=5, seed=seed)
+        best = cross_validate(p, q, kernels, lambdas, folds=5, seed=seed)
         model = fit(p, q, best.kernel, best.lam)
         g0s.append(eval_density_ratio(model, np.array([0.0])))
         g1s.append(eval_density_ratio(model, np.array([1.0])))

@@ -260,6 +260,22 @@ def test_test_rejects_format_1_bundle_exit_1(capsys, tmp_path):
     assert model in err and "field 'format' is 1" in err and "refit" in err
 
 
+def test_test_rejects_a_bundle_of_unknown_prior_exit_1(capsys, tmp_path):
+    # read as the prior zero, it would bound the norm with pi_inf 0
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    raw = open(model, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    assert header["prior"]["kind"] == "one"
+    head = json.dumps({**header, "prior": {"kind": "custom", "pi_inf": 3.0}}, sort_keys=True, separators=(",", ":"))
+    with open(model, "wb") as fh:
+        fh.write(raw[:4] + struct.pack("<Q", len(head)) + head.encode("utf-8") + raw[12 + hlen :])
+    code, _, err = run_cli(capsys, "test", "--model", model, "--eta", "0.1")
+    assert code == 1
+    assert model in err and "field 'prior'" in err
+
+
 def test_missing_input_or_output_directory_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "test", "--model", str(tmp_path / "missing.kdm"))
     assert code == 1 and "missing.kdm" in err

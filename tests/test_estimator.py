@@ -17,7 +17,6 @@ from kdm.estimator import (
     eval_density_ratio,
     eval_h,
     fit,
-    grid_product,
     h_norm,
     load_model,
     save_model,
@@ -246,9 +245,9 @@ def test_validation_loss_prefers_signal_over_shrinkage():
 def test_cross_validate_deterministic_and_sane():
     rng = np.random.default_rng(15)
     p, q = bernoulli_samples(0.5, 0.8, 300, rng)
-    grid = grid_product([KernelSpec("gaussian", rho=0.5)], [1e-4, 1e8])
-    a = cross_validate(p, q, grid, folds=5, seed=42)
-    b = cross_validate(p, q, grid, folds=5, seed=42)
+    kernels, lambdas = [KernelSpec("gaussian", rho=0.5)], [1e-4, 1e8]
+    a = cross_validate(p, q, kernels, lambdas, folds=5, seed=42)
+    b = cross_validate(p, q, kernels, lambdas, folds=5, seed=42)
     np.testing.assert_array_equal(a.mean_losses, b.mean_losses)
     assert (a.kernel, a.lam) == (b.kernel, b.lam)
     assert a.lam == 1e-4  # shrinkage to the (wrong) prior loses
@@ -258,9 +257,25 @@ def test_cross_validate_tie_goes_to_first_entry():
     rng = np.random.default_rng(16)
     p, q = rng.normal(0, 1, (40, 1)), rng.normal(0, 1, (40, 1))
     spec = KernelSpec("gaussian", rho=1.0)
-    res = cross_validate(p, q, [(spec, 1e-3), (spec, 1e-3)], folds=4, seed=0)
-    assert res.mean_losses[0] == res.mean_losses[1]
+    res = cross_validate(p, q, [spec], [1e-3, 1e-3], folds=4, seed=0)
+    assert res.mean_losses[0, 0] == res.mean_losses[0, 1]
     assert res.lam == 1e-3
+
+
+def test_cross_validate_scores_each_kernel_at_every_lambda():
+    # row i of the (kernel, lambda) losses is the one-kernel search on
+    # kernels[i], bit for bit, and the choice is the argmin in kernel-major order
+    rng = np.random.default_rng(30)
+    p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.5, 1, (60, 2))
+    kernels = [KernelSpec("gaussian", rho=0.5), KernelSpec("laplace", rho=2.0)]
+    lambdas = [1e-1, 1e-4, 1e-2]
+    res = cross_validate(p, q, kernels, lambdas, folds=3, seed=7)
+    assert res.mean_losses.shape == (2, 3)
+    for i, kern in enumerate(kernels):
+        alone = cross_validate(p, q, [kern], lambdas, folds=3, seed=7)
+        assert res.mean_losses[i].tobytes() == alone.mean_losses[0].tobytes()
+    i, j = np.unravel_index(np.argmin(res.mean_losses), (2, 3))
+    assert (res.kernel, res.lam) == (kernels[i], lambdas[j])
 
 
 def documented_folds(n, folds, seed):
@@ -312,7 +327,7 @@ def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
     real_decompose, real_loss = estimator._decompose, estimator._quadratic_loss
     monkeypatch.setattr(estimator, "_decompose", spy_decompose)
     monkeypatch.setattr(estimator, "_quadratic_loss", spy_loss)
-    res = cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=5)
+    res = cross_validate(p, q, [spec], lambdas, folds=3, seed=5)
     monkeypatch.undo()
     # one decomposition and one loss evaluation per fold cover every lambda
     assert len(folds) == 3 and len(losses) == 3
@@ -323,8 +338,8 @@ def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
     # each fold's losses cover its distinct lambdas, in ascending order
     distinct = [lambdas.index(lam) for lam in sorted(set(lambdas))]
     np.testing.assert_allclose(np.column_stack(losses), expected[distinct], rtol=1e-8)
-    np.testing.assert_allclose(res.mean_losses, expected.mean(axis=1), rtol=1e-8)
-    assert res.mean_losses[1] == res.mean_losses[4]
+    np.testing.assert_allclose(res.mean_losses[0], expected.mean(axis=1), rtol=1e-8)
+    assert res.mean_losses[0, 1] == res.mean_losses[0, 4]
     assert res.lam == lambdas[int(np.argmin(expected.mean(axis=1)))]
 
 
@@ -340,10 +355,10 @@ def test_cross_validate_lambda_path_at_rank_one_and_two(case):
     spec = KernelSpec("gaussian", rho=1.0)
     lambdas = [1e-2, 1e-5, 1.0, 1e-5]
     assert fit(p, q, spec, 1e-2, prior=prior).rank == (1 if case == "rank1" else 2)
-    res = cross_validate(p, q, grid_product([spec], lambdas), folds=3, seed=2, prior=prior)
+    res = cross_validate(p, q, [spec], lambdas, folds=3, seed=2, prior=prior)
     expected = separate_fit_losses(p, q, spec, lambdas, 3, 2, prior=prior)
-    np.testing.assert_allclose(res.mean_losses, expected.mean(axis=1), rtol=1e-8)
-    assert len(set(res.mean_losses.tolist())) == 3
+    np.testing.assert_allclose(res.mean_losses[0], expected.mean(axis=1), rtol=1e-8)
+    assert len(set(res.mean_losses[0].tolist())) == 3
 
 
 def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
@@ -377,7 +392,7 @@ def test_lambda_must_be_finite_and_positive(monkeypatch, bad):
         fit(p, p, spec, lam=bad)
     monkeypatch.setattr(estimator, "_decompose", None)
     with pytest.raises(ValueError, match=f"lam must be > 0 and finite, got {bad!r}"):
-        cross_validate(p, p, grid_product([spec], [1e-3, bad]), folds=3, seed=0)
+        cross_validate(p, p, [spec], [1e-3, bad], folds=3, seed=0)
 
 
 @pytest.mark.parametrize("name", ["epsilon", "epsilon_rel"])
@@ -395,7 +410,7 @@ def test_tolerance_must_be_finite_and_nonnegative(name, bad):
         fit_conditional(JointDataset(p[:, :1], p[:, 1:]), spec, 1e-3, **{name: bad})
     if name == "epsilon_rel":  # cross_validate has no absolute tolerance
         with pytest.raises(ValueError, match=message):
-            cross_validate(p, p, [(spec, 1e-3)], folds=3, epsilon_rel=bad, seed=0)
+            cross_validate(p, p, [spec], [1e-3], folds=3, epsilon_rel=bad, seed=0)
 
 
 def test_omp_target_is_cut_with_unequal_samples():
@@ -419,19 +434,24 @@ def test_omp_target_is_cut_with_unequal_samples():
 def test_cross_validate_unequal_sizes_truncate_with_warning():
     rng = np.random.default_rng(24)
     p, q = rng.normal(0, 1, (50, 1)), rng.normal(0, 1, (40, 1))
-    grid = [(KernelSpec("gaussian"), 1e-2)]
+    kernels, lambdas = [KernelSpec("gaussian")], [1e-2]
     with pytest.warns(RuntimeWarning, match="truncating both to 40"):
-        res = cross_validate(p, q, grid, folds=4, seed=0)
-    np.testing.assert_array_equal(res.mean_losses, cross_validate(p[:40], q, grid, folds=4, seed=0).mean_losses)
+        res = cross_validate(p, q, kernels, lambdas, folds=4, seed=0)
+    np.testing.assert_array_equal(
+        res.mean_losses, cross_validate(p[:40], q, kernels, lambdas, folds=4, seed=0).mean_losses
+    )
 
 
 def test_cross_validate_guards():
     rng = np.random.default_rng(17)
     p = rng.normal(0, 1, (30, 1))
-    with pytest.raises(ValueError):
-        cross_validate(p, p, [], folds=3, seed=0)
-    with pytest.raises(ValueError):
-        cross_validate(p, p, [(KernelSpec("gaussian"), 1e-3)], folds=1, seed=0)
+    spec = KernelSpec("gaussian")
+    with pytest.raises(ValueError, match="empty grid"):
+        cross_validate(p, p, [], [1e-3], folds=3, seed=0)
+    with pytest.raises(ValueError, match="empty grid"):
+        cross_validate(p, p, [spec], [], folds=3, seed=0)
+    with pytest.raises(ValueError, match="folds"):
+        cross_validate(p, p, [spec], [1e-3], folds=1, seed=0)
 
 
 def test_standardize_recorded_and_equivalent():
@@ -602,6 +622,32 @@ def test_load_null_standardizer_as_identity(tmp_path):
     np.testing.assert_array_equal(eval_h(loaded, zs), expected)
 
 
+def test_load_rejects_a_prior_other_than_one_or_zero(tmp_path):
+    # read as the prior zero, any other kind would shift every ratio of the
+    # model by the prior
+    path, _, header, body = _bundle(tmp_path)
+    assert header["prior"] == {"kind": "one", "pi_inf": 1.0}
+    for bad in ({"kind": "custom", "pi_inf": 2.0}, {"kind": "One", "pi_inf": 1.0}, {"kind": None}, None):
+        _rewrite(path, {**header, "prior": bad}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: field 'prior' is .*; expected kind 'one' or 'zero'"):
+            load_model(path)
+    _rewrite(path, {**header, "prior": {"kind": "zero", "pi_inf": 0.0}}, body)
+    assert load_model(path).prior == PriorSpec.zero()
+
+
+def test_load_refuses_coerced_header_values(tmp_path):
+    # coerced, a degree of 2.7 would load as 2 and a hit_rank_cap of "false" as True
+    path, _, header, body = _bundle(tmp_path)
+    for bad in (2.7, "2", True, None):
+        _rewrite(path, {**header, "kernel": {**header["kernel"], "q": bad}}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: kernel field 'q' is .*; expected an integer"):
+            load_model(path)
+    for bad in ("false", 0, 1, None):
+        _rewrite(path, {**header, "hit_rank_cap": bad}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: field 'hit_rank_cap' is .*; expected true or false"):
+            load_model(path)
+
+
 def test_load_rejects_invalid_sample_size(tmp_path):
     path, _, header, body = _bundle(tmp_path)
     for bad in (0, -3, 2.5, "40", True, None):
@@ -694,21 +740,3 @@ def test_fit_ignores_row_order_within_samples(seed, n, d, family, prior, standar
     b = fit(p[perm_p], q[perm_q], spec, 1e-2, **kwargs)
     np.testing.assert_array_equal(np.concatenate([perm_p, n + perm_q])[b.pivots], a.pivots)
     _assert_same_h(eval_h(a, zs), eval_h(b, zs))
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(3, 60),
-    d=st.integers(1, 3),
-    family=st.sampled_from(["gaussian", "laplace", "polynomial"]),
-    prior=st.sampled_from(["one", "zero"]),
-    lam=st.floats(1e-6, 1.0),
-)
-def test_clipped_ratios_are_nonnegative(seed, n, d, family, prior, lam):
-    rng, p, q = _two_samples(seed, n, d)
-    spec = KernelSpec(family, rho=float(rng.uniform(0.3, 2.0)), c=1.0, q=2)
-    model = fit(p, q, spec, lam, prior=getattr(PriorSpec, prior)())
-    zs = rng.normal(0.0, 3.0, (50, d))
-    assert np.all(eval_density_ratio(model, zs, clip=True) >= 0.0)
-    assert eval_density_ratio(model, zs[0], clip=True) >= 0.0

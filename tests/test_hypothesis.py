@@ -189,12 +189,6 @@ def test_finite_sample_bound_frozen_case():
     assert b.rhs == pytest.approx(2.151334549534501, rel=1e-12)
 
 
-def test_finite_sample_bound_slack_term():
-    base = finite_sample_bound(eta=0.1, lam=0.5, n=100, epsilon=0.0, kappa_inf=1.0, pi_inf=1.0)
-    slack = finite_sample_bound(eta=0.1, lam=0.5, n=100, epsilon=0.0, kappa_inf=1.0, pi_inf=1.0, s=2.0)
-    assert slack.rhs == pytest.approx(2.0 * base.rhs, rel=1e-12)
-
-
 def test_finite_sample_bound_guards():
     for kwargs in (
         dict(eta=0.0, lam=0.5, n=100, epsilon=0.0, kappa_inf=1.0, pi_inf=1.0),

@@ -136,6 +136,15 @@ def test_spec_dict_round_trip():
     assert KernelSpec.from_dict(spec.to_dict()) == spec
 
 
+def test_spec_from_dict_refuses_a_non_integral_degree():
+    # an integral float is the integer degree; any other value is refused,
+    # not truncated
+    assert KernelSpec.from_dict({"family": "polynomial", "q": 3.0}) == KernelSpec("polynomial", q=3)
+    for bad in (2.7, np.inf, "3", False):
+        with pytest.raises(ValueError, match="kernel field 'q'"):
+            KernelSpec.from_dict({"family": "polynomial", "q": bad})
+
+
 def test_dataset_validation():
     ds = Dataset(np.arange(4.0))
     assert ds.n == 4 and ds.d == 1

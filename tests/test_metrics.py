@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,18 @@ def test_energy_score_guards():
         energy_score(0.0, np.zeros(4), weights=np.ones(3))
     with pytest.raises(ValueError):
         energy_score(0.0, np.zeros(4), weights=-np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["weights", "outcomes", "candidates"])
+def test_energy_score_rejects_non_finite_inputs(where, bad):
+    # unchecked, a NaN or infinite entry gives a nan score and a matmul warning
+    y, xs, w = np.zeros((2, 2)), np.arange(8.0).reshape(4, 2), np.ones((2, 4))
+    {"weights": w, "outcomes": y, "candidates": xs}[where][1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{where} contain NaN or infinite entries"):
+            energy_score(y, xs, weights=w)
 
 
 def test_energy_score_differential():
