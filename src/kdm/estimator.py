@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dormqr, dpotrf, dpotrs, dptsv, dsytrd, dsytrd_lwork
 
 from .kernels import (
     Dataset,
     KernelSpec,
     Standardizer,
+    _json_number,
     cross_kernel_matrix,
     kernel_sup,
     kernel_sup_is_empirical,
@@ -255,26 +255,29 @@ def _decompose(
 def _solve(dec: _Decomposition, lam: float) -> np.ndarray:
     """Weights w of the ridge system (G + n lam I) w = moment gap, for one lambda.
 
-    The sum is formed in a copy of the Gram, in the LAPACK column order the
-    Gram is stored in, and factored by Cholesky.  Callers check ``lam``.
+    The sum is formed in a copy of the Gram and solved by ``np.linalg.solve``,
+    so that a fit imports no scipy.  Callers check ``lam``.
     """
     n, m = dec.fields["n"], len(dec.fields["pivots"])
     # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed
     a = dec.gram.copy(order="F")
     a.flat[:: m + 1] += n * lam
-    c, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
-    w, info = dpotrs(c, dec.fields["moment_gap"], lower=1) if info == 0 else (None, info)
-    _check_ridge(info, w)
+    try:
+        w = np.linalg.solve(a, dec.fields["moment_gap"])
+    except np.linalg.LinAlgError:
+        w = None
+    _check_ridge(w)
     return w
 
 
-def _check_ridge(info: int, x: Optional[np.ndarray]) -> None:
+def _check_ridge(x: Optional[np.ndarray], info: int = 0) -> None:
     """Raise unless a ridge solve succeeded (LAPACK ``info`` 0) with a finite solution ``x``.
 
-    OpenBLAS's dpotrf passes a NaN pivot without a nonzero info, and dptsv
-    a NaN diagonal, so a non-finite system can show only in ``x``.
+    ``x`` is None when the solve raised.  OpenBLAS's dptsv passes a NaN
+    diagonal without a nonzero info, so a non-finite system can show only
+    in ``x``.
     """
-    if info != 0 or not np.isfinite(x).all():
+    if x is None or info != 0 or not np.isfinite(x).all():
         raise NumericsError(f"ridge system is not positive definite or not finite (LAPACK info {info})")
 
 
@@ -407,7 +410,12 @@ def _path_weights(dec: _Decomposition, lambdas: np.ndarray) -> np.ndarray:
     (T + n lambda I) y = Q^T gap, and Q maps all the y back at once.  LAPACK
     stores Q as m - 1 reflectors below the subdiagonal; they act on the last
     m - 1 rows the way a QR factor's reflectors act, so dormqr applies them.
+    numpy wraps none of these three, and its nearest substitute, a full
+    ``np.linalg.eigh``, costs five times the reduction at m = 400; scipy is
+    imported here, so that only :func:`cross_validate` loads it.
     """
+    from scipy.linalg.lapack import dormqr, dptsv, dsytrd, dsytrd_lwork
+
     n, gap, m = dec.fields["n"], dec.fields["moment_gap"], dec.gram.shape[0]
     shifts, info = n * lambdas, 0
     if m == 1:  # no reflectors: T is G
@@ -425,7 +433,7 @@ def _path_weights(dec: _Decomposition, lambdas: np.ndarray) -> np.ndarray:
                 break
             y[:, j] = x[:, 0]
         y[1:] = dormqr("L", "N", refl, tau, y[1:], lwork)[0]
-    _check_ridge(info, y)
+    _check_ridge(y, info)
     return y
 
 
@@ -541,6 +549,8 @@ _ARRAYS = {
     "moment_gap": ("f8", ("m",)),
     "covariance": ("f8", ("m", "m")),
 }
+# header fields read as floats; each must be a JSON number
+_HEADER_NUMBERS = ("lam", "epsilon", "residual_trace", "kappa_inf")
 
 
 def save_model(model: KdmModel, path: str) -> None:
@@ -678,19 +688,20 @@ def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
     hit_rank_cap = header["hit_rank_cap"]
     if type(hit_rank_cap) is not bool:
         raise ValueError(f"field 'hit_rank_cap' is {hit_rank_cap!r}; expected true or false")
+    seed = header["seed"]
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"field 'seed' is {seed!r}; expected an integer or null")
+    numbers = {name: _json_number(header[name], f"field {name!r}") for name in _HEADER_NUMBERS}
     std, d = header["standardizer"], arrays["pivot_points"].shape[1]
     if std is None:
         std = {"mean": [0.0] * d, "scale": [1.0] * d}
     return KdmModel(
         kernel=KernelSpec.from_dict(header["kernel"]),
-        lam=float(header["lam"]),
         prior=PriorSpec.one() if kind == "one" else PriorSpec.zero(),
         n=header["n"],
-        epsilon=float(header["epsilon"]),
-        residual_trace=float(header["residual_trace"]),
-        kappa_inf=float(header["kappa_inf"]),
         standardizer=Standardizer(mean=np.asarray(std["mean"]), scale=np.asarray(std["scale"])),
         hit_rank_cap=hit_rank_cap,
-        seed=header["seed"],
+        seed=seed,
+        **numbers,
         **arrays,
     )

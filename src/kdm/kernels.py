@@ -58,16 +58,30 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        """The spec :meth:`to_dict` wrote; a degree ``q`` that is not integral is refused."""
+        """The spec :meth:`to_dict` wrote.
+
+        A degree ``q`` that is not integral, or a ``rho`` or ``c`` that is
+        not a JSON number, is refused with a ValueError naming the field.
+        """
         q = d.get("q", 2)
         if type(q) not in (int, float) or q % 1:
             raise ValueError(f"kernel field 'q' is {q!r}; expected an integer")
         return cls(
             family=d["family"],
-            rho=float(d.get("rho", 1.0)),
-            c=float(d.get("c", 0.0)),
+            rho=_json_number(d.get("rho", 1.0), "kernel field 'rho'"),
+            c=_json_number(d.get("c", 0.0), "kernel field 'c'"),
             q=int(q),
         )
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number; a ValueError naming ``name`` otherwise.
+
+    A string or a boolean is refused, not coerced.
+    """
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} is {value!r}; expected a number")
+    return float(value)
 
 
 @dataclass

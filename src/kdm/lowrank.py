@@ -17,15 +17,16 @@ matrix product computes their Schur products against the rows before
 ``base`` and one in-place subtraction removes them, leaving
 S = K[B, :] - L[B, :base] L[:, :base]^T.  A block of one pivot is S scaled
 by one over the root of its residual diagonal entry.  For k > 1, with T the
-lower Cholesky factor (``dpotrf``) of S's own k x k pivot columns, the
-block's rows of L^T are T^{-1} S, one in-place triangular solve (``dtrsm``);
-should ``dpotrf`` find that k x k block indefinite at order j through
-roundoff, the block keeps its first j - 1 rows, and at least the first.
-Each later step uses its precomputed row only if its pivot is the next one
-of B; otherwise it begins a new block, and so does a step after B's last
-row.  Every row is written before it is read, so the buffer is left
-uninitialised, and the memory touched is O(m N) for the rank m reached, not
-for the cap.  The block's Schur products, ell^2, the floor mask and the
+lower Cholesky factor (``np.linalg.cholesky``) of S's own k x k pivot
+columns, the block's rows of L^T are T^{-1} S: one product of the k x k
+inverse (``np.linalg.inv``) with S into the block's Schur-product buffer,
+copied back into the factor rows.  Should roundoff make that k x k block
+indefinite, numpy does not say at which order the factorization failed, so
+the block keeps its first row only.  Each later step uses its precomputed
+row only if its pivot is the next one of B; otherwise it begins a new block,
+and so does a step after B's last row.  Every row is written before it is
+read, so the buffer is left uninitialised, and the memory touched is O(m N)
+for the rank m reached, not for the cap.  The block's Schur products, ell^2, the floor mask and the
 pivot indices are buffers allocated once per decomposition.  With
 ``epsilon=0`` the loop runs until the residual diagonal is exhausted and
 L L^T reproduces K to the numerical rank.
@@ -39,16 +40,18 @@ avoids most of that reading by working out its next pivots.  The pool C is
 the POOL indices with the largest residual diagonal d, and tau the largest d
 outside C.  d never increases, so no index outside C can rise above tau, and
 while residual entries of C stay above tau the next greedy pivots are those
-of C's own residual block S_C = K[C, C] - L[C, :base] L[C, :base]^T.  One
-LAPACK pivoted Cholesky of S_C (``dpstrf``), stopped at tau, lists them in
-order, and B is the first k <= CANDIDATES of them.  C is in index order, so
-``dpstrf``'s first pivot breaks ties toward the smallest index as
-:func:`greedy_pivot` does; its row swaps can reorder later exact ties, which
-at worst cuts a block short inside the tie.  Per block that costs one POOL x
-POOL kernel block (``oracle.submatrix``), a gather of the pool's ``base`` x
-POOL entries of L^T, POOL^3 / 3 flops in ``dpstrf``, the k kernel rows, the
-(k, base) x (base, N) product, k^3 / 3 flops in ``dpotrf`` and k^2 N in the
-solve, all of which the loop then uses unless roundoff reorders near-equal
+of C's own residual block S_C = K[C, C] - L[C, :base] L[C, :base]^T.  A
+greedy pivoted Cholesky of S_C (:func:`_greedy_order`), stopped at tau,
+lists them in order, and B is the first k <= CANDIDATES of them.  It is
+left-looking: each listed pivot costs one matrix-vector product with the
+rows listed before it.  C is in index order and each step takes the first
+of its largest residual entries, so exact ties go to the smallest index at
+every pivot of the list, as :func:`greedy_pivot` breaks them.  Per block
+that costs one POOL x POOL kernel block (``oracle.submatrix``), a gather of
+the pool's ``base`` x POOL entries of L^T, at most k POOL^2 flops in the
+list, the k kernel rows, the (k, base) x (base, N) product, k^3 / 3 flops in
+the Cholesky factor, k^3 in its inverse and 2 k^2 N in the product with S,
+all of which the loop then uses unless roundoff reorders near-equal
 residual entries or the stopping rule ends the loop inside the block.  Rows
 formed for a block cut short are left unused, so the oracle's row count can
 exceed the rank by them.  The pivot is still chosen from the exact residual
@@ -63,9 +66,11 @@ their blocks stay at one pivot.
 
 ``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
 the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
-are exactly upper triangular, and R = inv(L[piv, :]^T) is one LAPACK
-triangular inverse (``dtrtri``) of an m x m copy: m^3 / 3 flops, about 0.2 s
-at rank 2,000 on one core.
+are exactly upper triangular, and R = inv(L[piv, :]^T) is one recursive
+block inverse (:func:`_upper_inverse`) of an m x m copy, itself exactly upper
+triangular: 2 m^3 / 3 flops in matrix products and inverses of diagonal
+blocks of at most INVERSE_LEAF rows, 0.12-0.14 s at rank 2,000 on one core
+(LAPACK's ``dtrtri`` takes 0.11-0.12 s; numpy wraps no triangular inverse).
 """
 
 from __future__ import annotations
@@ -75,8 +80,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpstrf, dtrtri
 
 from .kernels import Dataset, KernelSpec, _as_points, cross_kernel_matrix, kernel_diagonal, sq_norms
 
@@ -100,6 +103,9 @@ OMP_QUANTILE = 0.9
 CANDIDATES = 32
 POOL = 64
 BLOCK_MIN_ENTRIES = 2**18
+
+# R is inverted in diagonal blocks of at most INVERSE_LEAF rows
+INVERSE_LEAF = 64
 
 
 class NumericsError(RuntimeError):
@@ -205,16 +211,41 @@ def omp_pivot(d: np.ndarray, target_values: np.ndarray, w_running: np.ndarray) -
     return j
 
 
+def _greedy_order(s: np.ndarray, tau: float, k: int) -> np.ndarray:
+    """The first at most k pivots of a greedy pivoted Cholesky of the PSD block ``s``.
+
+    Each step takes the index of the largest residual diagonal entry, the
+    smallest among exact ties as :func:`greedy_pivot` does, and the list
+    stops before an entry that does not exceed ``tau``.  The factor is formed
+    left-looking, one row per step: the pivot's row of ``s`` less one
+    matrix-vector product with the rows before it, over the root of its
+    residual.
+    """
+    p = s.shape[0]
+    d = s.diagonal().copy()
+    rows = np.empty((min(k, p), p))
+    order = np.zeros(rows.shape[0], dtype=np.intp)
+    for j in range(rows.shape[0]):
+        piv = int(np.argmax(d))
+        if not d[piv] > tau:
+            return order[:j]
+        row = np.subtract(s[piv], rows[:j, piv] @ rows[:j], out=rows[j])
+        row *= 1.0 / math.sqrt(float(d[piv]))
+        d -= row * row
+        d[piv] = 0.0
+        order[j] = piv
+    return order
+
+
 def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor: float) -> np.ndarray:
     """The next at most k greedy pivots, ``piv`` first.
 
     ``lt`` holds the rows of L^T written so far and ``d`` the residual
     diagonal; ``piv`` is the current step's greedy pivot.  The pivots are
-    those of ``dpstrf`` on the pool's residual block, stopped at the larger
-    of tau and the floor (module docstring).  ``dpstrf`` takes its first
-    pivot whatever the tolerance, so when roundoff, or a tie at the maximum
-    wider than the pool, makes that another index than ``piv``, the rest of
-    its list follows a step the loop does not take and the block is ``piv``
+    those :func:`_greedy_order` lists on the pool's residual block, stopped
+    at the larger of tau and the floor (module docstring).  When roundoff,
+    or a tie at the maximum wider than the pool, makes its first pivot
+    another index than ``piv``, or leaves it none, the block is ``piv``
     alone.
     """
     n = d.size
@@ -223,9 +254,7 @@ def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor:
     tau = max(float(d[part[n - p - 1]]), floor)
     pool = np.sort(part[n - p :])  # index order, so ties go to the smallest
     cols = lt[:, pool]
-    s = oracle.submatrix(pool) - cols.T @ cols
-    _, order, rank, _ = dpstrf(s, tol=tau, lower=1, overwrite_a=1)
-    block = pool[order[: min(rank, k)] - 1]
+    block = pool[_greedy_order(oracle.submatrix(pool) - cols.T @ cols, tau, k)]
     if block.size and block[0] == piv:
         return block
     return np.array([piv])
@@ -240,26 +269,53 @@ def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.n
     subtracting them the rows hold S = K[block, :] - L[block, :base]
     L[:, :base]^T.  One row is S scaled by ``scale``, 1 / sqrt of its
     residual diagonal entry.  For k > 1, with T the lower Cholesky factor of
-    S[:, block], the block's rows of L^T are T^{-1} S: one triangular solve
-    in place.  ``dpotrf`` can find S[:, block] indefinite at some order j
-    through roundoff; then only the first j - 1 rows are kept, and at least
-    the first, scaled as one row is.  Returns the number of rows kept.
+    S[:, block], the block's rows of L^T are T^{-1} S: one matrix product of
+    the k x k inverse into ``prod``, copied back.  Should roundoff make
+    S[:, block] indefinite, the Cholesky factorization does not say at which
+    order, so only the first row is kept, scaled as one row is.  Returns the
+    number of rows kept.
     """
     k = block.size
     rows = oracle.rows(block, out=lt[base : base + k])
     np.matmul(lt[:base, block].T, lt[:base], out=prod[:k])
     rows -= prod[:k]
     if k > 1:
-        t, info = dpotrf(rows[:, block], lower=1, clean=0)
-        if info != 0:
-            k = max(info - 1, 1)
+        try:
+            t = np.linalg.cholesky(rows[:, block])
+        except np.linalg.LinAlgError:
+            k = 1
     if k == 1:
         rows[0] *= scale
     else:
-        # the transposed rows are an F-ordered (N, k) view, so the solve
-        # X T^T = S^T runs in place
-        dtrsm(1.0, t[:k, :k], rows[:k].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        rows[...] = np.matmul(np.linalg.inv(t), rows, out=prod[:k])
     return k
+
+
+def _upper_inverse(u: np.ndarray) -> np.ndarray:
+    """Inverse of the upper triangular matrix ``u``, exactly upper triangular.
+
+    Recursive 2 x 2 blocks: with U = [[A, B], [0, C]], inv(U) = [[inv(A),
+    -inv(A) B inv(C)], [0, inv(C)]], down to leaves of at most INVERSE_LEAF
+    rows that ``np.linalg.inv`` inverts: 2 m^3 / 3 flops, nearly all in
+    matrix products.
+    Raises ``NumericsError`` when ``u`` is singular or the inverse not finite.
+    """
+    m = u.shape[0]
+    if m <= INVERSE_LEAF:
+        try:
+            x = np.triu(np.linalg.inv(u))
+        except np.linalg.LinAlgError:
+            x = None
+    else:
+        h = m // 2
+        a, c = _upper_inverse(u[:h, :h]), _upper_inverse(u[h:, h:])
+        x = np.zeros((m, m))
+        x[:h, :h] = a
+        x[h:, h:] = c
+        np.matmul(-(a @ u[:h, h:]), c, out=x[:h, h:])
+    if x is None or not np.isfinite(x).all():
+        raise NumericsError("triangular inverse of the pivot block is singular or not finite")
+    return x
 
 
 def pivoted_cholesky(
@@ -295,14 +351,15 @@ def pivoted_cholesky(
     kernel rows into the factor buffer, their Schur products, one (k, i) x
     (i, N) product for a block begun at step i, go into a buffer of at most
     (CANDIDATES, N) and are subtracted, and the rows are scaled (k = 1) or
-    finished with one k x k Cholesky factor and one triangular solve in
-    place.  A block is the step's pivot alone for OMP and for greedy steps
-    before the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries; after that a
-    greedy block is up to CANDIDATES pivots that ``dpstrf`` on one POOL x
-    POOL kernel block lists.  The pivots do not depend on the block sizes,
-    except between residual entries tied to roundoff.  The factor buffer and
-    the step vectors are allocated once, before the loop.  ``R`` is one
-    triangular inverse of the m x m pivot columns of ``Lt``, O(m^3) time.
+    finished with one k x k Cholesky factor, its inverse and one product
+    into that buffer.  A block is the step's pivot alone for OMP and for
+    greedy steps before the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries;
+    after that a greedy block is up to CANDIDATES pivots that
+    :func:`_greedy_order` lists on one POOL x POOL kernel block.  The pivots
+    do not depend on the block sizes, except between residual entries tied
+    to roundoff.  The factor buffer and the step vectors are allocated once,
+    before the loop.  ``R`` is one triangular inverse of the m x m pivot
+    columns of ``Lt``, O(m^3) time.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -379,11 +436,7 @@ def pivoted_cholesky(
         i += 1
 
     pivots = pivots[:i]
-    r = np.zeros((0, 0))
-    if i:
-        r, info = dtrtri(lt[:i, pivots], lower=0)
-        if info != 0:
-            raise NumericsError(f"triangular inverse of the pivot block failed (LAPACK info {info})")
+    r = _upper_inverse(lt[:i, pivots]) if i else np.zeros((0, 0))
     residual = float(d.sum())
     return CholeskyFactors(
         pivots=pivots,

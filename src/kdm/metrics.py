@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .lowrank import NumericsError
 
@@ -156,7 +155,7 @@ def dawid_sebastiani(realized: np.ndarray, mean: np.ndarray, cov: np.ndarray) ->
         except np.linalg.LinAlgError:
             if attempt == 1 or not boost > 0:
                 raise NumericsError("covariance is not positive definite")
-    resid = scipy.linalg.solve_triangular(chol, yv - mu, lower=True)
+    resid = np.linalg.solve(chol, yv - mu)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return logdet + float(resid @ resid)
 

@@ -260,6 +260,20 @@ def test_test_rejects_format_1_bundle_exit_1(capsys, tmp_path):
     assert model in err and "field 'format' is 1" in err and "refit" in err
 
 
+def test_test_rejects_a_bundle_whose_lambda_is_a_string_exit_1(capsys, tmp_path):
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    raw = open(model, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    head = json.dumps({**header, "lam": str(header["lam"])}, sort_keys=True, separators=(",", ":"))
+    with open(model, "wb") as fh:
+        fh.write(raw[:4] + struct.pack("<Q", len(head)) + head.encode("utf-8") + raw[12 + hlen :])
+    code, _, err = run_cli(capsys, "test", "--model", model)
+    assert code == 1
+    assert model in err and "field 'lam' is '" in err and "expected a number" in err
+
+
 def test_test_rejects_a_bundle_of_unknown_prior_exit_1(capsys, tmp_path):
     # read as the prior zero, it would bound the norm with pi_inf 0
     code, _, model = fit_two_samples(capsys, tmp_path)

@@ -648,6 +648,31 @@ def test_load_refuses_coerced_header_values(tmp_path):
             load_model(path)
 
 
+def test_load_refuses_header_numbers_that_are_not_numbers(tmp_path):
+    # coerced, "0.5" would load as the ridge parameter 0.5 and true as 1.0
+    path, _, header, body = _bundle(tmp_path)
+    for name in ("lam", "epsilon", "residual_trace", "kappa_inf"):
+        for bad in ("0.5", True, None, [1.0]):
+            _rewrite(path, {**header, name: bad}, body)
+            with pytest.raises(ValueError, match=rf"model\.kdm: field '{name}' is .*; expected a number"):
+                load_model(path)
+    for name in ("rho", "c"):
+        for bad in ("3", False, None):
+            _rewrite(path, {**header, "kernel": {**header["kernel"], name: bad}}, body)
+            with pytest.raises(ValueError, match=rf"model\.kdm: kernel field '{name}' is .*; expected a number"):
+                load_model(path)
+    for bad in ("abc", 1.5, True, "7"):
+        _rewrite(path, {**header, "seed": bad}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: field 'seed' is .*; expected an integer or null"):
+            load_model(path)
+    # integers are numbers, and a null seed is an unrecorded one
+    _rewrite(path, {**header, "lam": 1, "kernel": {**header["kernel"], "rho": 2}, "seed": None}, body)
+    model = load_model(path)
+    assert (model.lam, model.kernel.rho, model.seed) == (1.0, 2.0, None) and type(model.lam) is float
+    _rewrite(path, {**header, "seed": 12}, body)
+    assert load_model(path).seed == 12
+
+
 def test_load_rejects_invalid_sample_size(tmp_path):
     path, _, header, body = _bundle(tmp_path)
     for bad in (0, -3, 2.5, "40", True, None):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from kdm.estimator import PriorSpec, fit
 from kdm.hypothesis import (
@@ -17,12 +18,27 @@ from kdm.lowrank import KernelOracle, pivoted_cholesky
 
 
 def poisson_sum_upper_tail(x, dof):
-    # independent oracle for even dof: P[chi2(2m) >= x] = sum of the first m
-    # Poisson(x/2) probabilities, accumulated in the log domain
+    # independent oracle.  Even dof: P[chi2(2m) >= x] is the sum of the first
+    # m Poisson(x/2) probabilities.  Odd dof (Abramowitz & Stegun 26.4.5):
+    # 2 Q(sqrt(x)) + 2 Z(sqrt(x)) sum_{r=1}^{m} sqrt(x)^(2r-1) / (2r-1)!!,
+    # with Q and Z the standard normal tail and density.  Both sums are
+    # accumulated in the log domain
     m = dof // 2
-    logs = [-x / 2.0 + k * math.log(x / 2.0) - math.lgamma(k + 1) for k in range(m)]
+    if dof % 2 == 0:
+        logs = [-x / 2.0 + k * math.log(x / 2.0) - math.lgamma(k + 1) for k in range(m)]
+        head = 0.0
+    else:
+        # log (2r-1)!! = log (2r)! - r log 2 - log r!
+        logs = [
+            math.log(2.0) - x / 2.0 - 0.5 * math.log(2.0 * math.pi) + (2 * r - 1) * 0.5 * math.log(x)
+            - (math.lgamma(2 * r + 1) - r * math.log(2.0) - math.lgamma(r + 1))
+            for r in range(1, m + 1)
+        ]
+        head = math.erfc(math.sqrt(x / 2.0))
+    if not logs:
+        return head
     top = max(logs)
-    return math.exp(top) * sum(math.exp(v - top) for v in logs)
+    return head + math.exp(top) * sum(math.exp(v - top) for v in logs)
 
 
 def test_upper_tail_closed_forms():
@@ -33,15 +49,28 @@ def test_upper_tail_closed_forms():
 
 
 def test_upper_tail_matches_poisson_sum():
-    for x, dof in [(150.0, 100), (80.0, 100), (12.0, 10), (5.0, 2)]:
+    cases = [(150.0, 100), (80.0, 100), (12.0, 10), (5.0, 2)]
+    cases += [(150.0, 101), (80.0, 101), (12.0, 11), (5.0, 3), (0.3, 1), (40.0, 1), (2500.0, 2001)]
+    for x, dof in cases:
         assert chi_square_upper_tail(x, dof) == pytest.approx(poisson_sum_upper_tail(x, dof), rel=1e-10)
 
 
+def test_upper_tail_matches_scipy():
+    dofs = list(range(1, 60)) + [99, 100, 101, 499, 500, 1001, 1496, 1497, 2000, 3001]
+    for dof in dofs:
+        for x in np.concatenate([[1e-8, 1e-3], np.geomspace(0.05, dof + 800.0, 40)]):
+            want = scipy.special.gammaincc(dof / 2.0, x / 2.0)
+            if want > 1e-290:
+                assert chi_square_upper_tail(float(x), dof) == pytest.approx(want, rel=1e-10), (x, dof)
+
+
 def test_upper_tail_guards():
-    with pytest.raises(ValueError):
-        chi_square_upper_tail(1.0, 0)
-    with pytest.raises(ValueError):
-        chi_square_upper_tail(-1.0, 2)
+    # an infinite statistic, as a degenerate fit can give, has tail 0
+    assert chi_square_upper_tail(math.inf, 1) == 0.0
+    assert chi_square_upper_tail(math.inf, 40) == 0.0
+    for x, dof in [(1.0, 0), (-1.0, 2), (math.nan, 2), (1.0, 2.0), (1.0, 2.5), (1.0, -3), (1.0, None)]:
+        with pytest.raises(ValueError):
+            chi_square_upper_tail(x, dof)
 
 
 def fitted_model(seed=0, n=150, shift=0.0, lam=1e-3):

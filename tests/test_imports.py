@@ -1,0 +1,80 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# run in a fresh interpreter, so that no module another test imported counts;
+# prints, after each stage, the scipy modules loaded so far
+_SCRIPT = r"""
+import json
+import sys
+
+import numpy as np
+
+from kdm import _entry, bench, cli, conditional, estimator, hypothesis, kernels, lowrank, metrics, simulate
+
+loaded = {}
+
+
+def stage(name):
+    loaded[name] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def csv(path, rows):
+    np.savetxt(path, rows, delimiter=",", header=",".join(f"c{j}" for j in range(rows.shape[1])), comments="")
+
+
+def run(*argv):
+    if cli.main(list(argv)) != 0:
+        raise SystemExit(f"kdm {argv[0]} failed")
+
+
+stage("import")
+rng = np.random.default_rng(3)
+csv("p.csv", rng.normal(0.0, 1.0, (150, 2)))
+csv("q.csv", rng.normal(0.3, 1.0, (150, 2)))
+run("fit", "--p", "p.csv", "--q", "q.csv", "--lambda", "1e-3", "--out", "m.kdm")
+run("test", "--model", "m.kdm", "--eta", "0.1")
+joint = simulate.sample_distribution("circle", 200, 4)
+csv("joint.csv", np.hstack([joint.x, joint.y]))
+csv("query.csv", joint.x[:5])
+run("condexp", "--joint", "joint.csv", "--xcols", "0", "--ycols", "1", "--lambda", "1e-3",
+    "--seed", "1", "--query", "query.csv", "--out", "moments.csv")
+realized = rng.normal(0.0, 1.0, (20, 2))
+pred = np.hstack([realized + 0.1, np.tile([1.0, 0.2, 0.2, 1.0], (20, 1))])
+csv("realized.csv", realized)
+csv("pred.csv", pred)
+csv("base.csv", pred + [0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
+run("score", "--metric", "ds", "--pred", "pred.csv", "--baseline", "base.csv", "--realized", "realized.csv")
+stage("cli")
+model = estimator.fit(rng.normal(0.0, 1.0, (1500, 3)), rng.normal(0.2, 1.0, (1500, 3)),
+                      kernels.KernelSpec("gaussian", rho=1.0), 1e-3, max_rank=150)
+assert model.rank == 150
+bench.independence_test(simulate.sample_distribution("independent_clouds", 300, 5))
+bench.mixture_energy_study(1, 0, n_train=60, n_test=10, grid_cap=30, max_rank=30)
+stage("library")
+estimator.cross_validate(rng.normal(0.0, 1.0, (60, 2)), rng.normal(0.3, 1.0, (60, 2)),
+                         [kernels.KernelSpec("gaussian")], [1e-3, 1e-2], 3, seed=0)
+stage("cross_validate")
+print(json.dumps(loaded))
+"""
+
+
+def test_only_cross_validate_loads_scipy(tmp_path):
+    # every command but `kdm cv` starts without scipy's import cost: the
+    # factorization, the ridge solve and the chi-square tail run on numpy and
+    # the standard library, and the fit at 1,500 + 1,500 points reaches the
+    # listed blocks of the greedy loop.  Only the lambda path of
+    # cross-validation imports scipy
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert list(loaded) == ["import", "cli", "library", "cross_validate"]
+    assert loaded["import"] == loaded["cli"] == loaded["library"] == []
+    assert "scipy.linalg" in loaded["cross_validate"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -462,7 +464,6 @@ def test_listed_blocks_are_prefixes_of_the_next_pivots(seed, size, kind, cap, ca
     # pivots the reference loop takes from step i on, in its order, as far
     # as it goes: the list does not know the trace tolerance, which stops
     # the loop well above roundoff so that near-ties cannot decide a pivot
-    # (exact ties can be listed in another order; see the test below)
     k = random_psd(np.random.default_rng(seed), size, kind)
     eps = 1e-6 * float(np.trace(k))
     ref_piv, _, _, _ = _row_major_cholesky(MatrixOracle(k), eps, max_rank=cap)
@@ -490,9 +491,8 @@ def test_listed_blocks_are_prefixes_of_the_next_pivots(seed, size, kind, cap, ca
 
 @pytest.mark.parametrize("pool", [2, 64])
 def test_exact_ties_go_to_the_smallest_index_with_blocks(monkeypatch, pool):
-    # with the larger pool, dpstrf's row swaps list the first block as
-    # [2, 1, 0, 4]; each step still takes the smallest index of its exact
-    # maximum
+    # with the larger pool the first block lists [2, 0, 1, 4], each step
+    # taking the smallest index of its exact maximum
     monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
     monkeypatch.setattr(lowrank, "POOL", pool)
     k = np.diag([2.0, 2.0, 3.0, 1.0, 2.0])
@@ -517,30 +517,69 @@ def test_omp_steps_ignore_the_block_constants(monkeypatch):
     np.testing.assert_array_equal(forced.pivots, ref_piv)
 
 
+class _PeakAfterRows:
+    """An oracle that restarts tracemalloc's peak once it has written its rows.
+
+    ``since_rows()`` is the most memory allocated at once after the latest
+    ``rows`` call, above what was allocated when it returned.
+    """
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self._base = 0
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+    def rows(self, idx, out=None):
+        rows = self._oracle.rows(idx, out=out)
+        tracemalloc.reset_peak()
+        self._base = tracemalloc.get_traced_memory()[0]
+        return rows
+
+    def since_rows(self):
+        return tracemalloc.get_traced_memory()[1] - self._base
+
+
 def test_block_solve_runs_in_place_on_the_factor_rows(monkeypatch):
-    # the loop ignores what dtrsm returns: the solve must overwrite the
-    # block's rows of the factor buffer through their transposed view
-    real, calls = lowrank.dtrsm, []
-
-    def spy(alpha, a, b, **kwargs):
-        x = real(alpha, a, b, **kwargs)
-        calls.append((np.shares_memory(x, b) and x.ctypes.data == b.ctypes.data, b.base is not None, b.shape))
-        return x
-
-    monkeypatch.setattr(lowrank, "dtrsm", spy)
-    blocks = _BlockSpy(monkeypatch)
+    # a listed block's rows end up in the factor buffer as T^{-1} S, and
+    # once the oracle has written them the block allocates no array of
+    # their size: the product with T^{-1} goes into prod, the one (k, N)
+    # scratch buffer, and is copied back
     pts = np.random.default_rng(8).normal(0.0, 1.0, (3000, 3))
-    pivoted_cholesky(KernelOracle(KernelSpec("gaussian", rho=1.0), pts), 0.0, max_rank=150)
-    assert calls and all(in_place and view for in_place, view, _ in calls)
-    assert all(shape[0] == 3000 and shape[1] > 1 for _, _, shape in calls)
-    assert len(calls) == sum(kept > 1 for _, _, kept in blocks.blocks)
+    spec = KernelSpec("gaussian", rho=1.0)
+    kernel_rows = KernelOracle(spec, pts).rows
+    real, calls = lowrank._block_rows, []
+
+    def spy(oracle, lt, base, block, prod, scale):
+        s = kernel_rows(block) - lt[:base, block].T @ lt[:base]
+        kept = real(oracle, lt, base, block, prod, scale)
+        peak = oracle.since_rows()
+        if kept > 1:
+            want = np.linalg.solve(np.linalg.cholesky(s[:, block]), s)
+            err = np.abs(lt[base : base + kept] - want).max() / np.abs(want).max()
+            calls.append((kept, err, peak, prod.shape))
+        return kept
+
+    monkeypatch.setattr(lowrank, "_block_rows", spy)
+    tracemalloc.start()
+    try:
+        f = pivoted_cholesky(_PeakAfterRows(KernelOracle(spec, pts)), 0.0, max_rank=150)
+    finally:
+        tracemalloc.stop()
+    assert f.rank == 150 and calls
+    for kept, err, peak, shape in calls:
+        assert err <= 1e-12
+        assert shape == (lowrank.CANDIDATES, 3000)
+        assert peak < kept * 3000 * 8
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_indefinite_block_keeps_its_leading_rows(monkeypatch, order):
-    # near-duplicate points, every block's pivot block reported indefinite at
-    # the given order as dpotrf reports roundoff: the block keeps order - 1
-    # rows (at least one), and the pivots are those of the plain loop
+    # near-duplicate points, every block's pivot block made indefinite at
+    # the given order, as roundoff can: the Cholesky factorization raises
+    # without saying where, so the block keeps its first row only, and the
+    # pivots are those of the plain loop
     rng = np.random.default_rng(30)
     pts = rng.normal(0.0, 1.0, (60, 2))
     pts = np.vstack([pts, pts[:20] + 1e-5 * rng.normal(0.0, 1.0, (20, 2))])
@@ -548,37 +587,63 @@ def test_indefinite_block_keeps_its_leading_rows(monkeypatch, order):
     k = 0.5 * (k + k.T)
     eps = 1e-9 * float(np.trace(k))
     plain = pivoted_cholesky(MatrixOracle(k), eps)
-    real, failed = lowrank.dpotrf, []
+    real, failed = np.linalg.cholesky, []
 
-    def spy(a, **kwargs):
+    def spy(a, *args, **kwargs):
         if a.shape[0] >= order:
             a = a.copy()
             a[order - 1, order - 1] = -1.0
-        t, info = real(a, **kwargs)
-        failed.append(info)
-        return t, info
+        try:
+            return real(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            failed.append(a.shape[0])
+            raise
 
     monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
     monkeypatch.setattr(lowrank, "CANDIDATES", 6)
-    monkeypatch.setattr(lowrank, "dpotrf", spy)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
     blocks = _BlockSpy(monkeypatch)
     oracle = MatrixOracle(k)
     f = pivoted_cholesky(oracle, eps)
-    assert failed and all(info == order for info in failed)
-    assert all(kept == max(order - 1, 1) for _, size, kept in blocks.blocks if size > 1)
+    multi = [kept for _, size, kept in blocks.blocks if size > 1]
+    assert multi and len(failed) == len(multi) and all(kept == 1 for kept in multi)
     np.testing.assert_array_equal(f.pivots, plain.pivots)
     assert np.abs(f.Lt - plain.Lt).max() <= FACTOR_RTOL * np.abs(plain.Lt).max()
     assert np.abs(f.R - plain.R).max() <= FACTOR_RTOL * np.abs(plain.R).max()
     assert oracle.queries == f.rank + blocks.discarded(f.rank) > f.rank
 
 
+class _MisrankingOracle(MatrixOracle):
+    """A matrix oracle whose blocks raise one diagonal entry by a few ulps, as roundoff can."""
+
+    def __init__(self, matrix, raised):
+        super().__init__(matrix)
+        self._raised = raised
+
+    def submatrix(self, idx):
+        block = super().submatrix(idx)
+        at = np.flatnonzero(idx == self._raised)
+        block[at, at] = np.nextafter(np.nextafter(block[at, at], np.inf), np.inf)
+        return block
+
+
 def test_blocks_cut_short_read_only_their_discarded_rows(monkeypatch):
     monkeypatch.setattr(lowrank, "BLOCK_MIN_ENTRIES", 0)
-    # cut by a pivot outside the block: dpstrf lists the exact ties of the
-    # first block as [2, 1, 0, 4], and the loop takes 0 after 2
+    # exact ties follow the loop: the first block lists [2, 0, 1, 4], the
+    # loop takes all four, and no row is read twice
+    k = np.diag([2.0, 2.0, 3.0, 1.0, 2.0])
     blocks = _BlockSpy(monkeypatch)
-    oracle = MatrixOracle(np.diag([2.0, 2.0, 3.0, 1.0, 2.0]))
+    oracle = MatrixOracle(k)
     f = pivoted_cholesky(oracle, 0.0)
+    np.testing.assert_array_equal(f.pivots, [2, 0, 1, 4, 3])
+    assert blocks.blocks[:2] == [(0, 4, 4), (4, 1, 1)]
+    assert oracle.queries == f.rank
+    # cut by a pivot outside the block: a pool block that ranks index 1
+    # above its exact tie lists [2, 1, 0, 4], and the loop takes 0 after 2
+    blocks = _BlockSpy(monkeypatch)
+    oracle = _MisrankingOracle(k, raised=1)
+    f = pivoted_cholesky(oracle, 0.0)
+    np.testing.assert_array_equal(f.pivots, [2, 0, 1, 4, 3])
     assert blocks.blocks[0] == (0, 4, 4) and blocks.blocks[1][0] == 1
     assert oracle.queries == f.rank + blocks.discarded(f.rank) and blocks.discarded(f.rank) >= 3
     # cut by the stopping rule: the listed pivots do not know epsilon
@@ -589,6 +654,45 @@ def test_blocks_cut_short_read_only_their_discarded_rows(monkeypatch):
     base, size, kept = blocks.blocks[-1]
     assert f.rank < base + kept and f.residual_trace <= f.epsilon
     assert oracle.queries == f.rank + blocks.discarded(f.rank) > f.rank
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 40),
+    kind=st.sampled_from(["gaussian", "laplace", "wishart", "lowrank", "ties"]),
+    kmax=st.integers(1, 40),
+)
+def test_greedy_order_lists_the_reference_pivots(seed, size, kind, kmax):
+    # the pool's list is the reference loop's pivots on the same block, as
+    # far as their residuals exceed tau, set well above roundoff.  "ties" is
+    # block diagonal with repeated blocks, whose diagonals stay exactly tied
+    # until a pivot falls in one of them
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        reps = rng.integers(1, 4, size=-(-size // 2))
+        k = np.kron(np.diag(reps.astype(float)), np.array([[2.0, 1.0], [1.0, 2.0]]))[:size, :size]
+    else:
+        k = random_psd(rng, size, kind)
+    tau = 1e-6 * float(np.max(np.diag(k)))
+    order = lowrank._greedy_order(k.copy(), tau, kmax)
+    ref_piv, ref_l, _, _ = _row_major_cholesky(MatrixOracle(k), 0.0, max_rank=kmax)
+    above = ref_l[ref_piv, np.arange(ref_piv.size)] ** 2 > tau
+    listed = int(np.argmin(above)) if not above.all() else ref_piv.size
+    np.testing.assert_array_equal(order, ref_piv[:listed])
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 400])
+def test_upper_inverse_is_upper_triangular(m):
+    rng = np.random.default_rng(m)
+    a = rng.normal(0.0, 1.0, (m, m + 3))
+    u = np.linalg.cholesky(a @ a.T / m + np.eye(m)).T.copy()
+    r = lowrank._upper_inverse(u)
+    assert not np.tril(r, -1).any()
+    assert np.abs(r @ u - np.eye(m)).max() <= 1e-12
+    u[m // 2, m // 2] = 0.0
+    with pytest.raises(NumericsError):
+        lowrank._upper_inverse(u)
 
 
 class _NanFilledNumpy:
