@@ -15,7 +15,7 @@ import numpy as np
 from .conditional import JointDataset, conditional_weights, fit_conditional, split_joint_sample
 from .estimator import fit
 from .hypothesis import DEFAULT_TRUNCATION_T, TestResult, run_test
-from .kernels import KernelSpec, _as_points, _sq_dists
+from .kernels import KernelSpec, _as_points, _sq_dists, sq_norms
 from .metrics import _distances, _energy_scores
 from .simulate import MixtureConfig, draw_mixture_model, sample_distribution
 
@@ -26,27 +26,51 @@ DEFAULT_MAX_RANK = 256
 # approximation of the test needs the covariance spectrum to decay well
 # inside the truncation window
 RHO_MULT = 4.0
-# the median heuristic looks at no more than this many points
+# the median heuristic looks at no more than this many points, and forms
+# their squared distances this many rows at a time
 MEDIAN_POINTS = 500
+MEDIAN_BAND_ROWS = 64
 # mixture run r draws 1 + (r mod MAX_CLUSTERS) clusters
 MAX_CLUSTERS = 3
 
 
 @lru_cache(maxsize=4)
-def _upper_triangle(k: int) -> np.ndarray:
-    """Flat indices r * k + c of the entries above the diagonal of a k x k array."""
-    rows, cols = np.triu_indices(k, 1)
-    flat = rows * k + cols
-    flat.flags.writeable = False
-    return flat
+def _row_bands(k: int) -> tuple:
+    """Row bands (i0, i1, low) of a k x k array, each to be formed from column i0 on.
+
+    Band i0..i1 is the (i1 - i0) x (k - i0) array of rows i0..i1-1 against
+    columns i0..k-1, and ``low`` lists the flat indices of its entries on
+    and below the diagonal, so the rest are the band's part of the strict
+    upper triangle.  Bands start every MEDIAN_BAND_ROWS rows before the last
+    row, so the last one holds two rows or more: a band of one row would be
+    a matrix-vector product, whose sums can round otherwise.
+    """
+    starts = range(0, k - 1, MEDIAN_BAND_ROWS)
+    bands = []
+    for i0, i1 in zip(starts, [*starts[1:], k]):
+        rows, cols = np.tril_indices(i1 - i0)
+        low = rows * (k - i0) + cols
+        low.flags.writeable = False
+        bands.append((i0, i1, low))
+    return tuple(bands)
 
 
 def median_heuristic_rho(points: np.ndarray) -> float:
     """Half the median pairwise squared distance over at most MEDIAN_POINTS points.
 
     Deterministic: when subsampling is needed the points are thinned with an
-    even stride rather than at random.  Raises ValueError for fewer than two
-    points or for non-finite values.
+    even stride rather than at random.  The k thinned points' squared
+    distances are formed in row bands of about MEDIAN_BAND_ROWS rows, each
+    from its own diagonal on, straight into one array whose entries on and
+    below the diagonal are then set to +inf: no k x k array is formed, and
+    the middle order statistics are those of the k (k - 1) / 2 entries above
+    the diagonal.  Each entry is (|x_i|^2 + |x_j|^2) - 2 x_i.x_j from one
+    general matrix product, clamped at zero, as ``kernels._sq_dists`` forms
+    it, and the result is bitwise half of ``np.median`` over them (floored at
+    1e-12).  The BLAS can round an entry in an edge tile of the full k x k
+    product otherwise than in a band, so the result can differ from the full
+    matrix's in the last bits.  Raises ValueError for fewer than two points
+    or for non-finite values.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -57,11 +81,21 @@ def median_heuristic_rho(points: np.ndarray) -> float:
     if n > MEDIAN_POINTS:
         pts = pts[np.linspace(0, n - 1, MEDIAN_POINTS).astype(np.intp)]
     k = pts.shape[0]
-    vals = _sq_dists(pts, pts).ravel()[_upper_triangle(k)]
+    aa = sq_norms(pts)
+    bands = _row_bands(k)
+    vals = np.empty(sum((i1 - i0) * (k - i0) for i0, i1, _ in bands))
+    pos = 0
+    for i0, i1, low in bands:
+        band = vals[pos : pos + (i1 - i0) * (k - i0)]
+        _sq_dists(pts[i0:i1], pts[i0:], aa[i0:i1], aa[i0:], out=band.reshape(i1 - i0, k - i0))
+        band[low] = np.inf
+        pos += band.size
     # the median as np.median forms it, with one partition instead of two:
-    # the mean of the two middle values for an even count, else the middle one
-    h = vals.size // 2
-    if vals.size % 2:
+    # the mean of the two middle values for an even count, else the middle
+    # one; the infinities sit above every value it reads
+    count = k * (k - 1) // 2
+    h = count // 2
+    if count % 2:
         vals.partition(h)
         med = vals[h]
     else:

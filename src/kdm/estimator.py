@@ -549,8 +549,9 @@ _ARRAYS = {
     "moment_gap": ("f8", ("m",)),
     "covariance": ("f8", ("m", "m")),
 }
-# header fields read as floats; each must be a JSON number
-_HEADER_NUMBERS = ("lam", "epsilon", "residual_trace", "kappa_inf")
+# header fields read as floats, each a finite JSON number, and whether it
+# must be > 0 (else >= 0)
+_HEADER_NUMBERS = {"lam": True, "epsilon": False, "residual_trace": False, "kappa_inf": True}
 
 
 def save_model(model: KdmModel, path: str) -> None:
@@ -639,8 +640,11 @@ def load_model(path: str) -> KdmModel:
     Raises ValueError, naming the file and the offending field, when the
     magic, the format, an array's dtype or shape, the byte count, or the
     sizes the arrays and the header share differ from what
-    :func:`save_model` writes.  Bundles of the older format 1, which stored
-    n-row factor blocks, are rejected: refit the model to write format 2.  A
+    :func:`save_model` writes, or when a header number is not finite or out
+    of its range (``lam`` and ``kappa_inf`` > 0, ``epsilon`` and
+    ``residual_trace`` >= 0, standardizer scales > 0).  Bundles of the older
+    format 1, which stored n-row factor blocks, are rejected: refit the
+    model to write format 2.  A
     format-2 bundle whose ``standardizer`` is null was fitted in raw
     coordinates and loads with the identity transform.
     """
@@ -691,10 +695,20 @@ def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
     seed = header["seed"]
     if seed is not None and type(seed) is not int:
         raise ValueError(f"field 'seed' is {seed!r}; expected an integer or null")
-    numbers = {name: _json_number(header[name], f"field {name!r}") for name in _HEADER_NUMBERS}
+    numbers = {}
+    for name, positive in _HEADER_NUMBERS.items():
+        value = _json_number(header[name], f"field {name!r}")
+        if value < 0 or (positive and value == 0):
+            raise ValueError(f"field {name!r} is {value!r}; expected a number {'>' if positive else '>='} 0")
+        numbers[name] = value
     std, d = header["standardizer"], arrays["pivot_points"].shape[1]
     if std is None:
         std = {"mean": [0.0] * d, "scale": [1.0] * d}
+    for key in ("mean", "scale"):
+        for value in std[key]:
+            _json_number(value, f"field 'standardizer' {key} entry")
+    if min(std["scale"], default=1.0) <= 0:
+        raise ValueError(f"field 'standardizer' has scale {std['scale']!r}; expected entries > 0")
     return KdmModel(
         kernel=KernelSpec.from_dict(header["kernel"]),
         prior=PriorSpec.one() if kind == "one" else PriorSpec.zero(),

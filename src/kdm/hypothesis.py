@@ -102,6 +102,9 @@ class TestResult:
     h_norm: Optional[float] = None
     norm_bound: Optional[float] = None
     bound_holds: Optional[bool] = None
+    # the sampling and approximation terms of norm_bound
+    c_fs: Optional[float] = None
+    c_ae: Optional[float] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -118,6 +121,8 @@ class TestResult:
         if self.h_norm is not None:
             out["h_norm"] = self.h_norm
             out["norm_bound"] = self.norm_bound
+            out["c_fs"] = self.c_fs
+            out["c_ae"] = self.c_ae
             out["bound_holds"] = self.bound_holds
         return out
 
@@ -155,7 +160,8 @@ def run_test(
     total); any other t raises ``ValueError``.  A degenerate covariance yields
     statistic 0 with p-value 1.  Passing ``eta`` additionally reports the
     finite-sample norm check at that confidence level, with the larger of the
-    requested tolerance and the residual trace reached as its epsilon.
+    requested tolerance and the residual trace reached as its epsilon, and
+    the bound's sampling and approximation terms ``c_fs`` and ``c_ae``.
     """
     if model.covariance is None:
         raise ValueError("model carries no test covariance; fit it with fit() to test it")
@@ -195,5 +201,6 @@ def run_test(
         bound = finite_sample_bound(eta, model.lam, model.n, eps_reached, model.kappa_inf, model.prior.pi_inf)
         result.h_norm = h_norm(model)
         result.norm_bound = bound.rhs
+        result.c_fs, result.c_ae = bound.c_fs, bound.c_ae
         result.bound_holds = bool(result.h_norm <= bound.rhs)
     return result

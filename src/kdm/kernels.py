@@ -75,12 +75,15 @@ class KernelSpec:
 
 
 def _json_number(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number; a ValueError naming ``name`` otherwise.
+    """``value`` as a float if it is a finite JSON number; a ValueError naming ``name`` otherwise.
 
-    A string or a boolean is refused, not coerced.
+    A string or a boolean is refused, not coerced, and so are the ``NaN``
+    and ``Infinity`` that Python's ``json`` reads as floats.
     """
     if type(value) not in (int, float):
         raise ValueError(f"{name} is {value!r}; expected a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value!r}; expected a finite number")
     return float(value)
 
 
@@ -156,8 +159,9 @@ def _sq_dists(
     # a block of kernel rows), not the product, saves a full-size temporary;
     # doubling is exact, so the bits are those of 2 * (a @ b.T) whichever
     # operand is scaled, whenever both are one general matrix product (a is
-    # not b); the sum, the subtraction and the clamp run in place on one
-    # array, ``out`` when given
+    # not b) of the same shape: the BLAS may round an entry otherwise in a
+    # product of other shape; the sum, the subtraction and the clamp run in
+    # place on one array, ``out`` when given
     d2 = np.add(aa, bb, out=out)
     d2 -= (2.0 * a) @ b.T if a.shape[0] < b.shape[0] else a @ (2.0 * b).T
     return np.maximum(d2, 0.0, out=d2)

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -272,6 +273,38 @@ def test_test_rejects_a_bundle_whose_lambda_is_a_string_exit_1(capsys, tmp_path)
     code, _, err = run_cli(capsys, "test", "--model", model)
     assert code == 1
     assert model in err and "field 'lam' is '" in err and "expected a number" in err
+
+
+@pytest.mark.parametrize("name, bad, token", [("lam", math.nan, "NaN"), ("kappa_inf", math.inf, "Infinity")])
+def test_test_rejects_a_bundle_with_a_non_finite_header_number_exit_1(capsys, tmp_path, name, bad, token):
+    # loaded, a NaN lam gave "norm_bound": NaN and an infinite kappa_inf
+    # "bound_holds": true, both with exit 0
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    raw = open(model, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    head = json.dumps({**header, name: bad}, sort_keys=True, separators=(",", ":"))
+    assert f'"{name}":{token}' in head
+    with open(model, "wb") as fh:
+        fh.write(raw[:4] + struct.pack("<Q", len(head)) + head.encode("utf-8") + raw[12 + hlen :])
+    code, _, err = run_cli(capsys, "test", "--model", model, "--eta", "0.1")
+    assert code == 1
+    assert model in err and f"field '{name}' is" in err and "expected a finite number" in err
+
+
+def test_test_reports_the_terms_of_the_norm_bound(capsys, tmp_path):
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    code, result, _ = run_cli(capsys, "test", "--model", model, "--eta", "0.1")
+    assert code == 0
+    assert result["c_fs"] > 0 and result["c_ae"] >= 0
+    # norm_bound = (c_fs + c_ae) / (lam sqrt(n))
+    assert result["norm_bound"] == pytest.approx(
+        (result["c_fs"] + result["c_ae"]) / (result["lambda"] * np.sqrt(result["n"])), rel=1e-12
+    )
+    code, result, _ = run_cli(capsys, "test", "--model", model)
+    assert code == 0 and {"norm_bound", "c_fs", "c_ae"}.isdisjoint(result)
 
 
 def test_test_rejects_a_bundle_of_unknown_prior_exit_1(capsys, tmp_path):

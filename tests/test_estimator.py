@@ -673,6 +673,42 @@ def test_load_refuses_header_numbers_that_are_not_numbers(tmp_path):
     assert load_model(path).seed == 12
 
 
+def test_load_refuses_header_numbers_that_are_not_finite_or_out_of_range(tmp_path):
+    # json reads the tokens NaN and Infinity as floats: a NaN lam loaded and
+    # gave a NaN norm bound, an infinite kappa_inf one that always held
+    path, _, header, body = _bundle(tmp_path)
+    for name in ("lam", "epsilon", "residual_trace", "kappa_inf"):
+        for bad in (math.nan, math.inf, -math.inf):
+            _rewrite(path, {**header, name: bad}, body)
+            with pytest.raises(ValueError, match=rf"model\.kdm: field '{name}' is .*; expected a finite number"):
+                load_model(path)
+    for name in ("rho", "c"):
+        _rewrite(path, {**header, "kernel": {**header["kernel"], name: math.nan}}, body)
+        with pytest.raises(ValueError, match=rf"model\.kdm: kernel field '{name}' is nan; expected a finite number"):
+            load_model(path)
+    for name, bad, rule in (
+        ("lam", 0, "> 0"),
+        ("lam", -1e-3, "> 0"),
+        ("kappa_inf", 0.0, "> 0"),
+        ("epsilon", -1e-9, ">= 0"),
+        ("residual_trace", -2.0, ">= 0"),
+    ):
+        _rewrite(path, {**header, name: bad}, body)
+        with pytest.raises(ValueError, match=rf"model\.kdm: field '{name}' is .*; expected a number {rule}"):
+            load_model(path)
+    std = header["standardizer"]
+    for bad in ({**std, "mean": [math.nan, 0.0]}, {**std, "scale": [1.0, math.inf]}):
+        _rewrite(path, {**header, "standardizer": bad}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: field 'standardizer' .* expected a finite number"):
+            load_model(path)
+    _rewrite(path, {**header, "standardizer": {**std, "scale": [1.0, 0.0]}}, body)
+    with pytest.raises(ValueError, match=r"model\.kdm: field 'standardizer' has scale .*; expected entries > 0"):
+        load_model(path)
+    # the bounds themselves load: a tolerance and a residual trace of zero
+    _rewrite(path, {**header, "epsilon": 0, "residual_trace": 0.0}, body)
+    assert (load_model(path).epsilon, load_model(path).residual_trace) == (0.0, 0.0)
+
+
 def test_load_rejects_invalid_sample_size(tmp_path):
     path, _, header, body = _bundle(tmp_path)
     for bad in (0, -3, 2.5, "40", True, None):

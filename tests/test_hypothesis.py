@@ -267,3 +267,20 @@ def test_norm_bound_uses_residual_trace_when_rank_capped():
     assert d["hit_rank_cap"] is True
     assert d["residual_trace"] == model.residual_trace
 
+
+def test_norm_check_reports_c_ae_of_the_residual_trace_reached():
+    # the approximation term of a capped fit uses max(epsilon, residual
+    # trace), here the trace; the sampling term has no epsilon in it
+    rng = np.random.default_rng(0)
+    p = rng.normal(0.0, 1.0, (1500, 3))
+    q = rng.normal(0.0, 1.0, (1500, 3))
+    model = fit(p, q, KernelSpec("gaussian", rho=0.3), lam=1e-3, max_rank=20)
+    assert model.residual_trace > model.epsilon
+    res = run_test(model, eta=0.1)
+    reached = finite_sample_bound(0.1, model.lam, model.n, model.residual_trace, model.kappa_inf, 1.0)
+    assert (res.c_fs, res.c_ae, res.norm_bound) == (reached.c_fs, reached.c_ae, reached.rhs)
+    assert res.c_ae > finite_sample_bound(0.1, model.lam, model.n, model.epsilon, model.kappa_inf, 1.0).c_ae
+    d = res.to_dict()
+    assert (d["c_fs"], d["c_ae"]) == (reached.c_fs, reached.c_ae)
+    assert {"c_fs", "c_ae"}.isdisjoint(run_test(model).to_dict())
+
