@@ -15,7 +15,7 @@ import numpy as np
 from .conditional import JointDataset, conditional_weights, fit_conditional, split_joint_sample
 from .estimator import fit
 from .hypothesis import DEFAULT_TRUNCATION_T, TestResult, run_test
-from .kernels import KernelSpec, _as_points, _sq_dists, sq_norms
+from .kernels import KernelSpec, _as_points, sq_norms
 from .metrics import _distances, _energy_scores
 from .simulate import MixtureConfig, draw_mixture_model, sample_distribution
 
@@ -27,27 +27,30 @@ DEFAULT_MAX_RANK = 256
 # inside the truncation window
 RHO_MULT = 4.0
 # the median heuristic looks at no more than this many points, and forms
-# their squared distances this many rows at a time
+# their squared distances this many rows at a time.  A band's product
+# against all the points rounds each entry as the full product does only
+# when the band is a whole number of the BLAS kernel's row tiles: 48 rows
+# is a multiple of 2, 3, 4, 6, 8, 12, 16 and 24; bands of 64 rows did not
+# keep the bits (OpenBLAS 0.3.31, AVX-512 host), bands of 12, 24, 48 or 96 did
 MEDIAN_POINTS = 500
-MEDIAN_BAND_ROWS = 64
+MEDIAN_BAND_ROWS = 48
 # mixture run r draws 1 + (r mod MAX_CLUSTERS) clusters
 MAX_CLUSTERS = 3
 
 
 @lru_cache(maxsize=4)
 def _row_bands(k: int) -> tuple:
-    """Row bands (i0, i1, low) of a k x k array, each to be formed from column i0 on.
+    """Row bands (i0, i1, low) of the strict upper triangle of a k x k array.
 
-    Band i0..i1 is the (i1 - i0) x (k - i0) array of rows i0..i1-1 against
-    columns i0..k-1, and ``low`` lists the flat indices of its entries on
-    and below the diagonal, so the rest are the band's part of the strict
-    upper triangle.  Bands start every MEDIAN_BAND_ROWS rows before the last
-    row, so the last one holds two rows or more: a band of one row would be
-    a matrix-vector product, whose sums can round otherwise.
+    Bands start every MEDIAN_BAND_ROWS rows before the last row, which has
+    no entry above the diagonal, so each holds two rows or more.  Band
+    i0..i1 keeps the (i1 - i0) x (k - i0) block of rows i0..i1-1 and columns
+    i0..k-1, and ``low`` lists the flat indices of that block's entries on
+    and below the diagonal.
     """
-    starts = range(0, k - 1, MEDIAN_BAND_ROWS)
     bands = []
-    for i0, i1 in zip(starts, [*starts[1:], k]):
+    for i0 in range(0, k - 1, MEDIAN_BAND_ROWS):
+        i1 = min(i0 + MEDIAN_BAND_ROWS, k)
         rows, cols = np.tril_indices(i1 - i0)
         low = rows * (k - i0) + cols
         low.flags.writeable = False
@@ -55,22 +58,43 @@ def _row_bands(k: int) -> tuple:
     return tuple(bands)
 
 
+def _upper_sq_dists(pts: np.ndarray) -> np.ndarray:
+    """The k (k - 1) / 2 squared distances above the diagonal, and +inf fill.
+
+    Each band of ``_row_bands`` takes one product of its rows against all k
+    points, then keeps columns i0 on: each entry is (|x_i|^2 + |x_j|^2) -
+    2 x_i.x_j clamped at zero, as ``kernels._sq_dists(pts, pts)`` forms it,
+    with the bits of the full k x k product (one BLAS thread).  The blocks
+    go straight into one array, their entries on and below the diagonal set
+    to +inf, so no k x k array is formed and the smallest k (k - 1) / 2
+    values are the distances.
+    """
+    k = pts.shape[0]
+    aa = sq_norms(pts)
+    bands = _row_bands(k)
+    vals = np.empty(sum((i1 - i0) * (k - i0) for i0, i1, _ in bands))
+    prod = np.empty((min(MEDIAN_BAND_ROWS, k), k))
+    pos = 0
+    for i0, i1, low in bands:
+        g = np.matmul(2.0 * pts[i0:i1], pts.T, out=prod[: i1 - i0])
+        d2 = vals[pos : pos + (i1 - i0) * (k - i0)].reshape(i1 - i0, k - i0)
+        np.add(aa[i0:i1, None], aa[None, i0:], out=d2)
+        d2 -= g[:, i0:]
+        np.maximum(d2, 0.0, out=d2)
+        d2.reshape(-1)[low] = np.inf
+        pos += d2.size
+    return vals
+
+
 def median_heuristic_rho(points: np.ndarray) -> float:
     """Half the median pairwise squared distance over at most MEDIAN_POINTS points.
 
     Deterministic: when subsampling is needed the points are thinned with an
-    even stride rather than at random.  The k thinned points' squared
-    distances are formed in row bands of about MEDIAN_BAND_ROWS rows, each
-    from its own diagonal on, straight into one array whose entries on and
-    below the diagonal are then set to +inf: no k x k array is formed, and
-    the middle order statistics are those of the k (k - 1) / 2 entries above
-    the diagonal.  Each entry is (|x_i|^2 + |x_j|^2) - 2 x_i.x_j from one
-    general matrix product, clamped at zero, as ``kernels._sq_dists`` forms
-    it, and the result is bitwise half of ``np.median`` over them (floored at
-    1e-12).  The BLAS can round an entry in an edge tile of the full k x k
-    product otherwise than in a band, so the result can differ from the full
-    matrix's in the last bits.  Raises ValueError for fewer than two points
-    or for non-finite values.
+    even stride rather than at random.  The squared distances come from
+    ``_upper_sq_dists``, in row bands of MEDIAN_BAND_ROWS rows with no k x k
+    array, and the result is bitwise half of ``np.median`` over the upper
+    triangle of ``kernels._sq_dists(pts, pts)`` (floored at 1e-12).  Raises
+    ValueError for fewer than two points or for non-finite values.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -81,15 +105,7 @@ def median_heuristic_rho(points: np.ndarray) -> float:
     if n > MEDIAN_POINTS:
         pts = pts[np.linspace(0, n - 1, MEDIAN_POINTS).astype(np.intp)]
     k = pts.shape[0]
-    aa = sq_norms(pts)
-    bands = _row_bands(k)
-    vals = np.empty(sum((i1 - i0) * (k - i0) for i0, i1, _ in bands))
-    pos = 0
-    for i0, i1, low in bands:
-        band = vals[pos : pos + (i1 - i0) * (k - i0)]
-        _sq_dists(pts[i0:i1], pts[i0:], aa[i0:i1], aa[i0:], out=band.reshape(i1 - i0, k - i0))
-        band[low] = np.inf
-        pos += band.size
+    vals = _upper_sq_dists(pts)
     # the median as np.median forms it, with one partition instead of two:
     # the mean of the two middle values for an even count, else the middle
     # one; the infinities sit above every value it reads

@@ -15,7 +15,7 @@ from kdm.bench import (
     null_bound_study,
     rejection_study,
 )
-from kdm.kernels import KernelSpec
+from kdm.kernels import KernelSpec, _sq_dists
 from kdm.metrics import energy_score
 from kdm.simulate import sample_distribution
 from reference import median_heuristic_rho_reference
@@ -60,45 +60,48 @@ def test_median_heuristic_subsampling_deterministic():
     n=st.integers(2, 3000),
     d=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
-    step=st.sampled_from([1.0, 0.125, 2.0**-10]),
+    decimals=st.sampled_from([None, 0, 1]),
 )
-@example(n=2, d=2, seed=0, step=1.0).via("one pair")
-@example(n=65, d=3, seed=1, step=0.125).via("last row joins the band above")
-@example(n=66, d=4, seed=2, step=2.0**-10).via("a last band of two rows")
-@example(n=3000, d=4, seed=3, step=0.125).via("thinned")
-def test_median_heuristic_matches_np_median_bitwise(n, d, seed, step):
+@example(n=2, d=2, seed=0, decimals=None).via("one pair")
+@example(n=49, d=3, seed=1, decimals=1).via("the last row alone has no pair above it")
+@example(n=50, d=4, seed=2, decimals=None).via("a last band of two rows")
+@example(n=444, d=2, seed=21, decimals=1).via("64-row bands from the diagonal moved rho")
+@example(n=3000, d=4, seed=72, decimals=None).via("thinned; so did they here")
+def test_median_heuristic_matches_np_median_bitwise(n, d, seed, decimals):
     # sizes above MEDIAN_POINTS take the stride path; k (k - 1) / 2 pairs are
-    # odd or even in turn; coarse grids give duplicate rows.  On these dyadic
-    # grids every product and sum is exact, so the banded squared distances
-    # equal the full matrix's bit for bit however the BLAS orders its sums
-    pts = np.round(np.random.default_rng(seed).normal(0.0, 2.0, (n, d)) / step) * step
+    # odd or even in turn; rounding to few decimals gives duplicate rows
+    pts = np.random.default_rng(seed).normal(0.0, 2.0, (n, d))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
     assert median_heuristic_rho(pts) == median_heuristic_rho_reference(pts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(2, 3000),
-    d=st.integers(1, 4),
+    k=st.integers(2, bench.MEDIAN_POINTS),
+    d=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    decimals=st.sampled_from([None, 1, 3]),
+    decimals=st.sampled_from([None, 0, 1]),
 )
-def test_median_heuristic_within_roundoff_of_np_median(n, d, seed, decimals):
-    # elsewhere a band's product may round an entry differently from the
-    # full k x k product, whose edge tiles OpenBLAS forms with other kernels
-    # (seen at n=444, d=2: 5.630671500000002 against ...001); the median
-    # moves by no more than the largest such change, two dot-product and two
-    # subtraction roundings of terms <= 2 max |x|^2, halved for rho
-    pts = np.random.default_rng(seed).normal(0.0, 2.0, (n, d))
+@example(k=500, d=2, seed=0, decimals=None).via("bands of 64 rows lose bits here")
+@example(k=257, d=4, seed=1, decimals=1).via("a short last band")
+def test_banded_sq_dists_keep_the_bits_of_the_full_product(k, d, seed, decimals):
+    # every entry above the diagonal, not only the median: a band must round
+    # each one as the full k x k product does; they come in the row-major
+    # order of the upper triangle, the +inf fill after them
+    pts = np.random.default_rng(seed).normal(0.0, 2.0, (k, d))
     if decimals is not None:
         pts = np.round(pts, decimals)
-    bound = (2 * d + 2) * np.finfo(float).eps * np.max(np.sum(pts * pts, axis=1))
-    assert abs(median_heuristic_rho(pts) - median_heuristic_rho_reference(pts)) <= bound
+    vals = bench._upper_sq_dists(pts)
+    full = _sq_dists(pts, pts)[np.triu_indices(k, 1)]
+    assert np.array_equal(vals[vals < np.inf], full)
+    assert np.sum(vals == np.inf) == vals.size - full.size
 
 
 def test_median_heuristic_forms_no_k_by_k_array():
     # the full 500 x 500 distance matrix, its sum of norms and the gather of
     # the upper triangle peaked at 4.0 MB; the bands of the upper triangle
-    # hold about 1.13 k (k - 1) / 2 values, and one band's product is 256 kB
+    # hold about 1.1 k (k - 1) / 2 values, and one band's product 192 kB
     pts = np.random.default_rng(4).normal(0.0, 1.0, (3000, 2))
     median_heuristic_rho(pts)  # fills the cache of band indices
     k = bench.MEDIAN_POINTS
