@@ -66,8 +66,8 @@ def _upper_sq_dists(pts: np.ndarray) -> np.ndarray:
     2 x_i.x_j clamped at zero, as ``kernels._sq_dists(pts, pts)`` forms it,
     with the bits of the full k x k product (one BLAS thread).  The blocks
     go straight into one array, their entries on and below the diagonal set
-    to +inf, so no k x k array is formed and the smallest k (k - 1) / 2
-    values are the distances.
+    to +inf, so no k x k array is formed and the finite values are the
+    distances in the row-major order of the upper triangle.
     """
     k = pts.shape[0]
     aa = sq_norms(pts)
