@@ -2,21 +2,22 @@
 
 BLAS thread pools must be pinned through environment variables before numpy
 first loads, which is why the package __init__ re-exports lazily and this
-module touches the environment before importing anything numeric.  KDM_THREADS
-(default 1) caps every pool; computations are sequential either way, so the
-setting affects speed only, never results.
+module touches the environment before importing anything numeric.  Every
+pool is pinned to one thread: a second BLAS thread makes the decomposition
+slower.  KDM_THREADS sets how many workers form the parts of a large panel
+side by side instead (see ``kdm.lowrank.worker_count``); the parts are fixed
+by the data's size, so the setting affects speed only, never results.
 """
 
 import os
 
 
 def pin_blas_threads() -> None:
-    """Cap every BLAS thread pool at KDM_THREADS (default 1).
+    """Pin every BLAS thread pool to one thread, whatever KDM_THREADS says.
 
     Only takes effect before numpy first loads; a pool variable the
     environment already sets is left as it is.
     """
-    threads = os.environ.get("KDM_THREADS", "1")
     for var in (
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
@@ -24,7 +25,7 @@ def pin_blas_threads() -> None:
         "NUMEXPR_NUM_THREADS",
         "VECLIB_MAXIMUM_THREADS",
     ):
-        os.environ.setdefault(var, threads)
+        os.environ.setdefault(var, "1")
 
 
 def main() -> int:

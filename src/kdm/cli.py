@@ -8,9 +8,11 @@ bytes.  Every subcommand takes ``--out`` and ``--force``: an existing ``--out``
 file is refused unless ``--force`` is given, before any work starts.
 ``simulate``, ``fit`` and ``condexp`` write their artifact there; the other
 commands optionally copy their JSON report there, without its ``command``
-field.  The KDM_THREADS environment variable caps the BLAS thread pools when
-the tool starts (see the console entry point); computations are sequential,
-so results do not depend on it.
+field.  The KDM_THREADS environment variable sets how many workers form the
+parts of a large decomposition panel side by side (default: two, or one on a
+single CPU); a value that is not an integer >= 1 exits 1.  The parts are
+fixed by the data's size, so results do not depend on it.  The console entry
+point pins BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .estimator import (
 )
 from .hypothesis import DEFAULT_TRUNCATION_T, run_test
 from .kernels import FAMILIES, Dataset, KernelSpec
-from .lowrank import NumericsError
+from .lowrank import NumericsError, worker_count
 from .metrics import (
     ForecastRecord,
     energy_score_differential,
@@ -584,6 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
+        worker_count()  # a bad KDM_THREADS fails every command, before any work
         if args.out:
             _check_out(args.out, args.force)
         report = {**_HANDLERS[args.command](args), "seed": getattr(args, "seed", None), "version": __version__}

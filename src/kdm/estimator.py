@@ -27,9 +27,13 @@ from .kernels import (
     kernel_sup,
     kernel_sup_is_empirical,
 )
-from .lowrank import KernelOracle, NumericsError, pivoted_cholesky
+from .lowrank import KernelOracle, NumericsError, _side_by_side, pivoted_cholesky
 
 DEFAULT_EPSILON_REL = 1e-6
+
+# the covariance's product of the Q block with itself is formed on a worker,
+# beside the Gram, once that block holds SIDE_BY_SIDE_MIN_ENTRIES entries (8 MB)
+SIDE_BY_SIDE_MIN_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -219,14 +223,20 @@ def _decompose(
     lt_p, lt_q = factors.Lt[:, :n], factors.Lt[:, n:]
     # numpy forms lt_p lt_p^T with syrk, so the Gram is exactly symmetric
     # and its transpose is the same matrix in LAPACK's column order: each
-    # ridge solve fills its workspace with a straight copy
-    gram = (lt_p @ lt_p.T).T
+    # ridge solve fills its workspace with a straight copy.  The covariance's
+    # Q product is the same call, run beside it for a large Q block
+    products = [(lt_p, lt_p.T), (lt_q, lt_q.T)][: 1 + _covariance]
+    if lt_q.size >= SIDE_BY_SIDE_MIN_ENTRIES:
+        gram, *qq = _side_by_side(np.matmul, products)
+    else:
+        gram, *qq = [np.matmul(*pair) for pair in products]
+    gram = gram.T
     lq1 = lt_q @ np.ones(n)
     p_star = None if prior.kind == "zero" else prior.evaluate(pts_p)
     lpp = None if p_star is None else lt_p @ p_star
     covariance = None
     if _covariance:
-        sig = lt_q @ lt_q.T / n - np.outer(lq1, lq1) / n**2
+        sig = qq[0] / n - np.outer(lq1, lq1) / n**2
         if p_star is not None:
             sig += (gram if prior.kind == "one" else (lt_p * p_star**2) @ lt_p.T) / n
             sig -= np.outer(lpp, lpp) / n**2

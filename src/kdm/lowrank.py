@@ -64,6 +64,27 @@ decide a pivot only between residual entries tied to roundoff (such as
 copies of one point).  OMP pivots do not follow the residual diagonal, so
 their blocks stay at one pivot.
 
+A block of k > 1 pivots whose panel of k N entries reaches
+SPLIT_MIN_ENTRIES (1 MB; at N = 20,000 a block of 7 or more pivots, at
+N = 2,000 none) is formed in PARTS ranges of columns, side by side: the
+calling thread forms one and a pool of worker threads the others (see
+:func:`worker_count`).  Each range gets its kernel rows, its Schur products
+against the earlier rows and their subtraction; the k x k Cholesky factor
+of the pivot columns and its inverse follow on the calling thread, and then
+each range gets its product with the inverse and its copy back.  Every
+entry depends only on its own column, so the ranges are fixed by N alone,
+and the bits do not depend on how many workers run them.  The ranges begin
+at multiples of 64 columns, where BLAS also tiles one product over all N,
+so the bits are those of one range over all N columns, except where
+OpenBLAS switches kernels: it forms small products (up to about 10^6
+multiply-adds, in 0.3.31) by a kernel that rounds the last N mod 8 columns
+differently, so where a part is that small and the whole product is not
+(the 12 x 12 product with the inverse at N = 9,999, for one) those columns
+can move in the last bit.  At N = 20,000 no bit moves.  BLAS itself stays
+at one thread.  Smaller panels and blocks of one pivot are one range, on the
+calling thread, since handing a part to another thread costs more than it
+saves there.
+
 ``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
 the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
 are exactly upper triangular, and R = inv(L[piv, :]^T) is one recursive
@@ -76,6 +97,9 @@ blocks of at most INVERSE_LEAF rows, 0.12-0.14 s at rank 2,000 on one core
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -104,6 +128,11 @@ CANDIDATES = 32
 POOL = 64
 BLOCK_MIN_ENTRIES = 2**18
 
+# a listed block whose panel of k x N entries reaches SPLIT_MIN_ENTRIES (1 MB)
+# is formed in PARTS fixed column ranges, run side by side on the workers
+PARTS = 2
+SPLIT_MIN_ENTRIES = 2**17
+
 # R is inverted in diagonal blocks of at most INVERSE_LEAF rows
 INVERSE_LEAF = 64
 
@@ -119,9 +148,12 @@ class KernelOracle:
     reuses them for both operands, writes K[idx, :] into ``out`` (a float64
     array of shape (len(idx), N)) and returns it.  The rows are bitwise equal
     to ``cross_kernel_matrix(spec, pts[idx], pts)``, and one row to the
-    column ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.
-    ``submatrix(idx)`` is the kernel block K[idx, idx]; only rows count in
-    ``queries``.
+    column ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.  With ``start``
+    and ``stop`` they are K[idx, start:stop], bitwise
+    ``cross_kernel_matrix(spec, pts[idx], pts[start:stop])``.
+    ``submatrix(idx)`` is the kernel block K[idx, idx].  Only rows count in
+    ``queries``, and only in a range that begins at column 0, so that a row
+    formed in parts counts once.
     """
 
     def __init__(self, spec: KernelSpec, points: Union[Dataset, np.ndarray]):
@@ -137,14 +169,15 @@ class KernelOracle:
     def diagonal(self) -> np.ndarray:
         return kernel_diagonal(self._spec, self._pts)
 
-    def rows(self, idx, out: Optional[np.ndarray] = None) -> np.ndarray:
-        self.queries += len(idx)
+    def rows(self, idx, out: Optional[np.ndarray] = None, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        if start == 0:
+            self.queries += len(idx)
         return cross_kernel_matrix(
             self._spec,
             self._pts[idx],
-            self._pts,
+            self._pts[start:stop],
             row_sq_norms=self._sq_norms[idx],
-            col_sq_norms=self._sq_norms,
+            col_sq_norms=self._sq_norms[start:stop],
             out=out,
         )
 
@@ -260,6 +293,68 @@ def _next_pivots(oracle, lt: np.ndarray, d: np.ndarray, piv: int, k: int, floor:
     return np.array([piv])
 
 
+def worker_count() -> int:
+    """Workers that form the parts of a split panel side by side.
+
+    ``KDM_THREADS`` when it is set, else min(PARTS, the CPUs this process
+    may run on).  Raises ValueError, naming the variable, when it is set to
+    anything but an integer >= 1.
+    """
+    text = os.environ.get("KDM_THREADS")
+    if text is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        return min(PARTS, cpus)
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise ValueError(f"KDM_THREADS must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+_executor: Optional[ThreadPoolExecutor] = None
+_executor_key = None
+_executor_lock = threading.Lock()
+
+
+def _side_by_side(fn, arguments: list) -> list:
+    """``[fn(*args) for args in arguments]``, the calls run side by side.
+
+    The first call runs on the calling thread and the others on a pool of
+    min(worker_count(), PARTS) - 1 threads, made on first use (and again in
+    a forked child, which inherits no threads); with one worker, or one
+    call, they run one after another here.  Every call has ended before an
+    exception propagates, so none is left writing into a shared buffer.
+    """
+    global _executor, _executor_key
+    if len(arguments) == 1:  # a whole panel, the common case: no dispatch
+        return [fn(*arguments[0])]
+    size = min(worker_count(), PARTS) - 1
+    if size == 0:
+        return [fn(*args) for args in arguments]
+    with _executor_lock:
+        if _executor_key != (size, os.getpid()):
+            _executor, _executor_key = ThreadPoolExecutor(size, thread_name_prefix="kdm"), (size, os.getpid())
+        pool = _executor
+    futures = [pool.submit(fn, *args) for args in arguments[1:]]
+    try:
+        first = fn(*arguments[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
+def _column_ranges(n: int, k: int) -> list:
+    """The column ranges (c0, c1) in which a block of k rows of N = ``n`` entries is formed.
+
+    PARTS ranges, fixed by N alone, for k > 1 and k N >= SPLIT_MIN_ENTRIES;
+    one range of all N columns otherwise.  Each range begins at a multiple of
+    64 columns, a multiple of every BLAS kernel's tile, so that BLAS tiles
+    the columns of a range as it tiles them in one product over all N.
+    """
+    if k < 2 or k * n < SPLIT_MIN_ENTRIES:
+        return [(0, n)]
+    edges = [n * p // PARTS // 64 * 64 for p in range(PARTS)] + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.ndarray, scale: float) -> int:
     """Write the rows of L^T for ``block``, the pivots of steps base, base + 1, ...
 
@@ -272,13 +367,22 @@ def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.n
     S[:, block], the block's rows of L^T are T^{-1} S: one matrix product of
     the k x k inverse into ``prod``, copied back.  Should roundoff make
     S[:, block] indefinite, the Cholesky factorization does not say at which
-    order, so only the first row is kept, scaled as one row is.  Returns the
-    number of rows kept.
+    order, so only the first row is kept, scaled as one row is.  The rows,
+    products and copies are formed over the column ranges of
+    :func:`_column_ranges`, side by side; the Cholesky factor and its
+    inverse between them are serial.  Returns the number of rows kept.
     """
     k = block.size
-    rows = oracle.rows(block, out=lt[base : base + k])
-    np.matmul(lt[:base, block].T, lt[:base], out=prod[:k])
-    rows -= prod[:k]
+    rows = lt[base : base + k]
+    cols = lt[:base, block].T
+    parts = _column_ranges(lt.shape[1], k)
+
+    def schur(c0, c1):
+        part, products = rows[:, c0:c1], prod[:k, c0:c1]
+        oracle.rows(block, out=part, start=c0, stop=c1)
+        part -= np.matmul(cols, lt[:base, c0:c1], out=products)
+
+    _side_by_side(schur, parts)
     if k > 1:
         try:
             t = np.linalg.cholesky(rows[:, block])
@@ -287,7 +391,12 @@ def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.n
     if k == 1:
         rows[0] *= scale
     else:
-        rows[...] = np.matmul(np.linalg.inv(t), rows, out=prod[:k])
+        tinv = np.linalg.inv(t)
+
+        def solve(c0, c1):
+            rows[:, c0:c1] = np.matmul(tinv, rows[:, c0:c1], out=prod[:k, c0:c1])
+
+        _side_by_side(solve, parts)
     return k
 
 
@@ -330,13 +439,15 @@ def pivoted_cholesky(
 
     Parameters
     ----------
-    oracle : object with ``size``, ``diagonal()``, ``rows(idx, out)``, ``submatrix(idx)``
-        Access to the PSD matrix: its diagonal, the rows K[idx, :] written
-        into the C-ordered float64 array ``out`` of shape (len(idx), N)
-        (rows of the factor buffer) and returned, and the block K[idx, idx]
-        as a new array.  A block of one pivot reads that pivot's row, a
-        listed block of greedy pivots its k rows and one POOL x POOL block;
-        the rows read exceed ``rank`` only by those of blocks cut short.
+    oracle : object with ``size``, ``diagonal()``, ``rows(idx, out, start, stop)``, ``submatrix(idx)``
+        Access to the PSD matrix: its diagonal, the rows K[idx, start:stop]
+        written into the float64 array ``out`` of shape (len(idx), stop -
+        start) (those columns of rows of the factor buffer) and returned,
+        counted in ``queries`` only when ``start`` is 0, and the block
+        K[idx, idx] as a new array.  A block of one pivot reads that pivot's
+        row, a listed block of greedy pivots its k rows and one POOL x POOL
+        block; the rows read exceed ``rank`` only by those of blocks cut
+        short.
     epsilon : float
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
@@ -352,7 +463,9 @@ def pivoted_cholesky(
     (i, N) product for a block begun at step i, go into a buffer of at most
     (CANDIDATES, N) and are subtracted, and the rows are scaled (k = 1) or
     finished with one k x k Cholesky factor, its inverse and one product
-    into that buffer.  A block is the step's pivot alone for OMP and for
+    into that buffer; a panel of at least SPLIT_MIN_ENTRIES entries is
+    formed in PARTS fixed column ranges side by side, with the same bits at
+    any worker count.  A block is the step's pivot alone for OMP and for
     greedy steps before the earlier rows hold ``BLOCK_MIN_ENTRIES`` entries;
     after that a greedy block is up to CANDIDATES pivots that
     :func:`_greedy_order` lists on one POOL x POOL kernel block.  The pivots
@@ -367,6 +480,7 @@ def pivoted_cholesky(
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     if strategy not in ("greedy", "omp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
+    worker_count()  # a bad KDM_THREADS fails every decomposition, not only one whose panels split
     if strategy == "omp":
         if omp_target is None:
             raise ValueError("omp strategy requires omp_target values")

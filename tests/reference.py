@@ -28,7 +28,8 @@ from kdm.lowrank import CholeskyFactors, NumericsError
 class MatrixOracle:
     """Row and block access to a materialized symmetric PSD matrix.
 
-    Only rows count in ``queries``.
+    ``rows`` takes the column range ``start:stop`` as ``KernelOracle.rows``
+    does.  Only rows count in ``queries``, in a range that begins at column 0.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -45,9 +46,10 @@ class MatrixOracle:
     def diagonal(self) -> np.ndarray:
         return np.diag(self._k).copy()
 
-    def rows(self, idx, out: Optional[np.ndarray] = None) -> np.ndarray:
-        self.queries += len(idx)
-        return np.take(self._k, idx, axis=0, out=out)
+    def rows(self, idx, out: Optional[np.ndarray] = None, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        if start == 0:
+            self.queries += len(idx)
+        return np.take(self._k[:, start:stop], idx, axis=0, out=out)
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         return self._k[np.ix_(idx, idx)]

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from kdm._entry import pin_blas_threads
 from kdm.cli import UsageError, ingest_csv, main, parse_columns
 from kdm.estimator import fit, load_model
 from kdm.kernels import KernelSpec
@@ -621,3 +623,23 @@ def test_bench_independence_has_no_ridge_flag(capsys, cli_inputs):
     # the independence test reads no ridge solution, so --lambda changed nothing
     code, _, err = run_cli(capsys, *command("bench independence", cli_inputs), "--lambda", "1e-2")
     assert code == 1 and "unrecognized arguments: --lambda" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_kdm_threads_that_is_not_a_count_exits_1(capsys, monkeypatch, tmp_path, value):
+    # a command that runs no decomposition refuses it too, before any work
+    monkeypatch.setenv("KDM_THREADS", value)
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, "simulate", "--dist", "circle", "--n", "20", "--seed", "1", "--out", str(out))
+    assert code == 1 and "KDM_THREADS" in err and not out.exists()
+
+
+def test_console_entry_pins_blas_to_one_thread_whatever_kdm_threads_says(monkeypatch):
+    monkeypatch.setenv("KDM_THREADS", "2")
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(var, "0")  # recorded, so the teardown restores it
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a pool the environment sets stays as it is
+    pin_blas_threads()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["MKL_NUM_THREADS"] == "3"

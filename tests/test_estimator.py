@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdm import estimator
+from kdm import estimator, lowrank
 from kdm.conditional import JointDataset, fit_conditional
 from kdm.estimator import (
     PriorSpec,
@@ -801,3 +801,36 @@ def test_fit_ignores_row_order_within_samples(seed, n, d, family, prior, standar
     b = fit(p[perm_p], q[perm_q], spec, 1e-2, **kwargs)
     np.testing.assert_array_equal(np.concatenate([perm_p, n + perm_q])[b.pivots], a.pivots)
     _assert_same_h(eval_h(a, zs), eval_h(b, zs))
+
+
+def test_bundle_is_byte_identical_at_one_and_two_workers(monkeypatch, tmp_path):
+    # 2 x 8,000 points at rank cap 160: the decomposition splits its large
+    # panels, and the covariance's product of the 160 x 8,000 Q block runs
+    # on a worker beside the Gram; the bundle, covariance included, is the
+    # same at one worker, at two, and with both kept on the calling thread
+    rng = np.random.default_rng(23)
+    p, q = rng.normal(0.0, 1.0, (8000, 4)), rng.normal(0.2, 1.1, (8000, 4))
+    bundles, concurrent = [], []
+    for threads, together in (("1", True), ("2", True), ("2", False)):
+        with monkeypatch.context() as mp:
+            mp.setenv("KDM_THREADS", threads)
+            if not together:
+                mp.setattr(lowrank, "SPLIT_MIN_ENTRIES", 2**62)
+                mp.setattr(estimator, "SIDE_BY_SIDE_MIN_ENTRIES", 2**62)
+            real, calls = estimator._side_by_side, []
+            mp.setattr(estimator, "_side_by_side", lambda fn, args: calls.append(len(args)) or real(fn, args))
+            model = fit(p, q, KernelSpec("gaussian", rho=1.0), lam=1e-2, max_rank=160)
+            path = tmp_path / f"{threads}-{together}.kdm"
+            save_model(model, str(path))
+        bundles.append(path.read_bytes())
+        concurrent.append(calls)
+    assert model.hit_rank_cap and model.covariance is not None
+    assert bundles[0] == bundles[1] == bundles[2]
+    assert concurrent == [[2], [2], []]
+
+
+def test_small_fits_form_the_gram_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(estimator, "_side_by_side", lambda fn, args: pytest.fail("side by side below the size gate"))
+    rng = np.random.default_rng(24)
+    model = fit(rng.normal(0, 1, (500, 2)), rng.normal(0.3, 1, (500, 2)), KernelSpec("gaussian"), lam=1e-2)
+    assert model.covariance is not None

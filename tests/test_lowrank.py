@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -531,8 +535,8 @@ class _PeakAfterRows:
     def __getattr__(self, name):
         return getattr(self._oracle, name)
 
-    def rows(self, idx, out=None):
-        rows = self._oracle.rows(idx, out=out)
+    def rows(self, idx, out=None, **columns):
+        rows = self._oracle.rows(idx, out=out, **columns)
         tracemalloc.reset_peak()
         self._base = tracemalloc.get_traced_memory()[0]
         return rows
@@ -541,12 +545,9 @@ class _PeakAfterRows:
         return tracemalloc.get_traced_memory()[1] - self._base
 
 
-def test_block_solve_runs_in_place_on_the_factor_rows(monkeypatch):
-    # a listed block's rows end up in the factor buffer as T^{-1} S, and
-    # once the oracle has written them the block allocates no array of
-    # their size: the product with T^{-1} goes into prod, the one (k, N)
-    # scratch buffer, and is copied back
-    pts = np.random.default_rng(8).normal(0.0, 1.0, (3000, 3))
+def _check_block_solve_in_place(monkeypatch, n):
+    """Run an n-point decomposition and check every listed block's solve."""
+    pts = np.random.default_rng(8).normal(0.0, 1.0, (n, 3))
     spec = KernelSpec("gaussian", rho=1.0)
     kernel_rows = KernelOracle(spec, pts).rows
     real, calls = lowrank._block_rows, []
@@ -570,8 +571,190 @@ def test_block_solve_runs_in_place_on_the_factor_rows(monkeypatch):
     assert f.rank == 150 and calls
     for kept, err, peak, shape in calls:
         assert err <= 1e-12
-        assert shape == (lowrank.CANDIDATES, 3000)
-        assert peak < kept * 3000 * 8
+        assert shape == (lowrank.CANDIDATES, n)
+        assert peak < kept * n * 8
+
+
+def test_block_solve_runs_in_place_on_the_factor_rows(monkeypatch):
+    # a listed block's rows end up in the factor buffer as T^{-1} S, and
+    # once the oracle has written them the block allocates no array of
+    # their size: the product with T^{-1} goes into prod, the one (k, N)
+    # scratch buffer, and is copied back
+    _check_block_solve_in_place(monkeypatch, 3000)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_block_solve_runs_in_place_on_a_split_panel(monkeypatch, threads):
+    # the same at 20,000 points, where the blocks of 7 or more pivots are
+    # formed in PARTS column ranges, at one worker and at two: each part
+    # writes into its columns of the factor rows and of prod, and no part
+    # allocates an array of the rows' size.  (Parts narrower than numpy's
+    # 8,192-element buffer get a buffer of about 180 kB per elementwise
+    # call, so the bound is checked where the parts are wider)
+    monkeypatch.setenv("KDM_THREADS", threads)
+    split = _RangeSpy(monkeypatch)
+    _check_block_solve_in_place(monkeypatch, 20000)
+    assert any(parts > 1 for _, _, parts in split.panels)
+
+
+class _RangeSpy:
+    """Records (k, N, number of column ranges) for every panel ``_block_rows`` forms."""
+
+    def __init__(self, monkeypatch):
+        self.panels = []
+        real = lowrank._column_ranges
+
+        def spy(n, k):
+            ranges = real(n, k)
+            self.panels.append((k, n, len(ranges)))
+            return ranges
+
+        monkeypatch.setattr(lowrank, "_column_ranges", spy)
+
+    def split_share(self):
+        return sum(parts > 1 for _, _, parts in self.panels) / len(self.panels)
+
+
+def _factor_bits(f, oracle):
+    return (f.pivots.tobytes(), f.Lt.tobytes(), f.R.tobytes(), f.residual_trace, f.hit_rank_cap, oracle.queries)
+
+
+@pytest.mark.parametrize("n, cap, splits", [(8000, 160, True), (1500, 240, False)])
+def test_split_panels_keep_the_bits_at_one_and_two_workers(monkeypatch, n, cap, splits):
+    # 2 x 8,000 points: blocks of 9 or more pivots split, and the factor,
+    # the residual, the cap flag and the oracle's row count are bitwise those
+    # of one worker and of panels kept whole; 2 x 1,500 points: no panel
+    # splits, and the worker count changes nothing either
+    rng = np.random.default_rng(21)
+    pts = np.vstack([rng.normal(0.0, 1.0, (n, 4)), rng.normal(0.3, 1.2, (n, 4))])
+    spec = KernelSpec("gaussian", rho=1.0)
+    runs = {}
+    for threads, split_min in (("1", lowrank.SPLIT_MIN_ENTRIES), ("2", lowrank.SPLIT_MIN_ENTRIES), ("2", 2**62)):
+        with monkeypatch.context() as mp:
+            mp.setenv("KDM_THREADS", threads)
+            mp.setattr(lowrank, "SPLIT_MIN_ENTRIES", split_min)
+            spy = _RangeSpy(mp)
+            oracle = KernelOracle(spec, pts)
+            f = pivoted_cholesky(oracle, 0.0, max_rank=cap)
+        runs[threads, split_min] = (_factor_bits(f, oracle), spy.split_share())
+    (one, share_one), (two, share_two), (whole, share_whole) = runs.values()
+    assert f.rank == cap and f.hit_rank_cap
+    assert one == two == whole
+    assert share_whole == 0.0 and share_one == share_two and (share_one > 0.0) == splits
+
+
+@pytest.mark.parametrize("n, split", [(10000, True), (1000, False)])
+def test_panels_split_at_20000_points_and_stay_whole_at_2000(monkeypatch, n, split):
+    # the size rule at the CLI fit's sizes: a 10,000 + 10,000 fit splits its
+    # blocks of 7 or more pivots, a 1,000 + 1,000 fit none of its blocks
+    rng = np.random.default_rng(22)
+    pts = rng.normal(0.0, 1.0, (2 * n, 4))
+    spy = _RangeSpy(monkeypatch)
+    f = pivoted_cholesky(KernelOracle(KernelSpec("gaussian", rho=1.0), pts), 0.0, max_rank=300)
+    assert f.rank == 300
+    listed = [(k, parts) for k, _, parts in spy.panels if k > 1]
+    assert listed
+    assert all(parts == (lowrank.PARTS if split and k >= 7 else 1) for k, parts in listed)
+    assert any(parts > 1 for _, parts in listed) == split
+
+
+def test_column_ranges_are_fixed_by_n_and_begin_at_multiples_of_64():
+    assert lowrank._column_ranges(20000, 7) == [(0, 9984), (9984, 20000)]
+    assert lowrank._column_ranges(20002, 32) == [(0, 9984), (9984, 20002)]
+    assert lowrank._column_ranges(20000, 6) == lowrank._column_ranges(20000, 1) == [(0, 20000)]
+    assert lowrank._column_ranges(4096, 32) == [(0, 2048), (2048, 4096)]
+    assert lowrank._column_ranges(4095, 32) == [(0, 4095)]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=["gaussian", "laplace", "polynomial"])
+def test_kernel_oracle_rows_over_a_column_range(spec):
+    # a part writes the rows' columns c0:c1 into those columns of the factor
+    # rows, bitwise the kernel block against those points; only the part
+    # that begins at column 0 counts its rows
+    pts = _points_with_duplicates(3)
+    n = pts.shape[0]
+    idx = np.array([3, 51, 0, 55, 17, 3, n - 1])
+    oracle = KernelOracle(spec, pts)
+    buf = np.full((10, n), np.nan)
+    for c0, c1 in ((0, 20), (20, n)):
+        got = oracle.rows(idx, out=buf[2 : 2 + idx.size, c0:c1], start=c0, stop=c1)
+        assert np.shares_memory(got, buf)
+        assert got.tobytes() == cross_kernel_matrix(spec, pts[idx], pts[c0:c1]).tobytes()
+    assert buf[2 : 2 + idx.size].tobytes() == oracle.rows(idx).tobytes()
+    assert np.isnan(buf[:2]).all() and np.isnan(buf[2 + idx.size :]).all()
+    assert oracle.queries == 2 * idx.size
+    ref = MatrixOracle(cross_kernel_matrix(spec, pts, pts))
+    assert ref.rows(idx, start=20, stop=n).tobytes() == ref.rows(idx)[:, 20:].tobytes()
+    assert ref.queries == idx.size
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "", " 2"])
+def test_kdm_threads_that_is_not_a_count_is_refused(monkeypatch, value):
+    # the library refuses it on its first decomposition, small ones too
+    monkeypatch.setenv("KDM_THREADS", value)
+    with pytest.raises(ValueError, match="KDM_THREADS"):
+        lowrank.worker_count()
+    with pytest.raises(ValueError, match="KDM_THREADS"):
+        pivoted_cholesky(MatrixOracle(np.eye(3)), 0.0)
+
+
+def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setenv("KDM_THREADS", "1")
+    monkeypatch.delenv("KDM_THREADS")
+    assert lowrank.worker_count() == min(lowrank.PARTS, len(os.sched_getaffinity(0)))
+    monkeypatch.setenv("KDM_THREADS", "3")
+    assert lowrank.worker_count() == 3
+
+
+def test_split_parts_under_thread_stress(monkeypatch):
+    # four parts on four workers, more than a 2-core host has, a switch
+    # interval of a microsecond, and two decompositions at once sharing the
+    # pool: each factor and row count is the one-worker result
+    monkeypatch.setattr(lowrank, "PARTS", 4)
+    pts = np.random.default_rng(25).normal(0.0, 1.0, (12000, 4))
+    spec = KernelSpec("gaussian", rho=1.0)
+
+    def run():
+        oracle = KernelOracle(spec, pts)
+        return _factor_bits(pivoted_cholesky(oracle, 0.0, max_rank=120), oracle)
+
+    monkeypatch.setenv("KDM_THREADS", "1")
+    split = _RangeSpy(monkeypatch)
+    want = run()
+    assert any(parts == 4 for _, _, parts in split.panels)
+    monkeypatch.setenv("KDM_THREADS", "4")
+    got = [None, None]
+    threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, run())) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want, want]
+
+
+def test_side_by_side_waits_for_every_call_before_raising(monkeypatch):
+    # a failing part on the calling thread does not leave the other part
+    # writing into the buffers
+    monkeypatch.setenv("KDM_THREADS", "2")
+    done = []
+
+    def slow():
+        time.sleep(0.05)
+        done.append(True)
+
+    def fail():
+        raise NumericsError("boom")
+
+    with pytest.raises(NumericsError):
+        lowrank._side_by_side(lambda call: call(), [(fail,), (slow,)])
+    assert done == [True]
+    assert lowrank._side_by_side(pow, [(2, 1), (2, 2), (2, 3)]) == [2, 4, 8]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
