@@ -3,10 +3,11 @@
 BLAS thread pools must be pinned through environment variables before numpy
 first loads, which is why the package __init__ re-exports lazily and this
 module touches the environment before importing anything numeric.  Every
-pool is pinned to one thread: a second BLAS thread makes the decomposition
-slower.  KDM_THREADS sets how many workers form the parts of a large panel
-side by side instead (see ``kdm.lowrank.worker_count``); the parts are fixed
-by the data's size, so the setting affects speed only, never results.
+pool is pinned to one thread, so that BLAS threads do not compete for the
+cores with the workers that KDM_THREADS sets, which form the parts of a
+large panel side by side (see ``kdm.lowrank.worker_count``); the parts are
+fixed by the data's size, so that setting affects speed only, never
+results.
 """
 
 import os

@@ -324,7 +324,7 @@ def _side_by_side(fn, arguments: list) -> list:
     exception propagates, so none is left writing into a shared buffer.
     """
     global _executor, _executor_key
-    if len(arguments) == 1:  # a whole panel, the common case: no dispatch
+    if len(arguments) == 1:  # a panel kept whole, the common case: nothing to hand off
         return [fn(*arguments[0])]
     size = min(worker_count(), PARTS) - 1
     if size == 0:
