@@ -25,6 +25,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -92,9 +93,29 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     column: a row with more or fewer fields than the header, or a cell that
     is not a finite number.  A blank first row, or one of finite numbers
     only, is rejected: it names no columns.
+
+    The file is read as UTF-8; a leading byte-order mark, as spreadsheet
+    exports write it, is dropped.  The csv module reads the header, and
+    numpy's C reader (``np.loadtxt``) the data rows, all columns of them,
+    into one float64 array without a Python object per cell.  That array is
+    taken when it holds one row per data line, as many columns as the
+    header and finite values only; the selected columns are then taken from
+    it.  Any other file, such as one with a quoted cell, a cell of the form
+    ``1_000``, a blank line or a bad row, is parsed again with the csv
+    module, cell by cell through Python's ``float``, which accepts its whole
+    grammar and names the first bad row.  Both give the same values.
+    """
+    return _ingest_csv(path, [columns])[0]
+
+
+def _ingest_csv(path: str, selections: Sequence[ColumnSelection]) -> list:
+    """One Dataset per column selection, as :func:`ingest_csv` reads it, from one read of the file.
+
+    The selections are checked in order, and a bad cell is looked for in the
+    columns of each selection in turn.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -105,24 +126,71 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
                 raise UsageError(f"{path}: row 1 is empty, but row 1 must name the columns")
             if all(_is_finite_number(h) for h in header):
                 raise UsageError(f"{path}: row 1 holds only numbers, but row 1 must name the columns")
-            if columns is None:
-                idx = list(range(len(header)))
-            elif all(isinstance(c, int) for c in columns):
-                idx = list(columns)
-                for i in idx:
-                    if i < 0 or i >= len(header):
-                        raise UsageError(f"{path}: column index {i} out of range (file has {len(header)})")
-            else:
-                idx = []
-                for name in columns:
-                    if name not in header:
-                        raise UsageError(f"{path}: no column named {name!r}")
-                    idx.append(header.index(name))
-            rows = list(reader)
+            idxs = [_column_indices(path, header, columns) for columns in selections]
+            data = _numeric_rows(fh, len(header))
+            if data is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                rows = list(reader)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    if data is not None:
+        # take() keeps the selection in row-major order, as the csv parse makes it
+        return [Dataset(data if idx == list(range(len(header))) else data.take(idx, axis=1)) for idx in idxs]
     if not rows:
         raise UsageError(f"{path}: no data rows")
+    return [_convert_rows(path, header, idx, rows) for idx in idxs]
+
+
+def _column_indices(path: str, header: Sequence[str], columns: ColumnSelection) -> list:
+    """The indices of the header's columns that ``columns`` selects by index or by name."""
+    if columns is None:
+        return list(range(len(header)))
+    if all(isinstance(c, int) for c in columns):
+        for i in columns:
+            if i < 0 or i >= len(header):
+                raise UsageError(f"{path}: column index {i} out of range (file has {len(header)})")
+        return list(columns)
+    idx = []
+    for name in columns:
+        if name not in header:
+            raise UsageError(f"{path}: no column named {name!r}")
+        idx.append(header.index(name))
+    return idx
+
+
+def _numeric_rows(fh, width: int) -> Optional[np.ndarray]:
+    """The data rows after the header through numpy's C reader, or None when the csv module must parse them.
+
+    ``fh`` is the file, opened as text without newline translation and read
+    up to the end of the header, which names ``width`` columns.  numpy
+    skips blank lines, which the csv parse rejects, so the array is taken
+    only with one row per line that numpy was handed, split as the csv
+    module splits them, and at least one.
+    """
+    lines = 0
+
+    def data_lines():
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            # numpy warns of an input with no data; the row count refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(data_lines(), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if not lines or data.shape != (lines, width) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _convert_rows(path: str, header: Sequence[str], idx: Sequence[int], rows: list) -> Dataset:
+    """The selected columns ``idx`` of the csv module's ``rows``, each cell through Python's ``float``."""
     # convert in bulk (numpy parses each str with float(), so the grammar is
     # Python's).  When every column is selected the rows go in as they are,
     # and numpy rejects rows of unequal length; otherwise one pass over the
@@ -416,8 +484,7 @@ def _cmd_test(args) -> dict:
 
 def _cmd_condexp(args) -> dict:
     xcols, ycols = parse_columns(args.xcols), parse_columns(args.ycols)
-    ds_x = ingest_csv(args.joint, xcols)
-    ds_y = ingest_csv(args.joint, ycols)
+    ds_x, ds_y = _ingest_csv(args.joint, [xcols, ycols])
     joint = JointDataset(x=ds_x.points, y=ds_y.points)
     cmodel = fit_conditional(
         joint,

@@ -224,23 +224,32 @@ def _decompose(
     # numpy forms lt_p lt_p^T with syrk, so the Gram is exactly symmetric
     # and its transpose is the same matrix in LAPACK's column order: each
     # ridge solve fills its workspace with a straight copy.  The covariance's
-    # Q product is the same call, run beside it for a large Q block
-    products = [(lt_p, lt_p.T), (lt_q, lt_q.T)][: 1 + _covariance]
+    # Q product is the same call, run beside it for a large Q block; both
+    # write into m x m outputs allocated here, so the worker allocates none
+    m = factors.rank
+    gram, qq = np.empty((m, m)), np.empty((m, m)) if _covariance else None
+    products = [(lt_p, lt_p.T, gram), (lt_q, lt_q.T, qq)][: 1 + _covariance]
     if lt_q.size >= SIDE_BY_SIDE_MIN_ENTRIES:
-        gram, *qq = _side_by_side(np.matmul, products)
+        _side_by_side(np.matmul, products)
     else:
-        gram, *qq = [np.matmul(*pair) for pair in products]
+        for operands in products:
+            np.matmul(*operands)
     gram = gram.T
     lq1 = lt_q @ np.ones(n)
     p_star = None if prior.kind == "zero" else prior.evaluate(pts_p)
     lpp = None if p_star is None else lt_p @ p_star
     covariance = None
     if _covariance:
-        sig = qq[0] / n - np.outer(lq1, lq1) / n**2
+        # sig = QQ / n - lq1 lq1^T / n^2 (+ G / n - lpp lpp^T / n^2), and
+        # the covariance is 0.5 (sig + sig^T): each step in place, in the Q
+        # product or in one m x m scratch, in that order, so the bits are
+        # those of the expressions
+        sig, tmp = np.divide(qq, n, out=qq), np.empty((m, m))
+        sig -= np.divide(np.outer(lq1, lq1, out=tmp), n**2, out=tmp)
         if p_star is not None:
-            sig += (gram if prior.kind == "one" else (lt_p * p_star**2) @ lt_p.T) / n
-            sig -= np.outer(lpp, lpp) / n**2
-        covariance = 0.5 * (sig + sig.T)
+            sig += np.divide(gram if prior.kind == "one" else (lt_p * p_star**2) @ lt_p.T, n, out=tmp)
+            sig -= np.divide(np.outer(lpp, lpp, out=tmp), n**2, out=tmp)
+        covariance = np.multiply(np.add(sig, sig.T, out=tmp), 0.5, out=tmp)
     return _Decomposition(
         gram=gram,
         R=factors.R,

@@ -151,6 +151,7 @@ def _sq_dists(
     aa: Optional[np.ndarray] = None,
     bb: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     # expanded form with a clamp at zero so duplicate points never go negative
     aa = (sq_norms(a) if aa is None else aa)[:, None]
@@ -160,10 +161,14 @@ def _sq_dists(
     # doubling is exact, so the bits are those of 2 * (a @ b.T) whichever
     # operand is scaled, whenever both are one general matrix product (a is
     # not b) of the same shape: the BLAS may round an entry otherwise in a
-    # product of other shape; the sum, the subtraction and the clamp run in
-    # place on one array, ``out`` when given
+    # product of other shape.  The product goes into ``scratch`` when given
+    # (the same BLAS call, so the same bits), and the sum, the subtraction
+    # and the clamp run in place on one array, ``out`` when given
     d2 = np.add(aa, bb, out=out)
-    d2 -= (2.0 * a) @ b.T if a.shape[0] < b.shape[0] else a @ (2.0 * b).T
+    if a.shape[0] < b.shape[0]:
+        d2 -= np.matmul(2.0 * a, b.T, out=scratch)
+    else:
+        d2 -= np.matmul(a, (2.0 * b).T, out=scratch)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -189,12 +194,31 @@ def cross_kernel_matrix(
     b = _as_points(cols)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return _kernel_block(spec, a, b, row_sq_norms, col_sq_norms, out)
+
+
+def _kernel_block(
+    spec: KernelSpec,
+    a: np.ndarray,
+    b: np.ndarray,
+    aa: Optional[np.ndarray] = None,
+    bb: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`cross_kernel_matrix` of the 2-d point arrays ``a`` and ``b`` of one dimension.
+
+    ``scratch``, if given, is a float64 array of the result's shape that
+    receives the cross products a b^T, so that no array of the result's size
+    is allocated when ``out`` is given too; its entries are left undefined.
+    The result is bitwise the same either way.
+    """
     if spec.family == "polynomial":
-        k = np.add(a @ b.T, spec.c, out=out)
+        k = np.add(np.matmul(a, b.T, out=scratch), spec.c, out=out)
         k **= spec.q
         return k
     # exp(d2 / (-2 rho)) and exp(-rho sqrt(d2)), evaluated in place
-    d2 = _sq_dists(a, b, row_sq_norms, col_sq_norms, out)
+    d2 = _sq_dists(a, b, aa, bb, out, scratch)
     if spec.family == "gaussian":
         d2 /= -2.0 * spec.rho
     else:

@@ -12,7 +12,9 @@ Only the diagonal of K plus one full row per pivot are requested (and the
 rows of a block cut short, below), so the cost is O(m^2 N) time.  ``Lt`` is
 the leading rows of a (cap, N) buffer, and every row of it is formed one way:
 as a row of a block B of k >= 1 pivots begun at some step ``base``.  One
-oracle call writes K[B, :] into the factor rows ``base`` to ``base + k``, one
+oracle call writes K[B, :] into the factor rows ``base`` to ``base + k``
+(its cross products of points pass through the block's Schur-product
+buffer, free until the next product), one
 matrix product computes their Schur products against the rows before
 ``base`` and one in-place subtraction removes them, leaving
 S = K[B, :] - L[B, :base] L[:, :base]^T.  A block of one pivot is S scaled
@@ -105,7 +107,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernels import Dataset, KernelSpec, _as_points, cross_kernel_matrix, kernel_diagonal, sq_norms
+from .kernels import Dataset, KernelSpec, _as_points, _kernel_block, cross_kernel_matrix, kernel_diagonal, sq_norms
 
 # residual diagonal entries below DIAG_FLOOR_REL * max(diag K) are treated as
 # exhausted; entries more negative than -PSD_TOL_REL * max(diag K) mean the
@@ -150,7 +152,10 @@ class KernelOracle:
     to ``cross_kernel_matrix(spec, pts[idx], pts)``, and one row to the
     column ``cross_kernel_matrix(spec, pts, pts[j:j+1])``.  With ``start``
     and ``stop`` they are K[idx, start:stop], bitwise
-    ``cross_kernel_matrix(spec, pts[idx], pts[start:stop])``.
+    ``cross_kernel_matrix(spec, pts[idx], pts[start:stop])``.  ``scratch``,
+    a float64 array of the shape of ``out`` whose entries are left
+    undefined, receives the rows' cross products of points, so that a call
+    given both allocates nothing of the rows' size; the bits are the same.
     ``submatrix(idx)`` is the kernel block K[idx, idx].  Only rows count in
     ``queries``, and only in a range that begins at column 0, so that a row
     formed in parts counts once.
@@ -169,16 +174,19 @@ class KernelOracle:
     def diagonal(self) -> np.ndarray:
         return kernel_diagonal(self._spec, self._pts)
 
-    def rows(self, idx, out: Optional[np.ndarray] = None, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    def rows(
+        self,
+        idx,
+        out: Optional[np.ndarray] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
+        scratch: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         if start == 0:
             self.queries += len(idx)
-        return cross_kernel_matrix(
-            self._spec,
-            self._pts[idx],
-            self._pts[start:stop],
-            row_sq_norms=self._sq_norms[idx],
-            col_sq_norms=self._sq_norms[start:stop],
-            out=out,
+        cols = slice(start, stop)
+        return _kernel_block(
+            self._spec, self._pts[idx], self._pts[cols], self._sq_norms[idx], self._sq_norms[cols], out, scratch
         )
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
@@ -358,9 +366,10 @@ def _column_ranges(n: int, k: int) -> list:
 def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.ndarray, scale: float) -> int:
     """Write the rows of L^T for ``block``, the pivots of steps base, base + 1, ...
 
-    The oracle writes K[block, :] into ``lt[base:base + k]``, one matrix
-    product of the gathered columns ``lt[:base, block]`` with the rows before
-    ``base`` (into ``prod``) gives their Schur products, and after
+    The oracle writes K[block, :] into ``lt[base:base + k]``, its cross
+    products of points passing through ``prod``; one matrix product of the
+    gathered columns ``lt[:base, block]`` with the rows before ``base``
+    (into ``prod``) gives their Schur products, and after
     subtracting them the rows hold S = K[block, :] - L[block, :base]
     L[:, :base]^T.  One row is S scaled by ``scale``, 1 / sqrt of its
     residual diagonal entry.  For k > 1, with T the lower Cholesky factor of
@@ -369,8 +378,10 @@ def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.n
     S[:, block] indefinite, the Cholesky factorization does not say at which
     order, so only the first row is kept, scaled as one row is.  The rows,
     products and copies are formed over the column ranges of
-    :func:`_column_ranges`, side by side; the Cholesky factor and its
-    inverse between them are serial.  Returns the number of rows kept.
+    :func:`_column_ranges`, side by side, each range writing only into its
+    columns of ``lt`` and ``prod``: no part allocates an array of its
+    range's size.  The Cholesky factor and its inverse between them are
+    serial.  Returns the number of rows kept.
     """
     k = block.size
     rows = lt[base : base + k]
@@ -379,7 +390,7 @@ def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.n
 
     def schur(c0, c1):
         part, products = rows[:, c0:c1], prod[:k, c0:c1]
-        oracle.rows(block, out=part, start=c0, stop=c1)
+        oracle.rows(block, out=part, start=c0, stop=c1, scratch=products)
         part -= np.matmul(cols, lt[:base, c0:c1], out=products)
 
     _side_by_side(schur, parts)
@@ -439,11 +450,13 @@ def pivoted_cholesky(
 
     Parameters
     ----------
-    oracle : object with ``size``, ``diagonal()``, ``rows(idx, out, start, stop)``, ``submatrix(idx)``
+    oracle : object with ``size``, ``diagonal()``, ``rows(idx, out, start, stop, scratch)``, ``submatrix(idx)``
         Access to the PSD matrix: its diagonal, the rows K[idx, start:stop]
         written into the float64 array ``out`` of shape (len(idx), stop -
         start) (those columns of rows of the factor buffer) and returned,
-        counted in ``queries`` only when ``start`` is 0, and the block
+        with ``scratch``, an array of that shape whose entries it may
+        overwrite (those columns of the Schur-product buffer), counted in
+        ``queries`` only when ``start`` is 0, and the block
         K[idx, idx] as a new array.  A block of one pivot reads that pivot's
         row, a listed block of greedy pivots its k rows and one POOL x POOL
         block; the rows read exceed ``rank`` only by those of blocks cut

@@ -9,17 +9,21 @@ against it at small scale through ``eval_h_full`` and ``rkhs_gap``;
 ``median_heuristic_rho_reference`` and ``energy_score_broadcast`` are the
 plain numpy forms of the median heuristic and of the energy score, and
 ``reservoir_indices_scalar`` draws the grid subsample with one scalar draw
-per item.
+per item.  ``ingest_csv_reference`` is the CSV reader's csv-module parse,
+cell by cell, that ``kdm.cli.ingest_csv`` must agree with.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from kdm.bench import MEDIAN_POINTS
+from kdm.cli import UsageError
 from kdm.estimator import KdmModel, PriorSpec, _common_size, _input_transform, _query_points
 from kdm.kernels import KernelSpec, Standardizer, _as_points, _sq_dists, cross_kernel_matrix
 from kdm.lowrank import CholeskyFactors, NumericsError
@@ -28,8 +32,10 @@ from kdm.lowrank import CholeskyFactors, NumericsError
 class MatrixOracle:
     """Row and block access to a materialized symmetric PSD matrix.
 
-    ``rows`` takes the column range ``start:stop`` as ``KernelOracle.rows``
-    does.  Only rows count in ``queries``, in a range that begins at column 0.
+    ``rows`` takes the column range ``start:stop`` and the ``scratch``
+    buffer as ``KernelOracle.rows`` does; it needs no scratch and leaves it
+    untouched.  Only rows count in ``queries``, in a range that begins at
+    column 0.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -46,7 +52,14 @@ class MatrixOracle:
     def diagonal(self) -> np.ndarray:
         return np.diag(self._k).copy()
 
-    def rows(self, idx, out: Optional[np.ndarray] = None, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    def rows(
+        self,
+        idx,
+        out: Optional[np.ndarray] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
+        scratch: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         if start == 0:
             self.queries += len(idx)
         return np.take(self._k[:, start:stop], idx, axis=0, out=out)
@@ -223,3 +236,61 @@ def reservoir_indices_scalar(n: int, k: int, rng: np.random.Generator) -> np.nda
         if j < k:
             reservoir[j] = t
     return np.sort(reservoir)
+
+
+def ingest_csv_reference(path: str, columns=None) -> np.ndarray:
+    """The points ``kdm.cli.ingest_csv(path, columns)`` reads, or its UsageError, by the csv module alone.
+
+    The whole file goes through ``csv.reader`` and every selected cell
+    through Python's ``float``, row by row; the first row that is too long
+    or too short, or that holds a selected cell that is not a finite number,
+    is named.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise UsageError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if header in ([], [""]):
+        raise UsageError(f"{path}: row 1 is empty, but row 1 must name the columns")
+    if all(_finite_float(h) is not None for h in header):
+        raise UsageError(f"{path}: row 1 holds only numbers, but row 1 must name the columns")
+    if columns is None:
+        idx = list(range(len(header)))
+    elif all(isinstance(c, int) for c in columns):
+        idx = list(columns)
+        for i in idx:
+            if i < 0 or i >= len(header):
+                raise UsageError(f"{path}: column index {i} out of range (file has {len(header)})")
+    else:
+        idx = []
+        for name in columns:
+            if name not in header:
+                raise UsageError(f"{path}: no column named {name!r}")
+            idx.append(header.index(name))
+    if len(rows) == 1:
+        raise UsageError(f"{path}: no data rows")
+    points = np.empty((len(rows) - 1, len(idx)))
+    for rownum, row in enumerate(rows[1:], start=1):
+        if len(row) > len(header):
+            raise UsageError(f"{path}: row {rownum} has {len(row)} fields, but the header names {len(header)}")
+        if len(row) < len(header):
+            raise UsageError(f"{path}: row {rownum} has only {len(row)} fields")
+        for j, i in enumerate(idx):
+            cell = row[i].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise UsageError(f"{path}: cannot parse {cell!r} at row {rownum}, column {header[i]!r}")
+            if not math.isfinite(v):
+                raise UsageError(f"{path}: non-finite value {cell!r} at row {rownum}, column {header[i]!r}")
+            points[rownum - 1, j] = v
+    return points
+
+
+def _finite_float(cell: str) -> Optional[float]:
+    try:
+        v = float(cell)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None

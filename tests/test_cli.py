@@ -2,14 +2,20 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kdm import cli
 from kdm._entry import pin_blas_threads
 from kdm.cli import UsageError, ingest_csv, main, parse_columns
+from kdm.conditional import JointDataset, conditional_moments, fit_conditional
 from kdm.estimator import fit, load_model
 from kdm.kernels import KernelSpec
+from reference import ingest_csv_reference
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +106,111 @@ def test_ingest_csv_accepts_the_float_grammar(tmp_path):
     later = write_csv(tmp_path / "later.csv", ["a", "b"], [[1, 2], [5], ["oops", 4]])
     with pytest.raises(UsageError, match="row 2 has only 1 fields$"):
         ingest_csv(later)
+
+
+def test_ingest_csv_drops_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports begin with one; it made the first
+    # header cell read '\ufeffx', so that column could not be named
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,y\r\n1.5,2\r\n3,4\r\n")
+    np.testing.assert_array_equal(ingest_csv(str(path), ["x"]).points, [[1.5], [3.0]])
+    np.testing.assert_array_equal(ingest_csv(str(path), ["y", "x"]).points, [[2.0, 1.5], [4.0, 3.0]])
+    quoted = tmp_path / "bom_quoted.csv"
+    quoted.write_bytes(b'\xef\xbb\xbf"x","y"\n"1_000",2\n')
+    np.testing.assert_array_equal(ingest_csv(str(quoted), ["x"]).points, [[1000.0]])
+
+
+_SPACE = st.sampled_from(["", "", " ", "\t", "\xa0", "\u2007", "\u3000"])
+# cells numpy's reader parses as Python's float() does, padded or not
+_PLAIN_CELL = st.tuples(
+    _SPACE,
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-(10**6), 10**6).map(str)),
+    _SPACE,
+).map("".join)
+# the rest of Python's float grammar, quoted cells, and cells that are not finite numbers
+_ODD_CELL = st.one_of(
+    st.integers(0, 10**7).map(lambda i: f"{i:_}"),
+    st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["0", "7", "12", "1_0", ""]),
+        st.sampled_from(["", ".", ".5", ".25_0"]),
+        st.sampled_from(["", "e3", "E-2", "e+1", "e400", "e-400"]),
+    ).map("".join),
+    _PLAIN_CELL.map(lambda c: f'"{c}"'),
+    st.sampled_from(["", " ", "x", "1__0", "0x10", "nan", "-inf", "Infinity", "1e400", '"1,5"']),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """The text of a CSV file and a column selection for it.
+
+    Half the files hold full rows of plain cells, which numpy's reader
+    takes, with at most one odd line: a blank or whitespace-only line, a
+    ragged row or a row with an odd cell.  The other half mix every kind of
+    cell and line.
+    """
+    width = draw(st.integers(1, 3))
+    names = ["a", "b", "c"][:width]
+    header = draw(st.sampled_from([",".join(names)] * 5 + [",".join(f'"{n}"' for n in names), " a ,2", "1,2"]))
+    full = st.lists(_PLAIN_CELL, min_size=width, max_size=width).map(",".join)
+    cell = st.one_of(_PLAIN_CELL, _ODD_CELL)
+    odd = st.one_of(
+        st.sampled_from(["", " ", "\t "]),
+        st.lists(cell, min_size=1, max_size=width + 1).map(",".join),
+        st.lists(cell, min_size=width, max_size=width).map(",".join),
+    )
+    if draw(st.booleans()):
+        lines = draw(st.lists(full, max_size=8))
+        if lines and draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    else:
+        lines = draw(st.lists(st.one_of(full, odd), max_size=6))
+    lines.insert(0, header)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = draw(st.lists(st.sampled_from([end, end, end, "\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + e for line, e in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    columns = draw(st.sampled_from([None] * 4 + [[0], [width - 1, 0], ["a"], ["b"], [3]]))
+    return text, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_files())
+def test_ingest_csv_matches_the_csv_module_parse(tmp_path_factory, drawn):
+    # numpy's reader or the csv module's parse: the points are bitwise those
+    # of Python's float() cell by cell, in row-major order (the layout the
+    # products downstream round by), and every refusal has the same text
+    text, columns = drawn
+    path = str(tmp_path_factory.mktemp("parity") / "d.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+    def outcome(read):
+        try:
+            points = read(path, columns)
+        except UsageError as exc:
+            return str(exc)
+        return points.shape, points.flags.c_contiguous, points.tobytes()
+
+    assert outcome(lambda p, c: ingest_csv(p, c).points) == outcome(ingest_csv_reference)
+
+
+def test_ingest_csv_holds_no_python_object_per_cell(tmp_path):
+    # 50,000 x 4 cells: a str per cell in a list per row took about 108
+    # traced bytes a cell; numpy's reader keeps to the array and its growth
+    pts = np.random.default_rng(4).standard_normal((50_000, 4))
+    path = tmp_path / "big.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.points.tobytes() == pts.tobytes()
+    assert peak < 24 * pts.size
 
 
 def test_fit_rejects_a_row_longer_than_the_header_exit_1(capsys, tmp_path):
@@ -396,6 +507,36 @@ def test_condexp_flow(capsys, tmp_path):
         "--query", bad, "--out", str(tmp_path / "c2.csv"),
     )
     assert code == 1 and "expected 1" in err
+
+
+def test_condexp_reads_the_joint_csv_once(capsys, tmp_path, monkeypatch):
+    # the x and the y columns come from one read of the joint file, and the
+    # moments are bitwise those of reading each selection on its own
+    joint = str(tmp_path / "joint.csv")
+    run_cli(capsys, "simulate", "--dist", "variance", "--n", "240", "--seed", "5", "--out", joint)
+    query = write_csv(tmp_path / "query.csv", ["x"], [[-1.0], [0.0], [1.0]])
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    out = str(tmp_path / "cond.csv")
+    code, _, _ = run_cli(
+        capsys,
+        "condexp",
+        "--joint", joint, "--xcols", "x", "--ycols", "y",
+        "--rho", "1.0", "--lambda", "1e-3", "--seed", "0",
+        "--query", query, "--out", out,
+    )
+    assert code == 0 and opened.count(joint) == 1
+    monkeypatch.undo()
+    x, y = ingest_csv(joint, ["x"]).points, ingest_csv(joint, ["y"]).points
+    cmodel = fit_conditional(JointDataset(x=x, y=y), KernelSpec("gaussian", rho=1.0), 1e-3, seed=0)
+    mean, cov, degenerate = conditional_moments(cmodel, ingest_csv(query).points, return_degenerate=True)
+    written = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert written.tobytes() == np.hstack([mean, cov.reshape(3, -1), degenerate[:, None]]).tobytes()
 
 
 @pytest.mark.parametrize("flag", [["--strategy", "omp"], ["--omp-target", "t.csv"]])

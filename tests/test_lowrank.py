@@ -597,6 +597,36 @@ def test_block_solve_runs_in_place_on_a_split_panel(monkeypatch, threads):
     assert any(parts > 1 for _, _, parts in split.panels)
 
 
+
+def test_split_panel_parts_allocate_nothing_of_their_size(monkeypatch):
+    # 2 x 8,000 points, rank cap 160, two workers: the blocks of 9 or more
+    # pivots are formed in two column ranges, and neither part allocates an
+    # array of k x N/2 entries; the kernel rows' cross products go into the
+    # block's Schur-product buffer, which is free until the Schur product
+    monkeypatch.setenv("KDM_THREADS", "2")
+    rng = np.random.default_rng(21)
+    pts = np.vstack([rng.normal(0.0, 1.0, (8000, 4)), rng.normal(0.3, 1.2, (8000, 4))])
+    real, peaks = lowrank._block_rows, []
+
+    def spy(oracle, lt, base, block, prod, scale):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = real(oracle, lt, base, block, prod, scale)
+        peaks.append((block.size, tracemalloc.get_traced_memory()[1] - before))
+        return kept
+
+    monkeypatch.setattr(lowrank, "_block_rows", spy)
+    tracemalloc.start()
+    try:
+        f = pivoted_cholesky(KernelOracle(KernelSpec("gaussian", rho=1.0), pts), 0.0, max_rank=160)
+    finally:
+        tracemalloc.stop()
+    n = pts.shape[0]
+    split = [(k, peak) for k, peak in peaks if len(lowrank._column_ranges(n, k)) > 1]
+    assert f.rank == 160 and split
+    assert all(peak < k * (n // 2) * 8 // 2 for k, peak in split), split
+
+
 class _RangeSpy:
     """Records (k, N, number of column ranges) for every panel ``_block_rows`` forms."""
 
