@@ -253,7 +253,7 @@ def ingest_csv_reference(path: str, columns=None) -> np.ndarray:
     header = [h.strip() for h in rows[0]]
     if header in ([], [""]):
         raise UsageError(f"{path}: row 1 is empty, but row 1 must name the columns")
-    if all(_finite_float(h) is not None for h in header):
+    if all(_is_finite(h) for h in header):
         raise UsageError(f"{path}: row 1 holds only numbers, but row 1 must name the columns")
     if columns is None:
         idx = list(range(len(header)))
@@ -288,9 +288,8 @@ def ingest_csv_reference(path: str, columns=None) -> np.ndarray:
     return points
 
 
-def _finite_float(cell: str) -> Optional[float]:
+def _is_finite(cell: str) -> bool:
     try:
-        v = float(cell)
+        return math.isfinite(float(cell))
     except ValueError:
-        return None
-    return v if math.isfinite(v) else None
+        return False
