@@ -21,7 +21,6 @@ _EXPORTS = {
     "Dataset": "kernels",
     "Standardizer": "kernels",
     "cross_kernel_matrix": "kernels",
-    "eval_kernel": "kernels",
     "kernel_diagonal": "kernels",
     "kernel_sup": "kernels",
     "kernel_sup_is_empirical": "kernels",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "h_norm": "estimator",
     "load_model": "estimator",
     "save_model": "estimator",
-    "validation_loss": "estimator",
     # hypothesis
     "C_coefficients": "hypothesis",
     "TestResult": "hypothesis",

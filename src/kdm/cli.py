@@ -26,6 +26,7 @@ import re
 import sys
 import time
 import warnings
+from array import array
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -102,8 +103,9 @@ def ingest_csv(path: str, columns: ColumnSelection = None) -> Dataset:
     header and finite values only; the selected columns are then taken from
     it.  Any other file, such as one with a quoted cell, a cell of the form
     ``1_000``, a blank line or a bad row, is parsed again with the csv
-    module, cell by cell through Python's ``float``, which accepts its whole
-    grammar and names the first bad row.  Both give the same values.
+    module, in one pass over the rows that takes each selected cell through
+    Python's ``float``, which accepts its whole grammar, and names the first
+    bad row.  Both give the same values.
     """
     return _ingest_csv(path, [columns])[0]
 
@@ -112,7 +114,8 @@ def _ingest_csv(path: str, selections: Sequence[ColumnSelection]) -> list:
     """One Dataset per column selection, as :func:`ingest_csv` reads it, from one read of the file.
 
     The selections are checked in order, and a bad cell is looked for in the
-    columns of each selection in turn.
+    columns of each selection in turn.  A file that is not UTF-8 text is
+    refused with a UsageError naming it.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -135,6 +138,8 @@ def _ingest_csv(path: str, selections: Sequence[ColumnSelection]) -> list:
                 rows = list(reader)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc})")
     if data is not None:
         # take() keeps the selection in row-major order, as the csv parse makes it
         return [Dataset(data if idx == list(range(len(header))) else data.take(idx, axis=1)) for idx in idxs]
@@ -190,35 +195,13 @@ def _numeric_rows(fh, width: int) -> Optional[np.ndarray]:
 
 
 def _convert_rows(path: str, header: Sequence[str], idx: Sequence[int], rows: list) -> Dataset:
-    """The selected columns ``idx`` of the csv module's ``rows``, each cell through Python's ``float``."""
-    # convert in bulk (numpy parses each str with float(), so the grammar is
-    # Python's).  When every column is selected the rows go in as they are,
-    # and numpy rejects rows of unequal length; otherwise one pass over the
-    # row lengths finds a row longer or shorter than the header.  Only when
-    # a check fails is the offending row looked for
-    every = idx == list(range(len(header)))
-    try:
-        data = np.array(rows if every else [[row[i] for i in idx] for row in rows], dtype=np.float64)
-    except (IndexError, ValueError):
-        data = None
-    if (
-        data is None
-        or data.shape[1] != len(idx)
-        or (not every and set(map(len, rows)) != {len(header)})
-        or not np.all(np.isfinite(data))
-    ):
-        _raise_first_bad_row(path, header, idx, rows)
-    return Dataset(data)
+    """The selected columns ``idx`` of the csv module's ``rows``, each cell through Python's ``float``.
 
-
-def _is_finite_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
-
-
-def _raise_first_bad_row(path: str, header: Sequence[str], idx: Sequence[int], rows) -> None:
+    The rows are checked in order, and the first one longer or shorter than
+    the header, or with a selected cell that is not a finite number, is
+    named.
+    """
+    values = array("d")
     for rownum, row in enumerate(rows, start=1):
         if len(row) > len(header):
             raise UsageError(f"{path}: row {rownum} has {len(row)} fields, but the header names {len(header)}")
@@ -230,9 +213,17 @@ def _raise_first_bad_row(path: str, header: Sequence[str], idx: Sequence[int], r
                 v = float(cell)
             except ValueError:
                 raise UsageError(f"{path}: cannot parse {cell!r} at row {rownum}, column {header[i]!r}")
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise UsageError(f"{path}: non-finite value {cell!r} at row {rownum}, column {header[i]!r}")
-    raise AssertionError(f"{path}: bulk conversion failed but every row and cell is valid")
+            values.append(v)
+    return Dataset(np.frombuffer(values).reshape(len(rows), len(idx)))
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def _check_out(path: str, force: bool) -> None:
@@ -486,6 +477,10 @@ def _cmd_condexp(args) -> dict:
     xcols, ycols = parse_columns(args.xcols), parse_columns(args.ycols)
     ds_x, ds_y = _ingest_csv(args.joint, [xcols, ycols])
     joint = JointDataset(x=ds_x.points, y=ds_y.points)
+    # the query file is read and checked first, so a bad one costs no fit
+    queries = ingest_csv(args.query).points
+    if queries.shape[1] != joint.d_x:
+        raise UsageError(f"query rows have {queries.shape[1]} columns, expected {joint.d_x}")
     cmodel = fit_conditional(
         joint,
         _kernel_from_args(args),
@@ -499,9 +494,6 @@ def _cmd_condexp(args) -> dict:
         grid_cap=args.grid_cap,
         seed=args.seed,
     )
-    queries = ingest_csv(args.query).points
-    if queries.shape[1] != joint.d_x:
-        raise UsageError(f"query rows have {queries.shape[1]} columns, expected {joint.d_x}")
     d_y = joint.d_y
     header = (
         [f"mean{i + 1}" for i in range(d_y)]

@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimator import DEFAULT_EPSILON_REL, KdmModel, PriorSpec, _check_lambdas, _decompose, _model, eval_density_ratio
-from .kernels import Dataset, KernelSpec, cross_kernel_matrix
+from .kernels import Dataset, KernelSpec, _query_points, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
 DEFAULT_GRID_CAP = 2000
@@ -160,16 +160,6 @@ def fit_conditional(
     return ConditionalModel(base=_model(dec, lam), y_grid=y_grid, scheme=scheme)
 
 
-def _query_rows(cmodel: ConditionalModel, x) -> tuple[np.ndarray, bool]:
-    """Queries as a (Q, d_x) array, and whether a single x was given."""
-    xv = np.asarray(x, dtype=np.float64)
-    single = xv.ndim <= 1
-    rows = np.atleast_1d(xv)[None, :] if single else xv
-    if rows.ndim != 2 or rows.shape[1] != cmodel.d_x:
-        raise ValueError(f"x must be a vector of dimension {cmodel.d_x} or a batch of such rows")
-    return rows, single
-
-
 def _ratio_matrix(cmodel: ConditionalModel, xs: np.ndarray) -> np.ndarray:
     """Estimated ratio at every (query, grid point) pair, as a (Q, G) array."""
     base, grid = cmodel.base, cmodel.y_grid
@@ -212,7 +202,7 @@ def conditional_weights(
     weights; one RuntimeWarning per call says how many rows did, and the
     optional degenerate flag (a bool, or a bool array for a batch) marks them.
     """
-    xs, single = _query_rows(cmodel, x)
+    xs, single = _query_points(cmodel.d_x, x)
     vals = np.maximum(_ratio_matrix(cmodel, xs), 0.0)
     totals = vals.sum(axis=1)
     degenerate = ~(totals > 0)

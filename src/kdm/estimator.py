@@ -23,6 +23,7 @@ from .kernels import (
     KernelSpec,
     Standardizer,
     _json_number,
+    _query_points,
     cross_kernel_matrix,
     kernel_sup,
     kernel_sup_is_empirical,
@@ -365,18 +366,8 @@ def fit(
     return _model(dec, lam)
 
 
-def _query_points(d: int, z) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(z, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != d:
-        raise ValueError(f"query dimension {pts.shape[1]} != model dimension {d}")
-    return pts, single
-
-
 def eval_h(model: KdmModel, z) -> Union[float, np.ndarray]:
-    """RKHS correction h at one point (1-d input) or a batch (2-d input)."""
+    """RKHS correction h at one point (a scalar or a vector) or a batch (2-d input)."""
     pts, single = _query_points(model.d, z)
     vals = cross_kernel_matrix(model.kernel, model.standardizer.apply(pts), model.pivot_points) @ model.beta
     return float(vals[0]) if single else vals
@@ -398,23 +389,14 @@ def h_norm(model: KdmModel) -> float:
     return float(np.linalg.norm(model.w))
 
 
-def validation_loss(model: KdmModel, val_p, val_q) -> float:
-    """Out-of-sample quadratic loss of the fitted ratio (lower is better).
-
-    Both empirical sums are averaged over their validation sample sizes; the
-    normalization does not move the argmin across models on common data.
-    """
-    vp, vq = _as_dataset(val_p), _as_dataset(val_q)
-    if vp.d != model.d or vq.d != model.d:
-        raise ValueError("validation sample dimension differs from model")
-    return float(_quadratic_loss(eval_h(model, vp.points), eval_h(model, vq.points), model.prior.evaluate(vp.points)))
-
-
 def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> Union[float, np.ndarray]:
-    """Validation loss from h at the P and Q points and the prior at the P points.
+    """Out-of-sample quadratic loss from h at the P and Q points and the prior at the P points.
 
-    ``hp`` and ``hq`` hold one model's values, (n,), or L models' values as
-    columns, (n, L); the loss is a scalar or an (L,) array accordingly.
+    The loss is -2 (mean_Q h - mean_P p h) + mean_P h^2, lower for a better
+    ratio: both empirical sums are averaged over their own sample sizes,
+    which does not move the argmin across models on common data.  ``hp`` and
+    ``hq`` hold one model's values, (n,), or L models' values as columns,
+    (n, L); the loss is a scalar or an (L,) array accordingly.
     """
     cross = hq.sum(axis=0) / hq.shape[0] - pbar @ hp / hp.shape[0]
     quad = (hp * hp).sum(axis=0) / hp.shape[0]
@@ -463,7 +445,7 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
     (:func:`_path_weights`), and the validation points' kernel rows against
     the pivots and the prior at the validation P points are made once, so
     each lambda adds O(m^2) work: no model is built per lambda.  Each loss
-    equals :func:`validation_loss` of the model :func:`fit` returns to
+    equals :func:`_quadratic_loss` of the model :func:`fit` returns to
     roundoff.
     """
     std, piv = dec.fields["standardizer"], dec.fields["pivot_points"]
@@ -511,7 +493,7 @@ def cross_validate(
     once per fold and kernel, and one tridiagonal reduction of the fold's
     m x m Gram, O(m^3), serves all the lambdas, which then cost O(m^2) each:
     grids dense in lambda cost little extra.  Each loss equals
-    :func:`validation_loss` of a fresh fit on the training fold to roundoff.
+    :func:`_quadratic_loss` of a fresh fit on the training fold to roundoff.
     Ties resolve to the earliest kernel, then the earliest lambda.  Every fold
     is decomposed with the greedy rule at a tolerance relative to its own
     kernel trace.

@@ -60,9 +60,12 @@ class KernelSpec:
     def from_dict(cls, d: dict) -> "KernelSpec":
         """The spec :meth:`to_dict` wrote.
 
-        A degree ``q`` that is not integral, or a ``rho`` or ``c`` that is
-        not a JSON number, is refused with a ValueError naming the field.
+        A ``d`` that is not a JSON object, a degree ``q`` that is not
+        integral, or a ``rho`` or ``c`` that is not a JSON number, is refused
+        with a ValueError naming the field.
         """
+        if not isinstance(d, dict):
+            raise ValueError(f"field 'kernel' is {d!r}; expected a JSON object")
         q = d.get("q", 2)
         if type(q) not in (int, float) or q % 1:
             raise ValueError(f"kernel field 'q' is {q!r}; expected an integer")
@@ -139,6 +142,20 @@ def _as_points(data: Union[Dataset, np.ndarray]) -> np.ndarray:
     return pts
 
 
+def _query_points(d: int, z) -> tuple[np.ndarray, bool]:
+    """Query points of dimension ``d`` as a (Q, d) array, and whether ``z`` was one point.
+
+    A scalar or a vector is one point and a 2-d array a batch of rows; any
+    other shape, or a width other than ``d``, is refused with a ValueError.
+    """
+    arr = np.asarray(z, dtype=np.float64)
+    single = arr.ndim <= 1
+    pts = np.atleast_1d(arr)[None, :] if single else arr
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"queries must be points of dimension {d}, one or a batch of rows; got shape {arr.shape}")
+    return pts, single
+
+
 def sq_norms(points: Union[Dataset, np.ndarray]) -> np.ndarray:
     """Squared Euclidean norm of each point, as the kernel formulas use it."""
     pts = _as_points(points)
@@ -176,25 +193,13 @@ def cross_kernel_matrix(
     spec: KernelSpec,
     rows: Union[Dataset, np.ndarray],
     cols: Union[Dataset, np.ndarray],
-    *,
-    row_sq_norms: Optional[np.ndarray] = None,
-    col_sq_norms: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Evaluate k(z_i, z'_j) for every row point against every column point.
-
-    ``row_sq_norms`` and ``col_sq_norms``, if given, must be
-    ``sq_norms(rows)`` and ``sq_norms(cols)``; a caller that evaluates many
-    blocks against the same points passes their norms to skip recomputing
-    them.  ``out``, if given, is a float64 array of the
-    result's shape that receives the entries and is returned.  The result is
-    bitwise the same either way.
-    """
+    """Evaluate k(z_i, z'_j) for every row point against every column point."""
     a = _as_points(rows)
     b = _as_points(cols)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return _kernel_block(spec, a, b, row_sq_norms, col_sq_norms, out)
+    return _kernel_block(spec, a, b)
 
 
 def _kernel_block(
@@ -208,6 +213,10 @@ def _kernel_block(
 ) -> np.ndarray:
     """:func:`cross_kernel_matrix` of the 2-d point arrays ``a`` and ``b`` of one dimension.
 
+    ``aa`` and ``bb``, if given, must be ``sq_norms(a)`` and ``sq_norms(b)``;
+    a caller that evaluates many blocks against the same points passes their
+    norms to skip recomputing them.  ``out``, if given, is a float64 array of
+    the result's shape that receives the entries and is returned.
     ``scratch``, if given, is a float64 array of the result's shape that
     receives the cross products a b^T, so that no array of the result's size
     is allocated when ``out`` is given too; its entries are left undefined.
@@ -225,15 +234,6 @@ def _kernel_block(
         np.sqrt(d2, out=d2)
         d2 *= -spec.rho
     return np.exp(d2, out=d2)
-
-
-def eval_kernel(spec: KernelSpec, z1: np.ndarray, z2: np.ndarray) -> float:
-    """Single kernel evaluation k(z1, z2)."""
-    a = np.atleast_1d(np.asarray(z1, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(z2, dtype=np.float64))
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("z1 and z2 must be vectors of equal dimension")
-    return float(cross_kernel_matrix(spec, a[None, :], b[None, :])[0, 0])
 
 
 def kernel_diagonal(spec: KernelSpec, data: Union[Dataset, np.ndarray]) -> np.ndarray:

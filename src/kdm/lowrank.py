@@ -107,7 +107,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernels import Dataset, KernelSpec, _as_points, _kernel_block, cross_kernel_matrix, kernel_diagonal, sq_norms
+from .kernels import Dataset, KernelSpec, _as_points, _kernel_block, kernel_diagonal, sq_norms
 
 # residual diagonal entries below DIAG_FLOOR_REL * max(diag K) are treated as
 # exhausted; entries more negative than -PSD_TOL_REL * max(diag K) mean the
@@ -191,7 +191,7 @@ class KernelOracle:
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         pts = self._pts[idx]
-        return cross_kernel_matrix(self._spec, pts, pts, row_sq_norms=self._sq_norms[idx])
+        return _kernel_block(self._spec, pts, pts, self._sq_norms[idx])
 
 
 @dataclass

@@ -7,6 +7,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .kernels import _as_points, _query_points
 from .lowrank import NumericsError
 
 DS_JITTER_REL = 1e-8
@@ -54,15 +55,9 @@ def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = 
     with one row of ``weights`` each (shape (Q, m)); the pairwise candidate
     distances are computed once and the Q scores are returned as an array.
     """
-    yv = np.asarray(y, dtype=np.float64)
-    single = yv.ndim < 2
-    ys = np.atleast_1d(yv)[None, :] if single else yv
-    pts = np.asarray(xs, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(xs)
+    ys, single = _query_points(pts.shape[1], y)
     q, m = ys.shape[0], pts.shape[0]
-    if ys.ndim != 2 or pts.shape[1] != ys.shape[1]:
-        raise ValueError("candidate dimension differs from outcome")
     w = np.ones((q, m)) if weights is None else np.asarray(weights, dtype=np.float64)
     if single and weights is not None:
         w = w[None, :]

@@ -6,6 +6,9 @@ against it.  ``fit_full`` solves the exact representer system over all 2n
 stacked points, quadratic in memory, so the low-rank fit can be checked
 against it at small scale through ``eval_h_full`` and ``rkhs_gap``;
 ``h_norm_gram`` is the RKHS norm of a low-rank fit from its Gram matrix.
+``eval_kernel`` is one kernel entry, and ``validation_loss`` the quadratic
+loss of one fitted model on validation samples, which the lambda path of
+``kdm.estimator.cross_validate`` must reproduce.
 ``median_heuristic_rho_reference`` and ``energy_score_broadcast`` are the
 plain numpy forms of the median heuristic and of the energy score, and
 ``reservoir_indices_scalar`` draws the grid subsample with one scalar draw
@@ -24,8 +27,8 @@ import numpy as np
 
 from kdm.bench import MEDIAN_POINTS
 from kdm.cli import UsageError
-from kdm.estimator import KdmModel, PriorSpec, _common_size, _input_transform, _query_points
-from kdm.kernels import KernelSpec, Standardizer, _as_points, _sq_dists, cross_kernel_matrix
+from kdm.estimator import KdmModel, PriorSpec, _as_dataset, _common_size, _input_transform, _quadratic_loss, eval_h
+from kdm.kernels import KernelSpec, Standardizer, _as_points, _query_points, _sq_dists, cross_kernel_matrix
 from kdm.lowrank import CholeskyFactors, NumericsError
 
 
@@ -201,6 +204,27 @@ def h_norm_gram(model: KdmModel) -> float:
     kpp = cross_kernel_matrix(model.kernel, model.pivot_points, model.pivot_points)
     val = float(model.beta @ kpp @ model.beta)
     return float(np.sqrt(max(val, 0.0)))
+
+
+def eval_kernel(spec: KernelSpec, z1, z2) -> float:
+    """Single kernel evaluation k(z1, z2)."""
+    a = np.atleast_1d(np.asarray(z1, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(z2, dtype=np.float64))
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("z1 and z2 must be vectors of equal dimension")
+    return float(cross_kernel_matrix(spec, a[None, :], b[None, :])[0, 0])
+
+
+def validation_loss(model: KdmModel, val_p, val_q) -> float:
+    """Out-of-sample quadratic loss of the fitted ratio (lower is better).
+
+    Both empirical sums are averaged over their validation sample sizes; the
+    normalization does not move the argmin across models on common data.
+    """
+    vp, vq = _as_dataset(val_p), _as_dataset(val_q)
+    if vp.d != model.d or vq.d != model.d:
+        raise ValueError("validation sample dimension differs from model")
+    return float(_quadratic_loss(eval_h(model, vp.points), eval_h(model, vq.points), model.prior.evaluate(vp.points)))
 
 
 def median_heuristic_rho_reference(points) -> float:

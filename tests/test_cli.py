@@ -120,6 +120,23 @@ def test_ingest_csv_drops_a_utf8_byte_order_mark(tmp_path):
     np.testing.assert_array_equal(ingest_csv(str(quoted), ["x"]).points, [[1000.0]])
 
 
+@pytest.mark.parametrize("late", [False, True], ids=["first_line", "past_the_first_read"])
+def test_csv_that_is_not_utf8_names_the_file_exit_1(capsys, tmp_path, late):
+    # the decode error named no file: "kdm: error: 'utf-8' codec can't decode byte 0xff ..."
+    rows = [[0.1 * i, 0.2 * i] for i in range(2000 if late else 1)]
+    bad = write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
+    with open(bad, "ab") as fh:
+        fh.write(b"3,\xff4\n")
+    ok = write_csv(tmp_path / "ok.csv", ["a", "b"], rows)
+    with pytest.raises(UsageError, match=r"bad\.csv: not UTF-8 text \("):
+        ingest_csv(bad)
+    code, _, err = run_cli(
+        capsys, "fit", "--p", bad, "--q", ok, "--rho", "1.0", "--lambda", "1e-3", "--out", str(tmp_path / "m.kdm")
+    )
+    assert code == 1 and f"kdm: error: {bad}: not UTF-8 text" in err
+    assert not os.path.exists(tmp_path / "m.kdm")
+
+
 _SPACE = st.sampled_from(["", "", " ", "\t", "\xa0", "\u2007", "\u3000"])
 # cells numpy's reader parses as Python's float() does, padded or not
 _PLAIN_CELL = st.tuples(
@@ -406,6 +423,22 @@ def test_test_rejects_a_bundle_with_a_non_finite_header_number_exit_1(capsys, tm
     assert model in err and f"field '{name}' is" in err and "expected a finite number" in err
 
 
+@pytest.mark.parametrize("bad", ["gaussian", [1, 2]], ids=["string", "list"])
+def test_test_rejects_a_bundle_whose_kernel_is_not_an_object_exit_1(capsys, tmp_path, bad):
+    # KernelSpec.from_dict called .get on it: an AttributeError traceback
+    code, _, model = fit_two_samples(capsys, tmp_path)
+    assert code == 0
+    raw = open(model, "rb").read()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    head = json.dumps({**header, "kernel": bad}, sort_keys=True, separators=(",", ":"))
+    with open(model, "wb") as fh:
+        fh.write(raw[:4] + struct.pack("<Q", len(head)) + head.encode("utf-8") + raw[12 + hlen :])
+    code, _, err = run_cli(capsys, "test", "--model", model)
+    assert code == 1
+    assert f"kdm: error: {model}: field 'kernel' is" in err and "expected a JSON object" in err
+
+
 def test_test_reports_the_terms_of_the_norm_bound(capsys, tmp_path):
     code, _, model = fit_two_samples(capsys, tmp_path)
     assert code == 0
@@ -507,6 +540,27 @@ def test_condexp_flow(capsys, tmp_path):
         "--query", bad, "--out", str(tmp_path / "c2.csv"),
     )
     assert code == 1 and "expected 1" in err
+
+
+def test_condexp_checks_the_query_file_before_the_fit(capsys, tmp_path, monkeypatch):
+    # a query file of the wrong width exits 1 without a fit
+    joint = str(tmp_path / "joint.csv")
+    run_cli(capsys, "simulate", "--dist", "variance", "--n", "240", "--seed", "5", "--out", joint)
+    bad = write_csv(tmp_path / "bad_query.csv", ["a", "b"], [[0.0, 1.0]])
+
+    def no_fit(*args, **kwargs):
+        pytest.fail("condexp fitted before it checked the query file")
+
+    monkeypatch.setattr(cli, "fit_conditional", no_fit)
+    code, _, err = run_cli(
+        capsys,
+        "condexp",
+        "--joint", joint, "--xcols", "x", "--ycols", "y",
+        "--rho", "1.0", "--lambda", "1e-3", "--seed", "0",
+        "--query", bad, "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == 1 and "query rows have 2 columns, expected 1" in err
+    assert not os.path.exists(tmp_path / "c.csv")
 
 
 def test_condexp_reads_the_joint_csv_once(capsys, tmp_path, monkeypatch):

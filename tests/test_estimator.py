@@ -20,12 +20,11 @@ from kdm.estimator import (
     h_norm,
     load_model,
     save_model,
-    validation_loss,
 )
 from kdm.hypothesis import run_test
 from kdm.kernels import KernelSpec, cross_kernel_matrix
 from kdm.lowrank import KernelOracle, NumericsError, pivoted_cholesky
-from reference import eval_h_full, fit_full, h_norm_gram, rkhs_gap
+from reference import eval_h_full, fit_full, h_norm_gram, rkhs_gap, validation_loss
 
 
 def bernoulli_samples(p_head, q_head, n, rng):
@@ -645,6 +644,15 @@ def test_load_refuses_coerced_header_values(tmp_path):
     for bad in ("false", 0, 1, None):
         _rewrite(path, {**header, "hit_rank_cap": bad}, body)
         with pytest.raises(ValueError, match=r"model\.kdm: field 'hit_rank_cap' is .*; expected true or false"):
+            load_model(path)
+
+
+def test_load_refuses_a_kernel_field_that_is_not_an_object(tmp_path):
+    # KernelSpec.from_dict called .get on it and raised AttributeError
+    path, _, header, body = _bundle(tmp_path)
+    for bad in ("gaussian", [1, 2], None, 3):
+        _rewrite(path, {**header, "kernel": bad}, body)
+        with pytest.raises(ValueError, match=r"model\.kdm: field 'kernel' is .*; expected a JSON object"):
             load_model(path)
 
 

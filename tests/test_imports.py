@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import kdm
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # run in a fresh interpreter, so that no module another test imported counts;
@@ -78,3 +80,12 @@ def test_only_cross_validate_loads_scipy(tmp_path):
     assert list(loaded) == ["import", "cli", "library", "cross_validate"]
     assert loaded["import"] == loaded["cli"] == loaded["library"] == []
     assert "scipy.linalg" in loaded["cross_validate"]
+
+
+def test_every_exported_name_resolves():
+    # the lazy table maps each name to its module; a stale entry fails only when read
+    missing = [name for name in kdm.__all__ if not hasattr(kdm, name)]
+    assert missing == []
+    assert sorted(dir(kdm)) == sorted(kdm.__all__)
+    for name in ("eval_kernel", "validation_loss"):  # validation-only: tests/reference.py
+        assert name not in kdm.__all__ and not hasattr(kdm, name)

@@ -1,17 +1,24 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 
+from kdm.conditional import JointDataset, conditional_weights, fit_conditional
+from kdm.estimator import eval_density_ratio, eval_h, fit
 from kdm.kernels import (
     Dataset,
     KernelSpec,
     Standardizer,
+    _kernel_block,
     cross_kernel_matrix,
-    eval_kernel,
     kernel_diagonal,
     kernel_sup,
     kernel_sup_is_empirical,
     sq_norms,
 )
+from kdm.metrics import energy_score
+from reference import eval_kernel
 
 
 def test_gaussian_known_value():
@@ -186,10 +193,61 @@ def test_precomputed_row_norms_are_bitwise_identical(spec, d):
     for j in (0, 3, 17, 60, pts.shape[0] - 1):
         col = pts[j : j + 1]
         plain = cross_kernel_matrix(spec, pts, col)
-        cached = cross_kernel_matrix(spec, pts, col, row_sq_norms=norms)
+        cached = _kernel_block(spec, pts, col, norms)
         assert cached.tobytes() == plain.tobytes()
     block = pts[5:12]
-    assert (
-        cross_kernel_matrix(spec, pts, block, row_sq_norms=norms).tobytes()
-        == cross_kernel_matrix(spec, pts, block).tobytes()
-    )
+    assert _kernel_block(spec, pts, block, norms).tobytes() == cross_kernel_matrix(spec, pts, block).tobytes()
+    # the pool's submatrix form: both operands the same points, their norms given once
+    pool = _kernel_block(spec, block, block, norms[5:12])
+    assert pool.tobytes() == cross_kernel_matrix(spec, block, block).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _query_callers(d):
+    """The four callers of the query rule, each a function of the queries, on points of dimension ``d``."""
+    rng = np.random.default_rng(40 + d)
+    spec = KernelSpec("gaussian", rho=1.0)
+    model = fit(rng.normal(0.0, 1.0, (40, d)), rng.normal(0.3, 1.0, (40, d)), spec, 1e-2)
+    cmodel = fit_conditional(JointDataset(x=rng.normal(size=(60, d)), y=rng.normal(size=(60, 1))), spec, 1e-2)
+    candidates = rng.normal(size=(30, d))
+    return {
+        "eval_h": lambda z: eval_h(model, z),
+        "eval_density_ratio": lambda z: eval_density_ratio(model, z),
+        "conditional_weights": lambda z: conditional_weights(cmodel, z),
+        "energy_score": lambda z: energy_score(z, candidates),
+    }
+
+
+# case -> (dimension, queries, rows of the result: None for one point, 0 when refused)
+_QUERY_CASES = {
+    "scalar": (1, 0.5, None),
+    "vector": (3, [0.5, -1.0, 0.2], None),
+    "batch": (3, [[0.5, -1.0, 0.2], [0.0, 0.3, -0.4]], 2),
+    "3-d": (3, np.zeros((2, 3, 1)), 0),
+    "wrong_width": (3, np.zeros((2, 2)), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_QUERY_CASES))
+@pytest.mark.parametrize("caller", ["eval_h", "eval_density_ratio", "conditional_weights", "energy_score"])
+def test_every_caller_applies_the_one_query_rule(caller, case):
+    # a scalar or a vector is one point and a 2-d array a batch of rows;
+    # any other shape or width is a ValueError naming the width and the shape
+    d, queries, batch = _QUERY_CASES[case]
+    f = _query_callers(d)[caller]
+    if batch == 0:
+        with pytest.raises(ValueError, match=rf"dimension {d}\b.*{re.escape(str(np.shape(queries)))}"):
+            f(queries)
+        return
+    got = f(queries)
+    rows = np.atleast_2d(queries)
+    want = np.asarray(f(rows))
+    if batch is None:
+        # one point: a float, or one row of weights, as the point's row of a batch
+        assert want.shape[0] == 1
+        assert isinstance(got, float) if caller != "conditional_weights" else got.ndim == 1
+        np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=1e-15)
+    else:
+        assert np.shape(got)[0] == batch
+        for row, value in zip(rows, got):
+            np.testing.assert_allclose(f(row), value, rtol=1e-12, atol=1e-15)
