@@ -252,15 +252,25 @@ def _prior_from_args(args) -> PriorSpec:
     return PriorSpec.one() if args.prior == "one" else PriorSpec.zero()
 
 
-def _size_cap(text: str) -> int:
-    """argparse type of the size caps: an integer >= 1."""
+def _integer(text: str, low: int) -> int:
+    """An integer >= ``low``, else an argparse error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
+
+
+def _size_cap(text: str) -> int:
+    """argparse type of the size caps: an integer >= 1."""
+    return _integer(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    return _integer(text, 0)
 
 
 def _finite(text: str, strict: bool) -> float:
@@ -329,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, default=None, help="dependence strength (distribution default if omitted)")
     p.add_argument("--clusters", type=int, default=2, help="mixture only")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     _add_out(p, "joint sample CSV")
 
     p = sub.add_parser("fit", help="fit the density-ratio model from two CSV samples")
@@ -358,7 +368,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     _add_fit_flags(p)
     p.add_argument("--grid-cap", type=_size_cap, default=DEFAULT_GRID_CAP)
-    p.add_argument("--seed", type=int, required=True, help="grid subsampling stream")
+    p.add_argument("--seed", type=_seed, required=True, help="grid subsampling stream")
     p.add_argument("--query", required=True, help="CSV of x rows to condition on")
     _add_out(p, "moments CSV")
 
@@ -370,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambdas", type=_positives, required=True, help="comma-separated ridge values > 0")
     p.add_argument("--folds", type=int, default=5)
     _add_fit_flags(p)
-    p.add_argument("--seed", type=int, required=True, help="fold assignment stream")
+    p.add_argument("--seed", type=_seed, required=True, help="fold assignment stream")
     _add_out(p)
 
     p = sub.add_parser("score", help="compare forecast files under a scoring metric")
@@ -396,7 +406,7 @@ def build_parser() -> _Parser:
     b.add_argument("--max-rank", type=_size_cap, default=bench.DEFAULT_MAX_RANK)
     b.add_argument("--scheme", choices=SCHEMES, default="three_split")
     b.add_argument("--t", type=_positive, default=DEFAULT_TRUNCATION_T)
-    b.add_argument("--seed", type=int, required=True)
+    b.add_argument("--seed", type=_seed, required=True)
     _add_out(b)
 
     b = bench_sub.add_parser("mixture", help="energy-score study on random Gaussian mixtures")
@@ -407,7 +417,7 @@ def build_parser() -> _Parser:
     b.add_argument("--lambda", dest="lam", type=_positive, default=1e-3)
     b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
     b.add_argument("--max-rank", type=_size_cap, default=400)
-    b.add_argument("--seed", type=int, required=True)
+    b.add_argument("--seed", type=_seed, required=True)
     _add_out(b)
 
     return parser

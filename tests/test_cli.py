@@ -644,6 +644,29 @@ def test_cv_flow(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "cv", "--p", p, "--q", q, "--rhos", "", "--lambdas", "1", "--seed", "1")
     assert code == 1 and "empty" in err
+    code, _, err = run_cli(capsys, "cv", "--p", p, "--q", q, "--rhos", "1", "--lambdas", "1", "--folds", "1000",
+                           "--seed", "1")
+    assert code == 1 and "folds must lie in [2, 120], got 1000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dist", "circle", "--n", "10"],
+        ["condexp", "--joint", "j.csv", "--xcols", "0", "--ycols", "1", "--lambda", "1e-3", "--query", "x.csv"],
+        ["cv", "--p", "p.csv", "--q", "q.csv", "--rhos", "1", "--lambdas", "1e-3"],
+        ["bench", "independence", "--dist", "circle", "--n", "50", "--reps", "2"],
+        ["bench", "mixture", "--runs", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2] if argv[0] == "bench" else argv[:1]),
+)
+def test_negative_seed_names_its_flag_exit_1(capsys, tmp_path, argv):
+    # before: numpy's "expected non-negative integer", which names no flag
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert "argument --seed: must be an integer >= 0, got '-1'" in err
+    assert not out.exists()
 
 
 def test_lambda_flags_must_be_finite_and_positive_exit_1(capsys, tmp_path):

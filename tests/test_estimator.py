@@ -381,6 +381,66 @@ def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
             solve(dataclasses.replace(dec, gram=gram))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    case=st.sampled_from(["one point", "full rank", "duplicated"]),
+    prior=st.sampled_from(["one", "zero"]),
+    lambdas=st.lists(st.sampled_from([1e-6, 1e-4, 1e-2, 1.0, 10.0]), min_size=1, max_size=5),
+)
+def test_path_weights_match_a_dense_solve_at_every_lambda(seed, n, case, prior, lambdas):
+    # column j of the path solves (G + n lambda_j I) w = gap.  Both routes
+    # are backward stable, so they agree to a forward error of the order of
+    # eps * cond: the test allows 1e-13 * cond(G + n lambda_j I), relative to
+    # the solution's norm.  "one point" stacks one distinct point, so m = 1;
+    # "duplicated" draws P from two distinct points, so the Gram, formed from
+    # P's rows of the factor, has rank <= 2 < m.  The first lambda repeats
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(0, 1, (n, 2)), rng.normal(0.3, 1, (n, 2))
+    if case == "one point":
+        p = q = np.ones((n, 2))
+    elif case == "duplicated":
+        p = rng.normal(0, 1, (2, 2))[np.arange(n) % 2]
+    dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0), prior=getattr(PriorSpec, prior)())
+    m = dec.gram.shape[0]
+    assert (m == 1) == (case == "one point")
+    if case == "duplicated":
+        assert np.linalg.matrix_rank(dec.gram) <= 2 < m
+    lams = np.array(lambdas + lambdas[:1])
+    path = estimator._path_weights(dec, lams)
+    evals = np.linalg.eigvalsh(dec.gram)
+    for j, lam in enumerate(lams):
+        want = np.linalg.solve(dec.gram + n * lam * np.eye(m), dec.fields["moment_gap"])
+        cond = (evals.max() + n * lam) / (evals.min() + n * lam)
+        assert np.linalg.norm(path[:, j] - want) <= 1e-13 * cond * np.linalg.norm(want)
+
+
+def test_path_weights_reject_a_failed_or_indefinite_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(27)
+    p, q = rng.normal(0, 1, (40, 2)), rng.normal(0.3, 1, (40, 2))
+    dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0))
+    lams = np.array([1e-3, 1.0])
+    # G = -I: the shifted eigenvalue -1 + 40 * 1e-3 is < 0
+    with pytest.raises(NumericsError, match="not positive definite"):
+        estimator._path_weights(dataclasses.replace(dec, gram=-np.eye(dec.gram.shape[0])), lams)
+
+    def diverge(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    with pytest.raises(NumericsError, match="not positive definite"):
+        estimator._path_weights(dec, lams)
+
+
+def test_folds_out_of_range_name_the_bounds():
+    rng = np.random.default_rng(28)
+    p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.3, 1, (60, 2))
+    for folds in (1, 1000):
+        with pytest.raises(ValueError, match=rf"folds must lie in \[2, 60\], got {folds}$"):
+            cross_validate(p, q, [KernelSpec("gaussian")], [1e-3], folds=folds, seed=0)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
 def test_lambda_must_be_finite_and_positive(monkeypatch, bad):
     # the whole grid is checked before any fold is decomposed

@@ -9,10 +9,14 @@ import kdm
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # run in a fresh interpreter, so that no module another test imported counts;
+# scipy is blocked, so that any import of it fails loudly, and the script
 # prints, after each stage, the scipy modules loaded so far
 _SCRIPT = r"""
-import json
 import sys
+
+sys.modules["scipy"] = None
+
+import json
 
 import numpy as np
 
@@ -22,7 +26,7 @@ loaded = {}
 
 
 def stage(name):
-    loaded[name] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    loaded[name] = sorted(m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy")
 
 
 def csv(path, rows):
@@ -65,21 +69,18 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_cross_validate_loads_scipy(tmp_path):
-    # every command but `kdm cv` starts without scipy's import cost: the
-    # factorization, the ridge solve and the chi-square tail run on numpy and
-    # the standard library, and the fit at 1,500 + 1,500 points reaches the
-    # listed blocks of the greedy loop.  Only the lambda path of
-    # cross-validation imports scipy
+def test_no_entry_point_loads_scipy(tmp_path):
+    # every command and library call starts without scipy's import cost: the
+    # factorization, the ridge solves, the lambda path of cross-validation
+    # and the chi-square tail run on numpy and the standard library, and the
+    # fit at 1,500 + 1,500 points reaches the listed blocks of the greedy loop
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run(
         [sys.executable, "-c", _SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
-    assert list(loaded) == ["import", "cli", "library", "cross_validate"]
-    assert loaded["import"] == loaded["cli"] == loaded["library"] == []
-    assert "scipy.linalg" in loaded["cross_validate"]
+    assert loaded == {"import": [], "cli": [], "library": [], "cross_validate": []}
 
 
 def test_every_exported_name_resolves():
