@@ -136,7 +136,8 @@ def fit_conditional(
     min(n, grid_cap) entries when there are more; ``seed`` is the stream of
     that subsampling and of nothing else.  A model over another grid is
     ``ConditionalModel(base, y_grid, scheme)``.  The decomposition uses the
-    greedy rule.  The base model is the one :func:`fit` returns with no
+    greedy rule, on the two samples of the split, equal in size by
+    construction.  The base model is the one :func:`fit` returns with no
     ``seed`` (its ``seed`` is None), except that it carries no test
     covariance (``covariance`` is None): no conditional estimate reads it.
     """
@@ -147,15 +148,15 @@ def fit_conditional(
     idx = _reservoir_indices(joint.rows, min(sample_p.n, grid_cap), np.random.default_rng(seed))
     y_grid = joint.y[idx].copy()
     dec = _decompose(
-        sample_p,
-        sample_q,
+        sample_p.points,
+        sample_q.points,
         kernel,
+        prior,
+        with_covariance=False,
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
-        prior=prior,
         max_rank=max_rank,
         standardize=standardize,
-        _covariance=False,
     )
     return ConditionalModel(base=_model(dec, lam), y_grid=y_grid, scheme=scheme)
 

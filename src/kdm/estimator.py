@@ -28,7 +28,7 @@ from .kernels import (
     kernel_sup,
     kernel_sup_is_empirical,
 )
-from .lowrank import KernelOracle, NumericsError, _side_by_side, pivoted_cholesky
+from .lowrank import CholeskyFactors, KernelOracle, NumericsError, _side_by_side, pivoted_cholesky
 
 DEFAULT_EPSILON_REL = 1e-6
 
@@ -41,8 +41,9 @@ SIDE_BY_SIDE_MIN_ENTRIES = 2**20
 class PriorSpec:
     """Prior guess for the density ratio with a declared sup bound.
 
-    ``pi_inf`` bounds sup |p(z)|; for a custom evaluator it is taken on trust
-    and only checked lazily against the values actually requested.
+    ``pi_inf`` bounds sup |p(z)|; for a custom evaluator it must be a
+    finite number >= 0, and it is taken on trust and only checked lazily
+    against the values actually requested.
     """
 
     kind: str
@@ -59,8 +60,8 @@ class PriorSpec:
 
     @classmethod
     def custom(cls, func: Callable[[np.ndarray], np.ndarray], pi_inf: float) -> "PriorSpec":
-        if pi_inf < 0:
-            raise ValueError("pi_inf must be >= 0")
+        if not (pi_inf >= 0 and math.isfinite(pi_inf)):
+            raise ValueError(f"pi_inf must be a finite number >= 0, got {pi_inf!r}")
         return cls(kind="custom", pi_inf=float(pi_inf), func=func)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -150,9 +151,8 @@ class _Decomposition:
 
     ``gram`` (L_P^T L_P) and ``R`` are m x m and ``fields`` holds the
     lambda-independent fields of the model: no array has a row per training
-    point.  Every solve shares ``gram``, so it must not be modified.  The
-    fold decompositions of :func:`cross_validate` and the decomposition of a
-    conditional fit leave ``covariance`` None: no consumer of theirs reads it.
+    point.  Every solve shares ``gram``, so it must not be modified.
+    ``covariance`` is None unless the caller asked for it.
     """
 
     gram: np.ndarray
@@ -176,33 +176,28 @@ def _input_transform(kernel: KernelSpec, stacked: np.ndarray, standardize: bool)
     return Standardizer(mean=mean, scale=np.ones(d))
 
 
-def _decompose(
-    sample_p,
-    sample_q,
+def _factor(
+    pts_p: np.ndarray,
+    pts_q: np.ndarray,
     kernel: KernelSpec,
     *,
     epsilon: Optional[float] = None,
     epsilon_rel: float = DEFAULT_EPSILON_REL,
-    prior: Optional[PriorSpec] = None,
     strategy: str = "greedy",
     omp_target: Optional[np.ndarray] = None,
     max_rank: Optional[int] = None,
     standardize: bool = False,
-    seed: Optional[int] = None,
-    _covariance: bool = True,
-) -> _Decomposition:
-    _check_tolerances(epsilon, epsilon_rel)
-    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
-    pts_p, pts_q = _common_size(sp, sq)
-    n = pts_p.shape[0]
-    prior = prior if prior is not None else PriorSpec.one()
-    if omp_target is not None:
-        # one value per input row, P's first: keep those of the rows kept
-        target = np.asarray(omp_target, dtype=np.float64)
-        if target.shape != (sp.n + sq.n,):
-            raise ValueError(f"omp_target needs one value per input row, {sp.n} + {sq.n}, got shape {target.shape}")
-        omp_target = np.concatenate([target[:n], target[sp.n : sp.n + n]])
+) -> tuple[CholeskyFactors, np.ndarray, Standardizer]:
+    """Pivoted Cholesky factor of the kernel matrix of the stacked P and Q points.
 
+    ``pts_p`` and ``pts_q`` hold n points each, already matched in size, and
+    ``omp_target`` one value per stacked point, P's first.  Returns the
+    factors, the kernel coordinates of the stacked points and the
+    standardizer that maps data to them (:func:`_input_transform`).  The
+    columns of ``Lt`` follow the stacked points, so ``Lt[:, :n]`` and
+    ``Lt[:, n:]`` are the P and Q column blocks that :func:`_reduce` takes.
+    """
+    _check_tolerances(epsilon, epsilon_rel)
     stacked = np.vstack([pts_p, pts_q])
     standardizer = _input_transform(kernel, stacked, standardize)
     zs = standardizer.apply(stacked)
@@ -213,23 +208,37 @@ def _decompose(
     factors = pivoted_cholesky(oracle, epsilon, strategy, omp_target=omp_target, max_rank=max_rank)
     if factors.rank == 0:
         raise NumericsError("decomposition selected no pivots; kernel matrix is numerically zero")
+    return factors, zs, standardizer
 
-    # reduce the m x n row blocks of L^T to lambda-independent statistics:
-    # the Gram and the moment gap of the ridge system, and the plug-in
-    # covariance of the scaled gap n^{-1/2} (L_Q^T 1 - L_P^T p*) that the
-    # test reads.  The P block of the covariance, (L_P^T diag(p*^2) L_P) / n
-    # less the outer product of the mean, is the Gram for the prior one and
-    # vanishes for the prior zero; only a custom prior forms it, through an
-    # m x n temporary.
-    lt_p, lt_q = factors.Lt[:, :n], factors.Lt[:, n:]
-    # numpy forms lt_p lt_p^T with syrk, so the Gram is exactly symmetric
-    # and its transpose is the same matrix in LAPACK's column order: each
-    # ridge solve fills its workspace with a straight copy.  The covariance's
-    # Q product is the same call, run beside it for a large Q block; both
-    # write into m x m outputs allocated here, so the worker allocates none
-    m = factors.rank
-    gram, qq = np.empty((m, m)), np.empty((m, m)) if _covariance else None
-    products = [(lt_p, lt_p.T, gram), (lt_q, lt_q.T, qq)][: 1 + _covariance]
+
+def _reduce(lt_p: np.ndarray, lt_q: np.ndarray, prior: PriorSpec, p_star: np.ndarray, with_covariance: bool) -> tuple:
+    """The Gram, the moment gap and, if asked, the covariance of two column blocks of L^T.
+
+    ``lt_p`` and ``lt_q`` are m x n blocks of a factor's ``Lt``, with the
+    same rows: the columns of n P points and of n Q points.  They are read
+    and never written, so slices of ``Lt`` serve without a copy.
+    ``p_star`` holds the prior at those P points; the prior zero reads none.
+    Returns the Gram L_P^T L_P, the moment gap L_Q^T 1 - L_P^T p* (the
+    ridge system's right-hand side) and, when ``with_covariance``, the
+    plug-in covariance of the scaled gap n^{-1/2} (L_Q^T 1 - L_P^T p*) that
+    the test reads, else None.  Each column enters on its own, so any two
+    equal-sized sets of a factor's columns reduce the same way, and the
+    blocks' first k rows, the factor of the first k pivots, give the leading
+    k x k blocks of the Gram and the covariance and the first k entries of
+    the gap.
+    """
+    # the P block of the covariance, (L_P^T diag(p*^2) L_P) / n less the
+    # outer product of the mean, is the Gram for the prior one and vanishes
+    # for the prior zero; only a custom prior forms it, through an m x n
+    # temporary.  numpy forms lt_p lt_p^T with syrk, so the Gram is exactly
+    # symmetric and its transpose is the same matrix in LAPACK's column
+    # order: each ridge solve fills its workspace with a straight copy.  The
+    # covariance's Q product is the same call, run beside it for a large Q
+    # block; both write into m x m outputs allocated here, so the worker
+    # allocates none
+    m, n = lt_p.shape
+    gram, qq = np.empty((m, m)), np.empty((m, m)) if with_covariance else None
+    products = [(lt_p, lt_p.T, gram), (lt_q, lt_q.T, qq)][: 1 + with_covariance]
     if lt_q.size >= SIDE_BY_SIDE_MIN_ENTRIES:
         _side_by_side(np.matmul, products)
     else:
@@ -237,20 +246,36 @@ def _decompose(
             np.matmul(*operands)
     gram = gram.T
     lq1 = lt_q @ np.ones(n)
-    p_star = None if prior.kind == "zero" else prior.evaluate(pts_p)
-    lpp = None if p_star is None else lt_p @ p_star
+    lpp = None if prior.kind == "zero" else lt_p @ p_star
     covariance = None
-    if _covariance:
+    if with_covariance:
         # sig = QQ / n - lq1 lq1^T / n^2 (+ G / n - lpp lpp^T / n^2), and
         # the covariance is 0.5 (sig + sig^T): each step in place, in the Q
         # product or in one m x m scratch, in that order, so the bits are
         # those of the expressions
         sig, tmp = np.divide(qq, n, out=qq), np.empty((m, m))
         sig -= np.divide(np.outer(lq1, lq1, out=tmp), n**2, out=tmp)
-        if p_star is not None:
+        if lpp is not None:
             sig += np.divide(gram if prior.kind == "one" else (lt_p * p_star**2) @ lt_p.T, n, out=tmp)
             sig -= np.divide(np.outer(lpp, lpp, out=tmp), n**2, out=tmp)
         covariance = np.multiply(np.add(sig, sig.T, out=tmp), 0.5, out=tmp)
+    return gram, lq1 if lpp is None else lq1 - lpp, covariance
+
+
+def _decompose(pts_p, pts_q, kernel: KernelSpec, prior, with_covariance: bool, **factoring) -> _Decomposition:
+    """The lambda-independent part of a fit: :func:`_factor`, then :func:`_reduce`.
+
+    ``pts_p`` and ``pts_q`` hold the same number of points, and
+    ``factoring`` holds :func:`_factor`'s keywords.  The factor's P and Q
+    column blocks go to :func:`_reduce` as slices, and the test covariance
+    is formed only when ``with_covariance``.  ``prior`` defaults to the
+    prior one.  The factor, m rows of 2n entries, is dropped on return, so
+    no caller holds it past the reduction.
+    """
+    factors, zs, standardizer = _factor(pts_p, pts_q, kernel, **factoring)
+    n, lt = pts_p.shape[0], factors.Lt
+    prior = prior if prior is not None else PriorSpec.one()
+    gram, moment_gap, covariance = _reduce(lt[:, :n], lt[:, n:], prior, prior.evaluate(pts_p), with_covariance)
     return _Decomposition(
         gram=gram,
         R=factors.R,
@@ -259,7 +284,7 @@ def _decompose(
             prior=prior,
             pivot_points=zs[factors.pivots],
             pivots=factors.pivots,
-            moment_gap=lq1 if lpp is None else lq1 - lpp,
+            moment_gap=moment_gap,
             covariance=covariance,
             n=n,
             epsilon=factors.epsilon,
@@ -267,7 +292,6 @@ def _decompose(
             kappa_inf=kernel_sup(kernel, zs),
             standardizer=standardizer,
             hit_rank_cap=factors.hit_rank_cap,
-            seed=seed,
         ),
     )
 
@@ -310,10 +334,10 @@ def _check_lambdas(lambdas: Sequence[float]) -> None:
             raise ValueError(f"lam must be > 0 and finite, got {lam!r}")
 
 
-def _model(dec: _Decomposition, lam: float) -> KdmModel:
-    """The fitted model of one lambda on a decomposition."""
+def _model(dec: _Decomposition, lam: float, seed: Optional[int] = None) -> KdmModel:
+    """The fitted model of one lambda on a decomposition; ``seed`` is only recorded."""
     w = _solve(dec, lam)
-    return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, **dec.fields)
+    return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, seed=seed, **dec.fields)
 
 
 def fit(
@@ -336,29 +360,38 @@ def fit(
     ``sample_p`` and ``sample_q`` are the denominator and numerator samples.
     ``epsilon`` is the absolute decomposition tolerance; when omitted it
     defaults to ``epsilon_rel`` times the kernel trace of the stacked sample.
-    ``strategy="omp"`` needs ``omp_target``, one value per input row, the P
-    sample's rows first; when the sizes differ, the values of the rows cut
-    from the larger sample are cut with them.  Both tolerances must be finite
-    numbers >= 0.  The fit is deterministic: no randomness enters anywhere.
+    ``strategy="omp"`` needs ``omp_target``, one finite value per input row,
+    the P sample's rows first; when the sizes differ, the values of the rows
+    cut from the larger sample are cut with them.  Both tolerances must be
+    finite numbers >= 0.  The fit is deterministic: no randomness enters
+    anywhere.
     ``seed`` is only recorded, as ``KdmModel.seed`` and in the saved bundle;
     no computation reads it yet (a randomized test calibration or pivot rule
     would draw from it).
     """
     _check_lambdas([lam])
+    sp, sq = _as_dataset(sample_p), _as_dataset(sample_q)
+    pts_p, pts_q = _common_size(sp, sq)
+    if omp_target is not None:
+        # one value per input row, P's first: keep those of the rows kept
+        target = np.asarray(omp_target, dtype=np.float64)
+        if target.shape != (sp.n + sq.n,):
+            raise ValueError(f"omp_target needs one value per input row, {sp.n} + {sq.n}, got shape {target.shape}")
+        omp_target = np.concatenate([target[: len(pts_p)], target[sp.n :][: len(pts_q)]])
     dec = _decompose(
-        sample_p,
-        sample_q,
+        pts_p,
+        pts_q,
         kernel,
+        prior,
+        with_covariance=True,
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
-        prior=prior,
         strategy=strategy,
         omp_target=omp_target,
         max_rank=max_rank,
         standardize=standardize,
-        seed=seed,
     )
-    return _model(dec, lam)
+    return _model(dec, lam, seed)
 
 
 def eval_h(model: KdmModel, z) -> Union[float, np.ndarray]:
@@ -501,11 +534,11 @@ def cross_validate(
                 tr_p,
                 tr_q,
                 kern,
+                prior,
+                with_covariance=False,
                 epsilon_rel=epsilon_rel,
-                prior=prior,
                 max_rank=max_rank,
                 standardize=standardize,
-                _covariance=False,
             )
             losses[i, :, f] = _path_losses(dec, va_p, va_q, lambdas)
 

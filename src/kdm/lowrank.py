@@ -465,7 +465,7 @@ def pivoted_cholesky(
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
         Pivot rule.  ``omp`` additionally needs ``omp_target``, the target
-        function values at all N points.
+        function values at all N points, each finite.
     max_rank : int, optional
         Hard cap on the number of pivots, >= 1; hitting it is reported
         through ``hit_rank_cap``, not raised.
@@ -498,8 +498,8 @@ def pivoted_cholesky(
         if omp_target is None:
             raise ValueError("omp strategy requires omp_target values")
         target = np.asarray(omp_target, dtype=np.float64)
-        if target.shape != (oracle.size,):
-            raise ValueError("omp_target must have one value per point")
+        if target.shape != (oracle.size,) or not np.isfinite(target).all():
+            raise ValueError("omp_target must hold one finite value per point")
 
     n = oracle.size
     cap = min(n, DEFAULT_MAX_RANK if max_rank is None else max_rank)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -52,6 +53,16 @@ def test_prior_bad_evaluator():
         PriorSpec.custom(lambda z: np.ones(z.shape[0] + 1), pi_inf=1.0).evaluate(np.zeros((3, 1)))
     with pytest.raises(ValueError):
         PriorSpec.custom(lambda z: np.full(z.shape[0], np.nan), pi_inf=1.0).evaluate(np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_prior_bound_must_be_finite_and_nonnegative(bad):
+    # a NaN bound made run_test report norm_bound NaN and bound_holds False,
+    # and an infinite one a bound that holds trivially
+    message = re.escape(f"pi_inf must be a finite number >= 0, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        PriorSpec.custom(lambda z: np.ones(z.shape[0]), bad)
+    assert PriorSpec.custom(lambda z: np.zeros(z.shape[0]), 0).pi_inf == 0.0
 
 
 def test_discrete_ratio_recovery_exact_counts():
@@ -277,6 +288,11 @@ def test_cross_validate_scores_each_kernel_at_every_lambda():
     assert (res.kernel, res.lam) == (kernels[i], lambdas[j])
 
 
+def decompose(p, q, spec, prior=None):
+    """The decomposition fit() makes of equal-sized samples p and q, covariance included."""
+    return estimator._decompose(p, q, spec, prior, with_covariance=True)
+
+
 def documented_folds(n, folds, seed):
     """(train P, train Q, validation P, validation Q) row indices of each fold.
 
@@ -314,21 +330,21 @@ def test_cross_validate_lambda_path_matches_separate_fits(monkeypatch):
     lambdas = [1e-1, 1e-6, 1e-2, 1e-4, 1e-6, 3.0]
     folds, losses = [], []
 
-    def spy_decompose(tr_p, tr_q, kern, **kwargs):
+    def spy_factor(tr_p, tr_q, kern, **kwargs):
         folds.append((tr_p, tr_q))
-        return real_decompose(tr_p, tr_q, kern, **kwargs)
+        return real_factor(tr_p, tr_q, kern, **kwargs)
 
     def spy_loss(hp, hq, pbar):
         loss = real_loss(hp, hq, pbar)
         losses.append(loss)
         return loss
 
-    real_decompose, real_loss = estimator._decompose, estimator._quadratic_loss
-    monkeypatch.setattr(estimator, "_decompose", spy_decompose)
+    real_factor, real_loss = estimator._factor, estimator._quadratic_loss
+    monkeypatch.setattr(estimator, "_factor", spy_factor)
     monkeypatch.setattr(estimator, "_quadratic_loss", spy_loss)
     res = cross_validate(p, q, [spec], lambdas, folds=3, seed=5)
     monkeypatch.undo()
-    # one decomposition and one loss evaluation per fold cover every lambda
+    # one factoring and one loss evaluation per fold cover every lambda
     assert len(folds) == 3 and len(losses) == 3
     for (tr_p, tr_q), (idx_p, idx_q, _, _) in zip(folds, documented_folds(90, 3, 5)):
         np.testing.assert_array_equal(tr_p, p[idx_p])
@@ -363,7 +379,7 @@ def test_cross_validate_lambda_path_at_rank_one_and_two(case):
 def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
     rng = np.random.default_rng(25)
     p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.3, 1, (60, 2))
-    dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0))
+    dec = decompose(p, q, KernelSpec("gaussian", rho=1.0))
     gram = dec.gram.copy()
     model = estimator._model(dec, 1e-3)
     m = model.rank
@@ -379,6 +395,42 @@ def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
     for solve in (lambda d: estimator._model(d, 1e-3), lambda d: estimator._path_weights(d, np.array([1e-3, 1.0]))):
         with pytest.raises(NumericsError, match="not positive definite"):
             solve(dataclasses.replace(dec, gram=gram))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace"])
+@pytest.mark.parametrize("prior", ["one", "zero"])
+def test_low_rank_fits_are_prefixes_of_one_factor(family, prior):
+    # the greedy rule reads only the residual of earlier pivots, so a fit
+    # capped at m takes the first m pivots of a fit capped at M > m, and
+    # the first m rows of a factor are the factor of its first m pivots: the
+    # reduction of those rows, and the separate fit, give the leading blocks
+    # of the rank-M Gram, gap, covariance and R.  At 1,500 + 1,500 points
+    # the later steps run in blocks
+    rng = np.random.default_rng(41)
+    n, cap = 1500, 300
+    p, q = rng.normal(0, 1, (n, 3)), rng.normal(0.2, 1.1, (n, 3))
+    spec, prior = KernelSpec(family, rho=0.5), getattr(PriorSpec, prior)()
+    factors = estimator._factor(p, q, spec, max_rank=cap)[0]
+    assert factors.rank == cap and factors.hit_rank_cap
+    p_star = prior.evaluate(p)
+    gram, gap, cov = estimator._reduce(factors.Lt[:, :n], factors.Lt[:, n:], prior, p_star, True)
+
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    for m in (20, 150, 299):
+        rows = factors.Lt[:m]
+        prefix = estimator._reduce(rows[:, :n], rows[:, n:], prior, p_star, True)
+        part = estimator._decompose(p, q, spec, prior, with_covariance=True, max_rank=m)
+        np.testing.assert_array_equal(part.fields["pivots"], factors.pivots[:m])
+        for lead in (prefix[0], part.gram):
+            close(lead, gram[:m, :m])
+        for lead in (prefix[1], part.fields["moment_gap"]):
+            close(lead, gap[:m])
+        for lead in (prefix[2], part.fields["covariance"]):
+            close(lead, cov[:m, :m])
+        close(part.R, factors.R[:m, :m])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -402,7 +454,7 @@ def test_path_weights_match_a_dense_solve_at_every_lambda(seed, n, case, prior, 
         p = q = np.ones((n, 2))
     elif case == "duplicated":
         p = rng.normal(0, 1, (2, 2))[np.arange(n) % 2]
-    dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0), prior=getattr(PriorSpec, prior)())
+    dec = decompose(p, q, KernelSpec("gaussian", rho=1.0), getattr(PriorSpec, prior)())
     m = dec.gram.shape[0]
     assert (m == 1) == (case == "one point")
     if case == "duplicated":
@@ -419,7 +471,7 @@ def test_path_weights_match_a_dense_solve_at_every_lambda(seed, n, case, prior, 
 def test_path_weights_reject_a_failed_or_indefinite_eigendecomposition(monkeypatch):
     rng = np.random.default_rng(27)
     p, q = rng.normal(0, 1, (40, 2)), rng.normal(0.3, 1, (40, 2))
-    dec = estimator._decompose(p, q, KernelSpec("gaussian", rho=1.0))
+    dec = decompose(p, q, KernelSpec("gaussian", rho=1.0))
     lams = np.array([1e-3, 1.0])
     # G = -I: the shifted eigenvalue -1 + 40 * 1e-3 is < 0
     with pytest.raises(NumericsError, match="not positive definite"):
@@ -449,7 +501,7 @@ def test_lambda_must_be_finite_and_positive(monkeypatch, bad):
     spec = KernelSpec("gaussian")
     with pytest.raises(ValueError, match="lam must be > 0 and finite"):
         fit(p, p, spec, lam=bad)
-    monkeypatch.setattr(estimator, "_decompose", None)
+    monkeypatch.setattr(estimator, "_factor", None)
     with pytest.raises(ValueError, match=f"lam must be > 0 and finite, got {bad!r}"):
         cross_validate(p, p, [spec], [1e-3, bad], folds=3, seed=0)
 
@@ -488,6 +540,38 @@ def test_omp_target_is_cut_with_unequal_samples():
     # the values of the stacked cut samples no longer pass, silently misaligned
     with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=r"one value per input row, 200 \+ 150"):
         fit(p, q, spec, 1e-3, strategy="omp", omp_target=target[:300])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_omp_target_must_be_finite(bad):
+    # unchecked, a NaN value made its point the first pivot, and on these
+    # points the rank moved from 70 to 127
+    rng = np.random.default_rng(32)
+    p, q = rng.normal(0, 1, (100, 2)), rng.normal(0.3, 1, (100, 2))
+    target = np.concatenate([p[:, 0], q[:, 0]])
+    target[37] = bad
+    spec = KernelSpec("gaussian", rho=1.0)
+    with pytest.raises(ValueError, match="omp_target must hold one finite value per point"):
+        fit(p, q, spec, 1e-3, strategy="omp", omp_target=target)
+    with pytest.raises(ValueError, match="omp_target must hold one finite value per point"):
+        pivoted_cholesky(KernelOracle(spec, np.vstack([p, q])), 0.0, "omp", omp_target=target)
+
+
+def test_sample_sizes_are_matched_once_per_entry_point(monkeypatch):
+    # fit and cross_validate cut the two samples to one size once; the folds
+    # and the halves of a conditional split have one size already
+    real, calls = estimator._common_size, []
+    monkeypatch.setattr(estimator, "_common_size", lambda p, q: calls.append(1) or real(p, q))
+    rng = np.random.default_rng(33)
+    p, q = rng.normal(0, 1, (60, 2)), rng.normal(0.3, 1, (60, 2))
+    spec = KernelSpec("gaussian", rho=1.0)
+    fit(p, q, spec, 1e-3)
+    assert len(calls) == 1
+    cross_validate(p, q, [spec, KernelSpec("laplace", rho=1.0)], [1e-3, 1e-2], folds=3, seed=0)
+    assert len(calls) == 2
+    fit_conditional(JointDataset(p[:, :1], p[:, 1:]), spec, 1e-3, scheme="three_split")
+    fit_conditional(JointDataset(p[:, :1], p[:, 1:]), spec, 1e-3)
+    assert len(calls) == 2
 
 
 def test_cross_validate_unequal_sizes_truncate_with_warning():
