@@ -309,10 +309,10 @@ def mixture_energy_study(
         grid = cmodel.y_grid
         weights = conditional_weights(cmodel, test.x) * grid.shape[0]  # mean-one scaling
         # the two scores share the outcome and the candidate distances; the
-        # uniform weights stay an explicit array of ones, whose products
-        # give the bits energy_score gives
+        # uniform baseline passes no weights, so it is scored by two
+        # reductions, O(Qm + m^2), with the bits of energy_score(y, grid)
         dist_y, dist_xx = _distances(test.y, grid), _distances(grid, grid)
         es_cond = _energy_scores(weights, dist_y, dist_xx)
-        es_unif = _energy_scores(np.ones(weights.shape), dist_y, dist_xx)
+        es_unif = _energy_scores(None, dist_y, dist_xx)
         diffs[r] = float(np.mean(es_unif - es_cond))
     return MixtureStudy(differentials=diffs, clusters=clusters)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import warnings
@@ -28,7 +29,7 @@ from .kernels import (
     kernel_sup,
     kernel_sup_is_empirical,
 )
-from .lowrank import CholeskyFactors, KernelOracle, NumericsError, _side_by_side, pivoted_cholesky
+from .lowrank import CholeskyFactors, KernelOracle, NumericsError, _side_by_side, _upper_solve, pivoted_cholesky
 
 DEFAULT_EPSILON_REL = 1e-6
 
@@ -41,14 +42,26 @@ SIDE_BY_SIDE_MIN_ENTRIES = 2**20
 class PriorSpec:
     """Prior guess for the density ratio with a declared sup bound.
 
-    ``pi_inf`` bounds sup |p(z)|; for a custom evaluator it must be a
-    finite number >= 0, and it is taken on trust and only checked lazily
-    against the values actually requested.
+    ``kind`` is ``"zero"``, ``"one"`` or ``"custom"``, and a custom prior
+    evaluates the callable ``func``.  ``pi_inf`` bounds sup |p(z)| and must
+    be a finite real number >= 0, stored as a float; for a custom evaluator
+    it is taken on trust and only checked lazily against the values actually
+    requested.  Every construction is checked, ``dataclasses.replace``
+    included: a bad field raises ValueError.
     """
 
     kind: str
     pi_inf: float
     func: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("zero", "one", "custom"):
+            raise ValueError(f"unknown prior kind {self.kind!r}; expected 'zero', 'one' or 'custom'")
+        if not (isinstance(self.pi_inf, numbers.Real) and 0 <= self.pi_inf < math.inf):
+            raise ValueError(f"pi_inf must be a finite number >= 0, got {self.pi_inf!r}")
+        if self.kind == "custom" and not callable(self.func):
+            raise ValueError(f"a custom prior needs a callable func, got {self.func!r}")
+        object.__setattr__(self, "pi_inf", float(self.pi_inf))
 
     @classmethod
     def zero(cls) -> "PriorSpec":
@@ -60,9 +73,7 @@ class PriorSpec:
 
     @classmethod
     def custom(cls, func: Callable[[np.ndarray], np.ndarray], pi_inf: float) -> "PriorSpec":
-        if not (pi_inf >= 0 and math.isfinite(pi_inf)):
-            raise ValueError(f"pi_inf must be a finite number >= 0, got {pi_inf!r}")
-        return cls(kind="custom", pi_inf=float(pi_inf), func=func)
+        return cls(kind="custom", pi_inf=pi_inf, func=func)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -72,8 +83,6 @@ class PriorSpec:
             return np.zeros(pts.shape[0])
         if self.kind == "one":
             return np.ones(pts.shape[0])
-        if self.kind != "custom" or self.func is None:
-            raise ValueError(f"malformed prior {self.kind!r}")
         vals = np.asarray(self.func(pts), dtype=np.float64).reshape(-1)
         if vals.shape[0] != pts.shape[0]:
             raise ValueError("prior evaluator returned wrong number of values")
@@ -149,14 +158,16 @@ def _common_size(sample_p, sample_q) -> tuple[np.ndarray, np.ndarray]:
 class _Decomposition:
     """Kernel-dependent part of a fit, reusable across lambda values.
 
-    ``gram`` (L_P^T L_P) and ``R`` are m x m and ``fields`` holds the
+    ``gram`` (L_P^T L_P) and the pivot block ``U`` (``Lt[:, pivots]``,
+    exactly upper triangular) are m x m and ``fields`` holds the
     lambda-independent fields of the model: no array has a row per training
     point.  Every solve shares ``gram``, so it must not be modified.
-    ``covariance`` is None unless the caller asked for it.
+    ``covariance`` is None unless the caller asked for it.  beta = R w is
+    one triangular solve with ``U`` (:func:`_upper_solve`); R is never formed.
     """
 
     gram: np.ndarray
-    R: np.ndarray
+    U: np.ndarray
     fields: dict
 
 
@@ -278,7 +289,7 @@ def _decompose(pts_p, pts_q, kernel: KernelSpec, prior, with_covariance: bool, *
     gram, moment_gap, covariance = _reduce(lt[:, :n], lt[:, n:], prior, prior.evaluate(pts_p), with_covariance)
     return _Decomposition(
         gram=gram,
-        R=factors.R,
+        U=lt[:, factors.pivots],
         fields=dict(
             kernel=kernel,
             prior=prior,
@@ -337,7 +348,7 @@ def _check_lambdas(lambdas: Sequence[float]) -> None:
 def _model(dec: _Decomposition, lam: float, seed: Optional[int] = None) -> KdmModel:
     """The fitted model of one lambda on a decomposition; ``seed`` is only recorded."""
     w = _solve(dec, lam)
-    return KdmModel(lam=float(lam), beta=dec.R @ w, w=w, seed=seed, **dec.fields)
+    return KdmModel(lam=float(lam), beta=_upper_solve(dec.U, w), w=w, seed=seed, **dec.fields)
 
 
 def fit(
@@ -457,7 +468,8 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
     """Validation loss of the ridge solution at each lambda on one decomposition.
 
     The weights of all lambdas come from one eigendecomposition of the Gram
-    (:func:`_path_weights`), and the validation points' kernel rows against
+    (:func:`_path_weights`) and their betas from one triangular solve with
+    the pivot block, and the validation points' kernel rows against
     the pivots and the prior at the validation P points are made once, so
     each lambda adds O(m^2) work: no model is built per lambda.  Each loss
     equals :func:`_quadratic_loss` of the model :func:`fit` returns to
@@ -467,7 +479,7 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
     k_p, k_q = (cross_kernel_matrix(dec.fields["kernel"], std.apply(va), piv) for va in (va_p, va_q))
     # each distinct lambda is solved once, so equal lambdas tie exactly
     distinct, back = np.unique(np.asarray(lambdas, dtype=np.float64), return_inverse=True)
-    beta = dec.R @ _path_weights(dec, distinct)
+    beta = _upper_solve(dec.U, _path_weights(dec, distinct))
     return _quadratic_loss(k_p @ beta, k_q @ beta, dec.fields["prior"].evaluate(va_p))[back]
 
 

@@ -5,8 +5,8 @@ decomposition selects m pivot indices pi_1..pi_m and produces
 
 * ``Lt`` (m x N): the transpose of an incomplete Cholesky factor L, one row
   per pivot, with trace(K - L L^T) <= eps,
-* ``R``  (m x m): a biorthogonal factor satisfying K[:, piv] R = L and
-  R^T L[piv, :] = I, hence R R^T = inv(K[piv, piv]).
+* ``R``  (m x m), formed only on request: a biorthogonal factor satisfying
+  K[:, piv] R = L and R^T L[piv, :] = I, hence R R^T = inv(K[piv, piv]).
 
 Only the diagonal of K plus one full row per pivot are requested (and the
 rows of a block cut short, below), so the cost is O(m^2 N) time.  ``Lt`` is
@@ -87,13 +87,13 @@ at one thread.  Smaller panels and blocks of one pivot are one range, on the
 calling thread, since handing a part to another thread costs more than it
 saves there.
 
-``R`` is formed once, after the loop.  Each step zeroes its row of L^T at
-the earlier pivots, so the pivot columns of L^T, ``Lt[:, piv]`` = L[piv, :]^T,
-are exactly upper triangular, and R = inv(L[piv, :]^T) is one recursive
-block inverse (:func:`_upper_inverse`) of an m x m copy, itself exactly upper
-triangular: 2 m^3 / 3 flops in matrix products and inverses of diagonal
-blocks of at most INVERSE_LEAF rows, 0.12-0.14 s at rank 2,000 on one core
-(LAPACK's ``dtrtri`` takes 0.11-0.12 s; numpy wraps no triangular inverse).
+Each step zeroes its row of L^T at the earlier pivots, so the pivot block
+of L^T, ``Lt[:, piv]`` = L[piv, :]^T, is exactly upper triangular, and
+R = inv(L[piv, :]^T).  The loop does not form R: a fit reads it only through
+beta = R w, which one triangular solve with the pivot block gives
+(:func:`_upper_solve`, O(m^2 k) flops for k right-hand sides).  ``R`` is
+formed only on request, on first access, as the same solve with the
+identity, exactly upper triangular.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -135,7 +136,7 @@ BLOCK_MIN_ENTRIES = 2**18
 PARTS = 2
 SPLIT_MIN_ENTRIES = 2**17
 
-# R is inverted in diagonal blocks of at most INVERSE_LEAF rows
+# triangular systems are solved in diagonal blocks of at most INVERSE_LEAF rows
 INVERSE_LEAF = 64
 
 
@@ -199,14 +200,14 @@ class CholeskyFactors:
     """Output of :func:`pivoted_cholesky`.
 
     ``pivots`` lists the selected indices in selection order.  ``Lt`` is
-    L^T, one row per pivot; ``R`` is upper triangular in the pivot ordering.
-    ``residual_trace`` is trace(K - L L^T) = l1 norm of the final residual
-    diagonal, and ``epsilon`` the absolute tolerance the loop was run with.
+    L^T, one row per pivot; its pivot block ``Lt[:, pivots]`` is exactly
+    upper triangular.  ``residual_trace`` is trace(K - L L^T) = l1 norm of
+    the final residual diagonal, and ``epsilon`` the absolute tolerance the
+    loop was run with.
     """
 
     pivots: np.ndarray
     Lt: np.ndarray
-    R: np.ndarray
     residual_trace: float
     epsilon: float
     hit_rank_cap: bool = False
@@ -214,6 +215,15 @@ class CholeskyFactors:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """The biorthogonal factor inv(Lt[:, pivots]), exactly upper triangular, formed on first access.
+
+        No fit reads it: beta = R w is one :func:`_upper_solve` with the
+        pivot block.  Raises ``NumericsError`` when it is not finite.
+        """
+        return _upper_solve(self.Lt[:, self.pivots], np.eye(self.rank))
 
 
 def greedy_pivot(d: np.ndarray) -> int:
@@ -411,30 +421,29 @@ def _block_rows(oracle, lt: np.ndarray, base: int, block: np.ndarray, prod: np.n
     return k
 
 
-def _upper_inverse(u: np.ndarray) -> np.ndarray:
-    """Inverse of the upper triangular matrix ``u``, exactly upper triangular.
+def _upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution x of u x = b for the upper triangular matrix ``u``; ``b`` is (m,) or (m, k).
 
-    Recursive 2 x 2 blocks: with U = [[A, B], [0, C]], inv(U) = [[inv(A),
-    -inv(A) B inv(C)], [0, inv(C)]], down to leaves of at most INVERSE_LEAF
-    rows that ``np.linalg.inv`` inverts: 2 m^3 / 3 flops, nearly all in
-    matrix products.
-    Raises ``NumericsError`` when ``u`` is singular or the inverse not finite.
+    Recursive 2 x 2 blocks: with U = [[A, B], [0, C]], C x2 = b2 and then
+    A x1 = b1 - B x2, down to leaves of at most INVERSE_LEAF rows that
+    ``np.linalg.solve`` solves; its LU makes no row swap on a triangular
+    block, so a leaf is one back substitution.  Each off-diagonal block costs
+    one matrix product: O(m^2 k) flops for k right-hand sides.  For b = I
+    the solution is inv(u), exactly upper triangular.
+    Raises ``NumericsError`` when ``u`` is singular or the solution not finite.
     """
     m = u.shape[0]
     if m <= INVERSE_LEAF:
         try:
-            x = np.triu(np.linalg.inv(u))
+            x = np.linalg.solve(u, b)
         except np.linalg.LinAlgError:
             x = None
     else:
         h = m // 2
-        a, c = _upper_inverse(u[:h, :h]), _upper_inverse(u[h:, h:])
-        x = np.zeros((m, m))
-        x[:h, :h] = a
-        x[h:, h:] = c
-        np.matmul(-(a @ u[:h, h:]), c, out=x[:h, h:])
+        x2 = _upper_solve(u[h:, h:], b[h:])
+        x = np.concatenate([_upper_solve(u[:h, :h], b[:h] - u[:h, h:] @ x2), x2])
     if x is None or not np.isfinite(x).all():
-        raise NumericsError("triangular inverse of the pivot block is singular or not finite")
+        raise NumericsError("triangular solve with the pivot block is singular or not finite")
     return x
 
 
@@ -484,8 +493,8 @@ def pivoted_cholesky(
     :func:`_greedy_order` lists on one POOL x POOL kernel block.  The pivots
     do not depend on the block sizes, except between residual entries tied
     to roundoff.  The factor buffer and the step vectors are allocated once,
-    before the loop.  ``R`` is one triangular inverse of the m x m pivot
-    columns of ``Lt``, O(m^3) time.
+    before the loop.  ``R`` is not formed here: the factors form it on
+    first access (:class:`CholeskyFactors`), and fits never read it.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -562,13 +571,10 @@ def pivoted_cholesky(
         d[np.less_equal(d, floor, out=low)] = 0.0
         i += 1
 
-    pivots = pivots[:i]
-    r = _upper_inverse(lt[:i, pivots]) if i else np.zeros((0, 0))
     residual = float(d.sum())
     return CholeskyFactors(
-        pivots=pivots,
+        pivots=pivots[:i],
         Lt=lt[:i],
-        R=r,
         residual_trace=residual,
         epsilon=float(epsilon),
         hit_rank_cap=bool(i == cap and residual > epsilon),

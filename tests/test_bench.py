@@ -18,7 +18,7 @@ from kdm.bench import (
 from kdm.kernels import KernelSpec, _sq_dists
 from kdm.metrics import energy_score
 from kdm.simulate import sample_distribution
-from reference import median_heuristic_rho_reference
+from reference import energy_score_broadcast, median_heuristic_rho_reference
 
 
 def test_ks_to_uniform_hand_example():
@@ -213,4 +213,8 @@ def test_mixture_energy_study_scores_are_those_of_energy_score(monkeypatch):
     weighted, uniform = seen["scores"]
     assert weighted.tobytes() == energy_score(ys, grid, seen["weights"] * grid.shape[0]).tobytes()
     assert uniform.tobytes() == energy_score(ys, grid).tobytes()
+    # unit weights are scored by reductions, whose sums round differently
+    # from the products of an explicit array of ones
+    ones = np.ones((ys.shape[0], grid.shape[0]))
+    np.testing.assert_allclose(uniform, energy_score_broadcast(ys, grid, ones), rtol=1e-13, atol=0)
     assert study.differentials[0] == float(np.mean(uniform - weighted))

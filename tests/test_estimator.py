@@ -58,11 +58,45 @@ def test_prior_bad_evaluator():
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_prior_bound_must_be_finite_and_nonnegative(bad):
     # a NaN bound made run_test report norm_bound NaN and bound_holds False,
-    # and an infinite one a bound that holds trivially
+    # and an infinite one a bound that holds trivially.  One check at
+    # construction covers the constructor, the class methods and
+    # dataclasses.replace
     message = re.escape(f"pi_inf must be a finite number >= 0, got {bad!r}")
-    with pytest.raises(ValueError, match=message):
-        PriorSpec.custom(lambda z: np.ones(z.shape[0]), bad)
+
+    def ones(z):
+        return np.ones(z.shape[0])
+
+    for make in (
+        lambda: PriorSpec.custom(ones, bad),
+        lambda: PriorSpec(kind="custom", pi_inf=bad, func=ones),
+        lambda: PriorSpec(kind="one", pi_inf=bad),
+        lambda: dataclasses.replace(PriorSpec.one(), pi_inf=bad),
+        lambda: dataclasses.replace(PriorSpec.custom(ones, 1.0), pi_inf=bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
     assert PriorSpec.custom(lambda z: np.zeros(z.shape[0]), 0).pi_inf == 0.0
+
+
+def test_prior_kind_and_evaluator_are_checked_at_construction():
+    with pytest.raises(ValueError, match="unknown prior kind 'half'"):
+        PriorSpec(kind="half", pi_inf=0.5)
+    with pytest.raises(ValueError, match="unknown prior kind 'One'"):
+        dataclasses.replace(PriorSpec.one(), kind="One")
+    for func in (None, 1.0):
+        with pytest.raises(ValueError, match="a custom prior needs a callable func"):
+            PriorSpec(kind="custom", pi_inf=1.0, func=func)
+    with pytest.raises(ValueError, match="a custom prior needs a callable func"):
+        dataclasses.replace(PriorSpec.one(), kind="custom")
+    for bad in ("1", None, 1j):
+        with pytest.raises(ValueError, match=re.escape(f"pi_inf must be a finite number >= 0, got {bad!r}")):
+            PriorSpec(kind="one", pi_inf=bad)
+    assert type(PriorSpec(kind="one", pi_inf=np.float32(1.0)).pi_inf) is float
+    assert (PriorSpec.zero().kind, PriorSpec.zero().pi_inf) == ("zero", 0.0)
+    assert (PriorSpec.one().kind, PriorSpec.one().pi_inf) == ("one", 1.0)
+    custom = PriorSpec.custom(lambda z: np.full(z.shape[0], 0.5), 2)
+    assert (custom.kind, custom.pi_inf) == ("custom", 2.0)
+    np.testing.assert_array_equal(custom.evaluate(np.zeros((3, 1))), [0.5, 0.5, 0.5])
 
 
 def test_discrete_ratio_recovery_exact_counts():
@@ -404,8 +438,8 @@ def test_low_rank_fits_are_prefixes_of_one_factor(family, prior):
     # capped at m takes the first m pivots of a fit capped at M > m, and
     # the first m rows of a factor are the factor of its first m pivots: the
     # reduction of those rows, and the separate fit, give the leading blocks
-    # of the rank-M Gram, gap, covariance and R.  At 1,500 + 1,500 points
-    # the later steps run in blocks
+    # of the rank-M Gram, gap, covariance, pivot block and R.  At 1,500 +
+    # 1,500 points the later steps run in blocks
     rng = np.random.default_rng(41)
     n, cap = 1500, 300
     p, q = rng.normal(0, 1, (n, 3)), rng.normal(0.2, 1.1, (n, 3))
@@ -430,7 +464,49 @@ def test_low_rank_fits_are_prefixes_of_one_factor(family, prior):
             close(lead, gap[:m])
         for lead in (prefix[2], part.fields["covariance"]):
             close(lead, cov[:m, :m])
-        close(part.R, factors.R[:m, :m])
+        close(part.U, factors.Lt[:m, factors.pivots[:m]])
+        close(lowrank._upper_solve(part.U, np.eye(m)), factors.R[:m, :m])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace"])
+@pytest.mark.parametrize("rank", [40, 150])
+def test_fits_solve_for_beta_without_forming_r(monkeypatch, family, rank):
+    # beta = R w is one triangular solve with the pivot block: no fit,
+    # conditional fit or cv fold reads the factors' R, and each fit's beta
+    # is that of R, formed afterwards on the same factors.  The ranks lie on
+    # both sides of one leaf of the solve
+    rng = np.random.default_rng(43)
+    p, q = rng.normal(0, 1, (500, 2)), rng.normal(0.3, 1.1, (500, 2))
+    spec = KernelSpec(family, rho=0.3)
+    factored = []
+
+    def spy_cholesky(*args, **kwargs):
+        factored.append(real_cholesky(*args, **kwargs))
+        return factored[-1]
+
+    def no_r(factors):
+        raise AssertionError("a fit read CholeskyFactors.R")
+
+    real_cholesky = estimator.pivoted_cholesky
+    monkeypatch.setattr(estimator, "pivoted_cholesky", spy_cholesky)
+    monkeypatch.setattr(lowrank.CholeskyFactors, "R", property(no_r))
+    models = [
+        fit(p, q, spec, 1e-3, max_rank=rank),
+        fit_conditional(JointDataset(p[:, :1], p[:, 1:]), spec, 1e-3, max_rank=rank).base,
+    ]
+    cross_validate(p, q, [spec], [1e-3, 1e-1], folds=3, max_rank=rank)
+    monkeypatch.undo()
+    assert len(factored) == 2 + 3
+    assert 40 < lowrank.INVERSE_LEAF < 150
+    for model, factors in zip(models, factored):
+        assert model.rank == factors.rank == rank
+        want = factors.R @ model.w
+        assert np.abs(model.beta - want).max() <= 1e-10 * np.abs(want).max()
+    # a pivot block whose solve is not finite fails the fit
+    dec = decompose(p, q, spec)
+    dec.U[0, -1] = np.inf
+    with pytest.raises(NumericsError, match="triangular solve"):
+        estimator._model(dec, 1e-3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

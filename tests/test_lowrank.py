@@ -287,7 +287,7 @@ def _row_major_cholesky(oracle, epsilon, strategy="greedy", omp_target=None, max
     """The decomposition loop as first written: L kept row-major in an (N, cap) buffer.
 
     R is updated at every step by the recurrence the package used before it
-    took one triangular inverse after the loop.
+    formed R after the loop.
 
     Kept as the reference the rank-major loop of ``pivoted_cholesky`` is
     checked against; returns (pivots, L, R, hit_rank_cap).
@@ -896,16 +896,22 @@ def test_greedy_order_lists_the_reference_pivots(seed, size, kind, kmax):
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 400])
-def test_upper_inverse_is_upper_triangular(m):
+def test_upper_solve_solves_and_inverts(m):
+    # sizes on both sides of one leaf and of a split; one right-hand side as
+    # a vector (a fit's beta) and 25 as columns (a lambda path's betas)
     rng = np.random.default_rng(m)
     a = rng.normal(0.0, 1.0, (m, m + 3))
     u = np.linalg.cholesky(a @ a.T / m + np.eye(m)).T.copy()
-    r = lowrank._upper_inverse(u)
+    for b in (rng.normal(0.0, 1.0, m), rng.normal(0.0, 1.0, (m, 25))):
+        x = lowrank._upper_solve(u, b)
+        assert x.shape == b.shape
+        assert np.abs(u @ x - b).max() <= 1e-12 * np.abs(b).max()
+    r = lowrank._upper_solve(u, np.eye(m))
     assert not np.tril(r, -1).any()
     assert np.abs(r @ u - np.eye(m)).max() <= 1e-12
     u[m // 2, m // 2] = 0.0
     with pytest.raises(NumericsError):
-        lowrank._upper_inverse(u)
+        lowrank._upper_solve(u, np.ones(m))
 
 
 class _NanFilledNumpy:
