@@ -120,6 +120,11 @@ def median_heuristic_rho(points: np.ndarray) -> float:
     return max(float(med) / 2.0, 1e-12)
 
 
+def _test_kernel(stacked: np.ndarray) -> KernelSpec:
+    """The null studies' Gaussian kernel: ``RHO_MULT`` times the median heuristic of the stacked sample."""
+    return KernelSpec("gaussian", rho=RHO_MULT * median_heuristic_rho(stacked))
+
+
 def independence_test(
     joint: JointDataset,
     *,
@@ -138,8 +143,7 @@ def independence_test(
     """
     sample_p, sample_q = split_joint_sample(joint, scheme)
     if kernel is None:
-        stacked = np.vstack([sample_p.points, sample_q.points])
-        kernel = KernelSpec("gaussian", rho=RHO_MULT * median_heuristic_rho(stacked))
+        kernel = _test_kernel(np.vstack([sample_p.points, sample_q.points]))
     # the test reads the moment gap and its covariance, which no ridge
     # parameter enters, so any lam > 0 gives the same result
     model = fit(sample_p, sample_q, kernel, 1e-3, epsilon_rel=epsilon_rel, max_rank=max_rank)
@@ -217,35 +221,22 @@ def ks_to_uniform(p_values: np.ndarray) -> float:
     return float(max(np.max(grid - p), np.max(p - (grid - 1.0 / k))))
 
 
-def null_bound_study(
-    n: int,
-    reps: int,
-    seed: int,
-    *,
-    eta: float = 0.1,
-    lam: float = 1e-3,
-    kernel: Optional[KernelSpec] = None,
-    epsilon_rel: float = DEFAULT_EPS_REL,
-    max_rank: int = DEFAULT_MAX_RANK,
-) -> np.ndarray:
+def null_bound_study(n: int, reps: int, seed: int) -> np.ndarray:
     """Check the finite-sample norm bound under a true null, rep by rep.
 
-    Each replication draws two fresh samples from the same independent-clouds
-    law, where the prior ratio one is exact, and records whether the fitted
-    correction norm stays below the eta-level threshold.
+    Each replication draws 2n rows from the independent-clouds law, whose
+    halves are two samples on which the prior ratio one is exact, fits them
+    at lambda 1e-3 with the kernel of :func:`_test_kernel`, and records
+    whether the fitted correction norm stays below the threshold at eta = 0.1.
     """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     holds = np.empty(reps, dtype=bool)
     for r in range(reps):
-        rng = np.random.default_rng(seed ^ r)
-        joint = sample_distribution("independent_clouds", 2 * n, rng)
+        joint = sample_distribution("independent_clouds", 2 * n, seed ^ r)
         pts = np.hstack([joint.x, joint.y])
-        sample_p, sample_q = pts[:n], pts[n:]
-        kern = kernel
-        if kern is None:
-            rho = RHO_MULT * median_heuristic_rho(np.vstack([sample_p, sample_q]))
-            kern = KernelSpec("gaussian", rho=rho)
-        model = fit(sample_p, sample_q, kern, lam, epsilon_rel=epsilon_rel, max_rank=max_rank)
-        holds[r] = run_test(model, eta=eta).bound_holds
+        model = fit(pts[:n], pts[n:], _test_kernel(pts), 1e-3, epsilon_rel=DEFAULT_EPS_REL, max_rank=DEFAULT_MAX_RANK)
+        holds[r] = run_test(model, eta=0.1).bound_holds
     return holds
 
 

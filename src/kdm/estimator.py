@@ -161,9 +161,10 @@ class _Decomposition:
     ``gram`` (L_P^T L_P) and the pivot block ``U`` (``Lt[:, pivots]``,
     exactly upper triangular) are m x m and ``fields`` holds the
     lambda-independent fields of the model: no array has a row per training
-    point.  Every solve shares ``gram``, so it must not be modified.
-    ``covariance`` is None unless the caller asked for it.  beta = R w is
-    one triangular solve with ``U`` (:func:`_upper_solve`); R is never formed.
+    point.  :func:`_solve` is the one ridge solve on it, for one lambda or a
+    path, and shares ``gram``, which must not be modified.  ``covariance``
+    is None unless the caller asked for it.  beta = R w is one triangular
+    solve with ``U`` inside :func:`_solve`; R is never formed.
     """
 
     gram: np.ndarray
@@ -307,28 +308,37 @@ def _decompose(pts_p, pts_q, kernel: KernelSpec, prior, with_covariance: bool, *
     )
 
 
-def _solve(dec: _Decomposition, lam: float) -> np.ndarray:
-    """Weights w of the ridge system (G + n lam I) w = moment gap, for one lambda.
+def _solve(dec: _Decomposition, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w of the ridge system (G + n lam I) w = moment gap, and beta = R w.
 
-    The sum is formed in a copy of the Gram and solved by ``np.linalg.solve``.
-    Callers check ``lam``.
+    A number ``lam`` is one LU solve of the sum, formed in a copy of the Gram
+    (``np.linalg.solve``).  An array of lambdas is a path: one
+    eigendecomposition G = V diag(e) V^T serves it all, and column j of w,
+    V diag(1 / (e + n lam_j)) V^T gap, solves the system at ``lam[j]``.  At
+    m = 400 and one BLAS thread a path takes about 17 ms, 1.8 times LAPACK's
+    tridiagonal route (dsytrd, then one dptsv per lambda), which numpy does
+    not wrap: ``eigh`` keeps kdm on numpy alone; a single lambda stays on
+    LU, which costs less than ``eigh``.  beta comes from one triangular solve
+    with the pivot block (:func:`_upper_solve`).  A failed factorization, a
+    shifted eigenvalue that is not > 0 or a w that is not finite raises
+    ``NumericsError``.  Callers check ``lam``.
     """
-    n, m = dec.fields["n"], len(dec.fields["pivots"])
-    # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed
-    a = dec.gram.copy(order="F")
-    a.flat[:: m + 1] += n * lam
+    n, gap = dec.fields["n"], dec.fields["moment_gap"]
     try:
-        w = np.linalg.solve(a, dec.fields["moment_gap"])
+        if np.ndim(lam) == 0:
+            # m x m SPD system; smallest eigenvalue >= n*lam, so no jitter is needed
+            a = dec.gram.copy(order="F")
+            a.flat[:: len(gap) + 1] += n * lam
+            w = np.linalg.solve(a, gap)
+        else:
+            evals, vecs = np.linalg.eigh(dec.gram)
+            shifted = evals[:, None] + n * lam
+            w = vecs @ ((vecs.T @ gap)[:, None] / shifted) if (shifted > 0).all() else None
     except np.linalg.LinAlgError:
         w = None
-    _check_ridge(w)
-    return w
-
-
-def _check_ridge(x: Optional[np.ndarray]) -> None:
-    """Raise unless a ridge solve gave a finite solution ``x``; ``x`` is None when the solve failed."""
-    if x is None or not np.isfinite(x).all():
+    if w is None or not np.isfinite(w).all():
         raise NumericsError("ridge system is not positive definite or not finite")
+    return w, _upper_solve(dec.U, w)
 
 
 def _check_tolerances(epsilon: Optional[float], epsilon_rel: float) -> None:
@@ -347,8 +357,8 @@ def _check_lambdas(lambdas: Sequence[float]) -> None:
 
 def _model(dec: _Decomposition, lam: float, seed: Optional[int] = None) -> KdmModel:
     """The fitted model of one lambda on a decomposition; ``seed`` is only recorded."""
-    w = _solve(dec, lam)
-    return KdmModel(lam=float(lam), beta=_upper_solve(dec.U, w), w=w, seed=seed, **dec.fields)
+    w, beta = _solve(dec, lam)
+    return KdmModel(lam=float(lam), beta=beta, w=w, seed=seed, **dec.fields)
 
 
 def fit(
@@ -442,33 +452,11 @@ def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> Union[f
     return -2.0 * cross + quad
 
 
-def _path_weights(dec: _Decomposition, lambdas: np.ndarray) -> np.ndarray:
-    """Ridge weights at every lambda of a path: column j solves (G + n lambdas[j] I) w = moment gap.
-
-    One eigendecomposition G = V diag(e) V^T serves the whole path, so all the
-    weights come from one product, V diag(1 / (e + n lambda)) V^T gap.  At
-    m = 400 and one BLAS thread the path takes about 17 ms, 1.8 times LAPACK's
-    tridiagonal route (dsytrd, then one dptsv per lambda), which numpy does
-    not wrap: ``eigh`` keeps kdm on numpy alone.  A failed ``eigh`` or a
-    shifted eigenvalue that is not > 0 leaves no solution.
-    """
-    n, gap = dec.fields["n"], dec.fields["moment_gap"]
-    try:
-        evals, vecs = np.linalg.eigh(dec.gram)
-    except np.linalg.LinAlgError:
-        w = None
-    else:
-        shifted = evals[:, None] + n * lambdas
-        w = vecs @ ((vecs.T @ gap)[:, None] / shifted) if (shifted > 0).all() else None
-    _check_ridge(w)
-    return w
-
-
 def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
     """Validation loss of the ridge solution at each lambda on one decomposition.
 
-    The weights of all lambdas come from one eigendecomposition of the Gram
-    (:func:`_path_weights`) and their betas from one triangular solve with
+    The betas of all lambdas come from one call of :func:`_solve` on the
+    path, one eigendecomposition of the Gram and one triangular solve with
     the pivot block, and the validation points' kernel rows against
     the pivots and the prior at the validation P points are made once, so
     each lambda adds O(m^2) work: no model is built per lambda.  Each loss
@@ -479,7 +467,7 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
     k_p, k_q = (cross_kernel_matrix(dec.fields["kernel"], std.apply(va), piv) for va in (va_p, va_q))
     # each distinct lambda is solved once, so equal lambdas tie exactly
     distinct, back = np.unique(np.asarray(lambdas, dtype=np.float64), return_inverse=True)
-    beta = _upper_solve(dec.U, _path_weights(dec, distinct))
+    beta = _solve(dec, distinct)[1]
     return _quadratic_loss(k_p @ beta, k_q @ beta, dec.fields["prior"].evaluate(va_p))[back]
 
 
@@ -517,9 +505,10 @@ def cross_validate(
     with the i-th fold of the Q-sample.  Every lambda is checked before any
     fold is decomposed.  Decompositions, the validation points' kernel rows
     against the pivots and the prior at the validation P points are computed
-    once per fold and kernel, and one eigendecomposition of the fold's m x m
-    Gram, O(m^3), serves all the lambdas, which then cost O(m^2) each: grids
-    dense in lambda cost little extra.  Each loss equals
+    once per fold and kernel, and one :func:`_solve` of the whole lambda
+    path, one eigendecomposition of the fold's m x m Gram, O(m^3), serves
+    all the lambdas, which then cost O(m^2) each: grids dense in lambda cost
+    little extra.  Each loss equals
     :func:`_quadratic_loss` of a fresh fit on the training fold to roundoff.
     Ties resolve to the earliest kernel, then the earliest lambda.  Every fold
     is decomposed with the greedy rule at a tolerance relative to its own
@@ -624,7 +613,7 @@ def _check_remaining(fh, size: int, count: int, path: str, what: str) -> None:
 
 
 def _read_array(fh, size: int, meta, path: str) -> tuple[str, np.ndarray]:
-    """One array of the bundle, checked against its declared name, dtype and shape."""
+    """One array of the bundle, checked against its declared name, dtype and shape; floats must be finite."""
     if not isinstance(meta, dict) or meta.get("name") not in _ARRAYS:
         raise ValueError(f"{path}: field 'arrays' has an entry that names no model array: {meta!r}")
     name = meta["name"]
@@ -642,6 +631,8 @@ def _read_array(fh, size: int, meta, path: str) -> tuple[str, np.ndarray]:
     arr = np.empty(shape, dtype=np.int64 if expected == "i8" else np.float64)
     if arr.nbytes:
         fh.readinto(memoryview(arr).cast("B"))
+    if expected == "f8" and not np.isfinite(arr).all():
+        raise ValueError(f"{path}: array {name!r} holds a non-finite value")
     return name, arr
 
 
@@ -668,7 +659,8 @@ def load_model(path: str) -> KdmModel:
     Raises ValueError, naming the file and the offending field, when the
     magic, the format, an array's dtype or shape, the byte count, or the
     sizes the arrays and the header share differ from what
-    :func:`save_model` writes, or when a header number is not finite or out
+    :func:`save_model` writes, when a float array holds a value that is not
+    finite, or when a header number is not finite or out
     of its range (``lam`` and ``kappa_inf`` > 0, ``epsilon`` and
     ``residual_trace`` >= 0, standardizer scales > 0).  Bundles of the older
     format 1, which stored n-row factor blocks, are rejected: refit the

@@ -12,7 +12,7 @@ so the test needs no lambda tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -85,6 +85,10 @@ def finite_sample_bound(
     return C_coefficients(c_fs=float(c_fs), c_ae=float(c_ae), rhs=float(rhs))
 
 
+# the fields of the norm check, set only when run_test is given an eta
+_NORM_CHECK = ("h_norm", "norm_bound", "bound_holds", "c_fs", "c_ae")
+
+
 @dataclass
 class TestResult:
     """Outcome of the chi-square ratio test."""
@@ -107,24 +111,9 @@ class TestResult:
     c_ae: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "statistic": self.statistic,
-            "ell": self.ell,
-            "p_value": self.p_value,
-            "truncation": self.truncation,
-            "threshold": self.threshold,
-            "n": self.n,
-            "rank": self.rank,
-            "residual_trace": self.residual_trace,
-            "hit_rank_cap": self.hit_rank_cap,
-        }
-        if self.h_norm is not None:
-            out["h_norm"] = self.h_norm
-            out["norm_bound"] = self.norm_bound
-            out["c_fs"] = self.c_fs
-            out["c_ae"] = self.c_ae
-            out["bound_holds"] = self.bound_holds
-        return out
+        """The report's fields, without ``eigenvalues``, and without the norm check's when it was not run."""
+        skip = {"eigenvalues"} if self.h_norm is not None else {"eigenvalues", *_NORM_CHECK}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
 def _truncation_length(eig: np.ndarray, rule: str, t: float) -> int:

@@ -474,7 +474,8 @@ def pivoted_cholesky(
         Absolute trace tolerance, >= 0.  Zero runs to numerical rank.
     strategy : {"greedy", "omp"}
         Pivot rule.  ``omp`` additionally needs ``omp_target``, the target
-        function values at all N points, each finite.
+        function values at all N points, each finite; any other strategy
+        refuses an ``omp_target``.
     max_rank : int, optional
         Hard cap on the number of pivots, >= 1; hitting it is reported
         through ``hit_rank_cap``, not raised.
@@ -503,6 +504,8 @@ def pivoted_cholesky(
     if strategy not in ("greedy", "omp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     worker_count()  # a bad KDM_THREADS fails every decomposition, not only one whose panels split
+    if strategy != "omp" and omp_target is not None:
+        raise ValueError(f"omp_target is read only by the omp strategy, not by {strategy!r}")
     if strategy == "omp":
         if omp_target is None:
             raise ValueError("omp strategy requires omp_target values")

@@ -177,7 +177,7 @@ def test_criterion_5_power_direction(clouds_study):
 
 
 def test_criterion_6_finite_sample_bound():
-    holds = null_bound_study(500, 200, SEED, eta=0.1)
+    holds = null_bound_study(500, 200, SEED)
     frac = float(np.mean(holds))
     ok = frac >= 0.85
     report(6, "finite-sample norm bound", ok, f"bound held in {frac:.3f} of 200 null replications")

@@ -170,6 +170,9 @@ def test_null_bound_study_smoke():
     holds = null_bound_study(100, 5, seed=6)
     assert holds.shape == (5,) and holds.dtype == bool
     assert holds.mean() >= 0.6
+    # fewer than one replication is refused, as by the other studies
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        null_bound_study(100, 0, seed=6)
 
 
 def test_mixture_energy_study_smoke():

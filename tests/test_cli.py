@@ -500,6 +500,13 @@ def test_fit_omp_strategy(capsys, tmp_path):
         "--strategy", "omp", "--out", str(tmp_path / "no_target.kdm"),
     )
     assert code == 1 and "omp strategy requires omp_target" in err
+    # a target without the omp strategy is refused, not read and ignored
+    code, _, err = run_cli(
+        capsys, "fit", "--p", str(tmp_path / "p.csv"), "--q", str(tmp_path / "q.csv"), "--lambda", "1e-3",
+        "--omp-target", t_csv, "--out", str(tmp_path / "greedy.kdm"),
+    )
+    assert code == 1 and "omp_target is read only by the omp strategy, not by 'greedy'" in err
+    assert not (tmp_path / "greedy.kdm").exists()
 
 
 def test_fit_artifacts_are_deterministic(capsys, tmp_path):

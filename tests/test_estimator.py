@@ -421,12 +421,13 @@ def test_ridge_solve_keeps_the_gram_and_rejects_a_nan_system():
     # a solve after another gives the first bits, and the path the same
     # weights to roundoff: no solve writes to the shared Gram
     estimator._solve(dec, 1e-1)
-    assert estimator._solve(dec, 1e-3).tobytes() == model.w.tobytes()
-    path = estimator._path_weights(dec, np.array([1e-1, 1e-3]))
+    w, beta = estimator._solve(dec, 1e-3)
+    assert w.tobytes() == model.w.tobytes() and beta.tobytes() == model.beta.tobytes()
+    path = estimator._solve(dec, np.array([1e-1, 1e-3]))[0]
     np.testing.assert_allclose(path[:, 1], model.w, rtol=1e-9, atol=1e-12 * np.abs(model.w).max())
     assert dec.gram.tobytes() == gram.tobytes()
     gram[m - 1, m - 2] = np.nan
-    for solve in (lambda d: estimator._model(d, 1e-3), lambda d: estimator._path_weights(d, np.array([1e-3, 1.0]))):
+    for solve in (lambda d: estimator._model(d, 1e-3), lambda d: estimator._solve(d, np.array([1e-3, 1.0]))):
         with pytest.raises(NumericsError, match="not positive definite"):
             solve(dataclasses.replace(dec, gram=gram))
 
@@ -536,7 +537,7 @@ def test_path_weights_match_a_dense_solve_at_every_lambda(seed, n, case, prior, 
     if case == "duplicated":
         assert np.linalg.matrix_rank(dec.gram) <= 2 < m
     lams = np.array(lambdas + lambdas[:1])
-    path = estimator._path_weights(dec, lams)
+    path = estimator._solve(dec, lams)[0]
     evals = np.linalg.eigvalsh(dec.gram)
     for j, lam in enumerate(lams):
         want = np.linalg.solve(dec.gram + n * lam * np.eye(m), dec.fields["moment_gap"])
@@ -551,14 +552,63 @@ def test_path_weights_reject_a_failed_or_indefinite_eigendecomposition(monkeypat
     lams = np.array([1e-3, 1.0])
     # G = -I: the shifted eigenvalue -1 + 40 * 1e-3 is < 0
     with pytest.raises(NumericsError, match="not positive definite"):
-        estimator._path_weights(dataclasses.replace(dec, gram=-np.eye(dec.gram.shape[0])), lams)
+        estimator._solve(dataclasses.replace(dec, gram=-np.eye(dec.gram.shape[0])), lams)
 
     def diverge(a, UPLO="L"):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", diverge)
     with pytest.raises(NumericsError, match="not positive definite"):
-        estimator._path_weights(dec, lams)
+        estimator._solve(dec, lams)
+
+
+def test_every_fit_and_fold_solves_once_and_only_the_solve_forms_beta(monkeypatch):
+    # one ridge routine: fit, the conditional fit and each fold of
+    # cross_validate call _solve once per decomposition, a single lambda on
+    # LU and a fold's lambda path on one eigh, and the triangular solve for
+    # beta runs only inside _solve
+    rng = np.random.default_rng(44)
+    p, q = rng.normal(0, 1, (150, 2)), rng.normal(0.3, 1.1, (150, 2))
+    kernels = [KernelSpec("gaussian", rho=0.5), KernelSpec("laplace", rho=1.0)]
+    log, inside = [], []
+    real_cholesky, real_solve, real_upper, real_eigh = (
+        estimator.pivoted_cholesky,
+        estimator._solve,
+        estimator._upper_solve,
+        np.linalg.eigh,
+    )
+
+    def spy_cholesky(*args, **kwargs):
+        log.append("factor")
+        return real_cholesky(*args, **kwargs)
+
+    def spy_solve(dec, lam):
+        log.append(("solve", np.ndim(lam)))
+        inside.append(True)
+        try:
+            return real_solve(dec, lam)
+        finally:
+            inside.pop()
+
+    def spy_upper(u, b):
+        assert inside, "estimator._upper_solve ran outside _solve"
+        log.append("beta")
+        return real_upper(u, b)
+
+    def spy_eigh(a, *args, **kwargs):
+        log.append("eigh")
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "pivoted_cholesky", spy_cholesky)
+    monkeypatch.setattr(estimator, "_solve", spy_solve)
+    monkeypatch.setattr(estimator, "_upper_solve", spy_upper)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    fit(p, q, kernels[0], 1e-3)
+    fit_conditional(JointDataset(p[:, :1], p[:, 1:]), kernels[0], 1e-3)
+    assert log == ["factor", ("solve", 0), "beta"] * 2
+    log.clear()
+    cross_validate(p, q, kernels, [1e-3, 1e-1, 1e-3], folds=3)
+    assert log == ["factor", ("solve", 1), "eigh", "beta"] * 6
 
 
 def test_folds_out_of_range_name_the_bounds():
@@ -935,6 +985,36 @@ def test_load_refuses_header_numbers_that_are_not_finite_or_out_of_range(tmp_pat
     # the bounds themselves load: a tolerance and a residual trace of zero
     _rewrite(path, {**header, "epsilon": 0, "residual_trace": 0.0}, body)
     assert (load_model(path).epsilon, load_model(path).residual_trace) == (0.0, 0.0)
+
+
+def test_load_refuses_a_float_array_with_a_non_finite_value(tmp_path):
+    # a NaN in the covariance loaded, and the test ran on it: it reported
+    # one kept eigenvalue fewer and a smaller statistic, with exit code 0
+    path, _, header, body = _bundle(tmp_path)
+    offset = 0
+    for meta in header["arrays"]:
+        size = 8 * math.prod(meta["shape"])
+        if meta["dtype"] == "f8":
+            for bad in (math.nan, math.inf):
+                values = bytearray(body)
+                values[offset : offset + 8] = struct.pack("<d", bad)
+                _rewrite(path, header, bytes(values))
+                with pytest.raises(ValueError, match=rf"model\.kdm: array '{meta['name']}' holds a non-finite value$"):
+                    load_model(path)
+        offset += size
+    assert offset == len(body)
+    assert {m["name"] for m in header["arrays"] if m["dtype"] == "f8"} == {
+        "pivot_points", "beta", "w", "moment_gap", "covariance"
+    }
+
+
+def test_an_omp_target_needs_the_omp_strategy():
+    # a greedy fit took a target, even one of NaNs, and ignored it
+    rng = np.random.default_rng(29)
+    p, q = rng.normal(0, 1, (50, 2)), rng.normal(0.3, 1, (50, 2))
+    for target in (np.full(100, np.nan), np.ones(100)):
+        with pytest.raises(ValueError, match="omp_target is read only by the omp strategy, not by 'greedy'"):
+            fit(p, q, KernelSpec("gaussian"), 1e-3, omp_target=target)
 
 
 def test_load_rejects_invalid_sample_size(tmp_path):

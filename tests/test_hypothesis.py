@@ -229,6 +229,20 @@ def test_finite_sample_bound_guards():
             finite_sample_bound(**kwargs)
 
 
+# the keys of every test report; the norm check adds five when eta is given
+REPORT_KEYS = {
+    "statistic",
+    "ell",
+    "p_value",
+    "truncation",
+    "threshold",
+    "n",
+    "rank",
+    "residual_trace",
+    "hit_rank_cap",
+}
+
+
 def test_norm_check_reported_with_eta():
     model = fitted_model(seed=9, n=200, shift=0.0, lam=1e-3)
     res = run_test(model, eta=0.05)
@@ -238,13 +252,14 @@ def test_norm_check_reported_with_eta():
     )
     assert res.bound_holds is True
     d = res.to_dict()
-    assert {"statistic", "ell", "p_value", "h_norm", "bound_holds"} <= set(d)
+    assert set(d) == REPORT_KEYS | {"h_norm", "norm_bound", "bound_holds", "c_fs", "c_ae"}
+    assert (d["h_norm"], d["norm_bound"], d["bound_holds"]) == (res.h_norm, res.norm_bound, res.bound_holds)
 
 
 def test_to_dict_without_norm_check():
     model = fitted_model(seed=9)
     d = run_test(model).to_dict()
-    assert "h_norm" not in d
+    assert set(d) == REPORT_KEYS
     assert d["hit_rank_cap"] is False
     assert d["residual_trace"] == model.residual_trace <= model.epsilon
 

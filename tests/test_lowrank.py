@@ -175,6 +175,8 @@ def test_invalid_arguments():
         pivoted_cholesky(oracle, epsilon=0.0, strategy="random")
     with pytest.raises(ValueError):
         pivoted_cholesky(oracle, epsilon=0.0, strategy="omp")  # missing target
+    with pytest.raises(ValueError, match="omp_target is read only by the omp strategy"):
+        pivoted_cholesky(oracle, epsilon=0.0, omp_target=np.ones(3))  # a target the greedy rule ignores
     for cap in (0, -3):
         with pytest.raises(ValueError, match=f"max_rank must be >= 1, got {cap}"):
             pivoted_cholesky(oracle, epsilon=0.0, max_rank=cap)
