@@ -5,9 +5,10 @@ first loads, which is why the package __init__ re-exports lazily and this
 module touches the environment before importing anything numeric.  Every
 pool is pinned to one thread, so that BLAS threads do not compete for the
 cores with the workers that KDM_THREADS sets, which form the parts of a
-large panel side by side (see ``kdm.lowrank.worker_count``); the parts are
-fixed by the data's size, so that setting affects speed only, never
-results.
+large panel side by side (see ``kdm.lowrank.worker_count``) and, in
+``kdm cv``, each fold's eigendecomposition beside the next fold's factor;
+the parts are fixed by the data's size, so that setting affects speed only,
+never results.
 """
 
 import os

@@ -10,8 +10,9 @@ file is refused unless ``--force`` is given, before any work starts.
 commands optionally copy their JSON report there, without its ``command``
 field.  The KDM_THREADS environment variable sets how many workers form the
 parts of a large decomposition panel side by side (default: two, or one on a
-single CPU); a value that is not an integer >= 1 exits 1.  The parts are
-fixed by the data's size, so results do not depend on it.  The console entry
+single CPU); with two, ``cv`` also runs each fold's eigendecomposition on
+the second worker.  A value that is not an integer >= 1 exits 1.  The parts
+are fixed by the data's size, so results do not depend on it.  The console entry
 point pins BLAS to one thread.
 """
 
@@ -285,8 +286,19 @@ def _finite(text: str, strict: bool) -> float:
 
 
 def _positive(text: str) -> float:
-    """argparse type of a ridge parameter, a length scale or ``--t``: a finite number > 0."""
+    """argparse type of a ridge parameter or a length scale: a finite number > 0."""
     return _finite(text, strict=True)
+
+
+def _fraction(text: str) -> float:
+    """argparse type of ``--t``: a number in (0, 1], where either truncation rule keeps an eigenvalue."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1], got {text!r}")
+    return value
 
 
 def _nonnegative(text: str) -> float:
@@ -356,7 +368,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("test", help="chi-square test of the prior ratio on a fitted model")
     p.add_argument("--model", required=True)
     p.add_argument("--truncation", choices=["relative", "explained"], default="relative")
-    p.add_argument("--t", type=_positive, default=DEFAULT_TRUNCATION_T)
+    p.add_argument("--t", type=_fraction, default=DEFAULT_TRUNCATION_T)
     p.add_argument("--eta", type=float, default=None, help="also report the norm bound at this level")
     _add_out(p)
 
@@ -405,7 +417,7 @@ def build_parser() -> _Parser:
     b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
     b.add_argument("--max-rank", type=_size_cap, default=bench.DEFAULT_MAX_RANK)
     b.add_argument("--scheme", choices=SCHEMES, default="three_split")
-    b.add_argument("--t", type=_positive, default=DEFAULT_TRUNCATION_T)
+    b.add_argument("--t", type=_fraction, default=DEFAULT_TRUNCATION_T)
     b.add_argument("--seed", type=_seed, required=True)
     _add_out(b)
 

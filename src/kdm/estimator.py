@@ -14,6 +14,8 @@ import numbers
 import os
 import struct
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -29,7 +31,15 @@ from .kernels import (
     kernel_sup,
     kernel_sup_is_empirical,
 )
-from .lowrank import CholeskyFactors, KernelOracle, NumericsError, _side_by_side, _upper_solve, pivoted_cholesky
+from .lowrank import (
+    CholeskyFactors,
+    KernelOracle,
+    NumericsError,
+    _side_by_side,
+    _upper_solve,
+    pivoted_cholesky,
+    worker_count,
+)
 
 DEFAULT_EPSILON_REL = 1e-6
 
@@ -162,7 +172,9 @@ class _Decomposition:
     exactly upper triangular) are m x m and ``fields`` holds the
     lambda-independent fields of the model: no array has a row per training
     point.  :func:`_solve` is the one ridge solve on it, for one lambda or a
-    path, and shares ``gram``, which must not be modified.  ``covariance``
+    path, and shares ``gram``, which must not be modified; a fold of
+    :func:`cross_validate` that hands it to a worker for its
+    eigendecomposition sets it to None.  ``covariance``
     is None unless the caller asked for it.  beta = R w is one triangular
     solve with ``U`` inside :func:`_solve`; R is never formed.
     """
@@ -308,7 +320,7 @@ def _decompose(pts_p, pts_q, kernel: KernelSpec, prior, with_covariance: bool, *
     )
 
 
-def _solve(dec: _Decomposition, lam) -> tuple[np.ndarray, np.ndarray]:
+def _solve(dec: _Decomposition, lam, spectrum: Optional[Future] = None) -> tuple[np.ndarray, np.ndarray]:
     """Weights w of the ridge system (G + n lam I) w = moment gap, and beta = R w.
 
     A number ``lam`` is one LU solve of the sum, formed in a copy of the Gram
@@ -318,10 +330,13 @@ def _solve(dec: _Decomposition, lam) -> tuple[np.ndarray, np.ndarray]:
     m = 400 and one BLAS thread a path takes about 17 ms, 1.8 times LAPACK's
     tridiagonal route (dsytrd, then one dptsv per lambda), which numpy does
     not wrap: ``eigh`` keeps kdm on numpy alone; a single lambda stays on
-    LU, which costs less than ``eigh``.  beta comes from one triangular solve
-    with the pivot block (:func:`_upper_solve`).  A failed factorization, a
-    shifted eigenvalue that is not > 0 or a w that is not finite raises
-    ``NumericsError``.  Callers check ``lam``.
+    LU, which costs less than ``eigh``.  A path's ``spectrum``, when given,
+    is a future of ``np.linalg.eigh`` of the Gram begun on another thread,
+    and the decomposition need not hold the Gram; its result is awaited
+    here.  beta comes from one triangular solve with the pivot block
+    (:func:`_upper_solve`).  A failed factorization, a shifted eigenvalue
+    that is not > 0 or a w that is not finite raises ``NumericsError``.
+    Callers check ``lam``.
     """
     n, gap = dec.fields["n"], dec.fields["moment_gap"]
     try:
@@ -331,7 +346,7 @@ def _solve(dec: _Decomposition, lam) -> tuple[np.ndarray, np.ndarray]:
             a.flat[:: len(gap) + 1] += n * lam
             w = np.linalg.solve(a, gap)
         else:
-            evals, vecs = np.linalg.eigh(dec.gram)
+            evals, vecs = np.linalg.eigh(dec.gram) if spectrum is None else spectrum.result()
             shifted = evals[:, None] + n * lam
             w = vecs @ ((vecs.T @ gap)[:, None] / shifted) if (shifted > 0).all() else None
     except np.linalg.LinAlgError:
@@ -452,12 +467,19 @@ def _quadratic_loss(hp: np.ndarray, hq: np.ndarray, pbar: np.ndarray) -> Union[f
     return -2.0 * cross + quad
 
 
-def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
+def _path_losses(
+    dec: _Decomposition,
+    va_p: np.ndarray,
+    va_q: np.ndarray,
+    lambdas: Sequence[float],
+    spectrum: Optional[Future] = None,
+) -> np.ndarray:
     """Validation loss of the ridge solution at each lambda on one decomposition.
 
     The betas of all lambdas come from one call of :func:`_solve` on the
-    path, one eigendecomposition of the Gram and one triangular solve with
-    the pivot block, and the validation points' kernel rows against
+    path, one eigendecomposition of the Gram (``spectrum``, when it was
+    begun on another thread) and one triangular solve with the pivot
+    block, and the validation points' kernel rows against
     the pivots and the prior at the validation P points are made once, so
     each lambda adds O(m^2) work: no model is built per lambda.  Each loss
     equals :func:`_quadratic_loss` of the model :func:`fit` returns to
@@ -467,7 +489,7 @@ def _path_losses(dec: _Decomposition, va_p: np.ndarray, va_q: np.ndarray, lambda
     k_p, k_q = (cross_kernel_matrix(dec.fields["kernel"], std.apply(va), piv) for va in (va_p, va_q))
     # each distinct lambda is solved once, so equal lambdas tie exactly
     distinct, back = np.unique(np.asarray(lambdas, dtype=np.float64), return_inverse=True)
-    beta = _solve(dec, distinct)[1]
+    beta = _solve(dec, distinct, spectrum)[1]
     return _quadratic_loss(k_p @ beta, k_q @ beta, dec.fields["prior"].evaluate(va_p))[back]
 
 
@@ -508,7 +530,10 @@ def cross_validate(
     once per fold and kernel, and one :func:`_solve` of the whole lambda
     path, one eigendecomposition of the fold's m x m Gram, O(m^3), serves
     all the lambdas, which then cost O(m^2) each: grids dense in lambda cost
-    little extra.  Each loss equals
+    little extra.  With a second worker (``lowrank.worker_count``), each
+    fold's eigendecomposition runs on a thread of this call, ended before it
+    returns, while the next fold is factored; the losses do not depend on
+    the worker count.  Each loss equals
     :func:`_quadratic_loss` of a fresh fit on the training fold to roundoff.
     Ties resolve to the earliest kernel, then the earliest lambda.  Every fold
     is decomposed with the greedy rule at a tolerance relative to its own
@@ -526,22 +551,42 @@ def cross_validate(
     parts_q = np.array_split(rng.permutation(n), folds)
 
     losses = np.zeros((len(kernels), len(lambdas), folds))
-    for f in range(folds):
-        tr_p = pts_p[np.concatenate(parts_p[:f] + parts_p[f + 1 :])]
-        tr_q = pts_q[np.concatenate(parts_q[:f] + parts_q[f + 1 :])]
-        va_p, va_q = pts_p[parts_p[f]], pts_q[parts_q[f]]
-        for i, kern in enumerate(kernels):
-            dec = _decompose(
-                tr_p,
-                tr_q,
-                kern,
-                prior,
-                with_covariance=False,
-                epsilon_rel=epsilon_rel,
-                max_rank=max_rank,
-                standardize=standardize,
-            )
-            losses[i, :, f] = _path_losses(dec, va_p, va_q, lambdas)
+
+    def finish(row, dec, va_p, va_q, spectrum=None):
+        row[:] = _path_losses(dec, va_p, va_q, lambdas, spectrum)
+
+    # with a second worker, each fold's eigh (LAPACK, which releases the
+    # GIL) runs on a thread of this call while this thread finishes the
+    # previous fold's path and factors the next; the worker holds the only
+    # reference to the Gram, so none outlives its eigendecomposition
+    with ThreadPoolExecutor(1, thread_name_prefix="kdm-cv") if worker_count() > 1 else nullcontext() as pool:
+        last = None
+        for f in range(folds):
+            tr_p = pts_p[np.concatenate(parts_p[:f] + parts_p[f + 1 :])]
+            tr_q = pts_q[np.concatenate(parts_q[:f] + parts_q[f + 1 :])]
+            va_p, va_q = pts_p[parts_p[f]], pts_q[parts_q[f]]
+            for i, kern in enumerate(kernels):
+                dec = _decompose(
+                    tr_p,
+                    tr_q,
+                    kern,
+                    prior,
+                    with_covariance=False,
+                    epsilon_rel=epsilon_rel,
+                    max_rank=max_rank,
+                    standardize=standardize,
+                )
+                path = (losses[i, :, f], dec, va_p, va_q)
+                if pool is None:
+                    finish(*path)
+                    continue
+                path += (pool.submit(np.linalg.eigh, dec.gram),)
+                dec.gram = None
+                if last is not None:
+                    finish(*last)
+                last = path
+        if last is not None:
+            finish(*last)
 
     mean_losses = losses.mean(axis=2)
     if not np.all(np.isfinite(mean_losses)):

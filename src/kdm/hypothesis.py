@@ -117,12 +117,12 @@ class TestResult:
 
 
 def _truncation_length(eig: np.ndarray, rule: str, t: float) -> int:
-    if rule == "relative" and not 0 < t < np.inf:
-        raise ValueError(f"relative truncation needs a finite t > 0, got {t}")
-    if rule == "explained" and not 0 < t <= 1:
-        raise ValueError("explained-variation truncation needs t in (0, 1]")
     if rule not in ("relative", "explained"):
         raise ValueError(f"unknown truncation rule {rule!r}")
+    # past 1 no eigenvalue reaches t times the largest and no share of the
+    # total reaches t, so either rule would keep none whatever the data
+    if not 0 < t <= 1:
+        raise ValueError(f"{rule} truncation needs a finite t > 0 and at most 1, got {t}")
     pos = eig[eig > 0]
     if pos.size == 0:
         return 0
@@ -144,9 +144,9 @@ def run_test(
 
     Eigenvalues of the estimated covariance below EIG_FLOOR_REL times the
     largest are zeroed; the truncation rule then keeps ell leading components
-    ("relative": eigenvalues >= t * largest, for a finite t > 0;
-    "explained": smallest count reaching a fraction t in (0, 1] of the
-    total); any other t raises ``ValueError``.  A degenerate covariance yields
+    ("relative": eigenvalues >= t * largest; "explained": smallest count
+    reaching a fraction t of the total), for t in (0, 1]; any other t
+    raises ``ValueError``.  A degenerate covariance yields
     statistic 0 with p-value 1.  Passing ``eta`` additionally reports the
     finite-sample norm check at that confidence level, with the larger of the
     requested tolerance and the residual trace reached as its epsilon, and

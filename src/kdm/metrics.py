@@ -57,11 +57,13 @@ def energy_score(y: np.ndarray, xs: np.ndarray, weights: Optional[np.ndarray] = 
     Unit weights (``weights`` omitted, or every entry exactly 1) are scored
     by two reductions of the distances, O(Qm + m^2), in place of the 2Qm^2
     flops of the product of weights and candidate distances; both spellings
-    give the same bits.
+    give the same bits.  No candidates raise ValueError.
     """
     pts = _as_points(xs)
     ys, single = _query_points(pts.shape[1], y)
     q, m = ys.shape[0], pts.shape[0]
+    if m == 0:
+        raise ValueError("candidates must hold at least one point")
     w = np.ones((q, m)) if weights is None else np.asarray(weights, dtype=np.float64)
     if single and weights is not None:
         w = w[None, :]

@@ -868,3 +868,19 @@ def test_console_entry_pins_blas_to_one_thread_whatever_kdm_threads_says(monkeyp
     pin_blas_threads()
     assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+@pytest.mark.parametrize(
+    "name, extra", [("test", []), ("test", ["--truncation", "explained"]), ("bench independence", [])]
+)
+@pytest.mark.parametrize("value", ["2", "1e300", "1.0000001"])
+def test_truncation_threshold_above_one_exits_1(capsys, tmp_path, cli_inputs, name, extra, value):
+    # before: kdm test --t 2 reported ell 0, statistic 0 and p-value 1 with
+    # exit 0, and --truncation explained --t 2 exited 1 naming no flag
+    argv = command(name, cli_inputs)
+    if "--t" in argv:
+        del argv[argv.index("--t") : argv.index("--t") + 2]
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, *extra, "--t", value, "--out", str(out))
+    assert code == 1 and "argument --t: must be a finite number in (0, 1]" in err, err
+    assert not out.exists()

@@ -3,6 +3,8 @@ import json
 import math
 import re
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -566,7 +568,8 @@ def test_every_fit_and_fold_solves_once_and_only_the_solve_forms_beta(monkeypatc
     # one ridge routine: fit, the conditional fit and each fold of
     # cross_validate call _solve once per decomposition, a single lambda on
     # LU and a fold's lambda path on one eigh, and the triangular solve for
-    # beta runs only inside _solve
+    # beta runs only inside _solve; with a second worker the eigh of a fold
+    # runs there, so only the counts are pinned, not the order
     rng = np.random.default_rng(44)
     p, q = rng.normal(0, 1, (150, 2)), rng.normal(0.3, 1.1, (150, 2))
     kernels = [KernelSpec("gaussian", rho=0.5), KernelSpec("laplace", rho=1.0)]
@@ -582,11 +585,11 @@ def test_every_fit_and_fold_solves_once_and_only_the_solve_forms_beta(monkeypatc
         log.append("factor")
         return real_cholesky(*args, **kwargs)
 
-    def spy_solve(dec, lam):
+    def spy_solve(dec, lam, *args):
         log.append(("solve", np.ndim(lam)))
         inside.append(True)
         try:
-            return real_solve(dec, lam)
+            return real_solve(dec, lam, *args)
         finally:
             inside.pop()
 
@@ -603,12 +606,62 @@ def test_every_fit_and_fold_solves_once_and_only_the_solve_forms_beta(monkeypatc
     monkeypatch.setattr(estimator, "_solve", spy_solve)
     monkeypatch.setattr(estimator, "_upper_solve", spy_upper)
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    fit(p, q, kernels[0], 1e-3)
-    fit_conditional(JointDataset(p[:, :1], p[:, 1:]), kernels[0], 1e-3)
-    assert log == ["factor", ("solve", 0), "beta"] * 2
-    log.clear()
-    cross_validate(p, q, kernels, [1e-3, 1e-1, 1e-3], folds=3)
-    assert log == ["factor", ("solve", 1), "eigh", "beta"] * 6
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KDM_THREADS", threads)
+        log.clear()
+        fit(p, q, kernels[0], 1e-3)
+        fit_conditional(JointDataset(p[:, :1], p[:, 1:]), kernels[0], 1e-3)
+        assert log == ["factor", ("solve", 0), "beta"] * 2
+        log.clear()
+        cross_validate(p, q, kernels, [1e-3, 1e-1, 1e-3], folds=3)
+        assert sorted(log, key=str) == sorted(["factor", ("solve", 1), "eigh", "beta"] * 6, key=str)
+        if threads == "1":  # one worker keeps the serial order
+            assert log == ["factor", ("solve", 1), "eigh", "beta"] * 6
+
+
+def test_cv_losses_are_byte_identical_at_one_and_two_workers(monkeypatch):
+    # the second worker runs each fold's eigh; two kernels and a repeated
+    # lambda give the same bits either way
+    rng = np.random.default_rng(45)
+    p, q = rng.normal(0, 1, (200, 2)), rng.normal(0.3, 1.1, (200, 2))
+    kernels = [KernelSpec("gaussian", rho=0.5), KernelSpec("laplace", rho=1.0)]
+    losses = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KDM_THREADS", threads)
+        losses.append(cross_validate(p, q, kernels, [1e-3, 1e-1, 1e-3], folds=4).mean_losses.tobytes())
+    assert losses[0] == losses[1]
+
+
+def test_cv_eigh_failing_on_the_worker_raises_after_the_worker_ends(monkeypatch):
+    # the path's failure rule holds for an eigh run on the worker: its
+    # LinAlgError surfaces as the NumericsError of _solve, once it has ended
+    monkeypatch.setenv("KDM_THREADS", "2")
+    rng = np.random.default_rng(46)
+    p, q = rng.normal(0, 1, (90, 2)), rng.normal(0.3, 1.1, (90, 2))
+    main, ended = threading.current_thread(), []
+
+    def failing_eigh(a, *args, **kwargs):
+        assert threading.current_thread() is not main
+        time.sleep(0.05)
+        ended.append(True)
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NumericsError, match="not positive definite or not finite"):
+        try:
+            cross_validate(p, q, [KernelSpec("gaussian")], [1e-3, 1e-2], folds=3)
+        finally:
+            assert ended and not any(t.name.startswith("kdm-cv") for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cross_validate_leaves_no_thread_of_its_own(monkeypatch, threads):
+    monkeypatch.setenv("KDM_THREADS", threads)
+    rng = np.random.default_rng(47)
+    p, q = rng.normal(0, 1, (120, 2)), rng.normal(0.3, 1.1, (120, 2))
+    before = set(threading.enumerate())
+    cross_validate(p, q, [KernelSpec("gaussian"), KernelSpec("laplace")], [1e-3, 1e-2], folds=3)
+    assert set(threading.enumerate()) <= before
 
 
 def test_folds_out_of_range_name_the_bounds():

@@ -299,3 +299,16 @@ def test_norm_check_reports_c_ae_of_the_residual_trace_reached():
     assert (d["c_fs"], d["c_ae"]) == (reached.c_fs, reached.c_ae)
     assert {"c_fs", "c_ae"}.isdisjoint(run_test(model).to_dict())
 
+
+
+@pytest.mark.parametrize("rule", ["relative", "explained"])
+@pytest.mark.parametrize("t", [1.0 + 1e-12, 2.0, 1e300])
+def test_truncation_refuses_t_above_one(rule, t):
+    # past 1 the relative rule kept no eigenvalue, so the test reported ell 0
+    # and p-value 1 whatever the data; t = 1 itself keeps at least one
+    eig = np.array([1.0, 1e-3, 0.0])
+    with pytest.raises(ValueError, match="at most 1"):
+        _truncation_length(eig, rule, t)
+    with pytest.raises(ValueError, match="at most 1"):
+        run_test(fitted_model(seed=4), truncation=rule, t=t)
+    assert _truncation_length(eig, rule, 1.0) >= 1

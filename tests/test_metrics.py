@@ -187,3 +187,11 @@ def test_excess_scoring_loss_hand_example():
     assert excess_scoring_loss(rec, base) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         excess_scoring_loss(rec, [])
+
+
+def test_energy_score_refuses_no_candidates():
+    # with m = 0 the score divided by zero, warned and returned NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="candidates must hold at least one point"):
+            energy_score(np.zeros(2), np.empty((0, 2)))
