@@ -253,62 +253,45 @@ def _prior_from_args(args) -> PriorSpec:
     return PriorSpec.one() if args.prior == "one" else PriorSpec.zero()
 
 
-def _integer(text: str, low: int) -> int:
-    """An integer >= ``low``, else an argparse error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-    return value
+def _integer(low: int):
+    """argparse type of an integer >= ``low``: 1 for the size caps, 0 for --seed, as numpy's generators take."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _size_cap(text: str) -> int:
-    """argparse type of the size caps: an integer >= 1."""
-    return _integer(text, 1)
+def _number(strict: bool = True, at_most_one: bool = False):
+    """argparse type of a finite number > 0 (``strict``) or >= 0, and at most 1 when ``at_most_one``.
 
+    Ridge parameters and length scales are > 0, tolerances and the
+    polynomial offset >= 0, and ``--t`` lies in (0, 1], where either
+    truncation rule keeps an eigenvalue.
+    """
+    rule = "in (0, 1]" if at_most_one else "> 0" if strict else ">= 0"
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
-    return _integer(text, 0)
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0 if strict else value >= 0) and (value <= 1 or not at_most_one)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {rule}, got {text!r}")
+        return value
 
-
-def _finite(text: str, strict: bool) -> float:
-    """A finite number > 0 (``strict``) or >= 0, else an argparse error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
-        raise argparse.ArgumentTypeError(f"must be a finite number {'>' if strict else '>='} 0, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    """argparse type of a ridge parameter or a length scale: a finite number > 0."""
-    return _finite(text, strict=True)
-
-
-def _fraction(text: str) -> float:
-    """argparse type of ``--t``: a number in (0, 1], where either truncation rule keeps an eigenvalue."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1], got {text!r}")
-    return value
-
-
-def _nonnegative(text: str) -> float:
-    """argparse type of a tolerance or the polynomial offset: a finite number >= 0."""
-    return _finite(text, strict=False)
+    return parse
 
 
 def _positives(text: str) -> list:
     """argparse type of --lambdas and --rhos: comma-separated finite numbers > 0, possibly none."""
-    return [_positive(v) for v in text.split(",") if v.strip()]
+    return [_number()(v) for v in text.split(",") if v.strip()]
 
 
 def _add_out(p: argparse.ArgumentParser, artifact: Optional[str] = None) -> None:
@@ -324,20 +307,23 @@ def _add_out(p: argparse.ArgumentParser, artifact: Optional[str] = None) -> None
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     """The kernel, ridge parameter and absolute tolerance of the single fit of `fit` and `condexp`."""
     p.add_argument("--kernel", choices=FAMILIES, default="gaussian")
-    p.add_argument("--rho", type=_positive, default=1.0, help="gaussian/laplace length-scale parameter")
-    p.add_argument("--c", type=_nonnegative, default=1.0, help="polynomial offset")
+    p.add_argument("--rho", type=_number(), default=1.0, help="gaussian/laplace length-scale parameter")
+    p.add_argument("--c", type=_number(strict=False), default=1.0, help="polynomial offset")
     p.add_argument("--degree", type=int, default=2, help="polynomial degree")
-    p.add_argument("--lambda", dest="lam", type=_positive, required=True, help="ridge parameter > 0")
-    p.add_argument("--epsilon", type=_nonnegative, default=None, help="absolute decomposition tolerance")
+    p.add_argument("--lambda", dest="lam", type=_number(), required=True, help="ridge parameter > 0")
+    p.add_argument("--epsilon", type=_number(strict=False), default=None, help="absolute decomposition tolerance")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     """The decomposition and prior flags of `fit`, `condexp` and `cv`."""
     p.add_argument(
-        "--epsilon-rel", type=_nonnegative, default=DEFAULT_EPSILON_REL, help="tolerance relative to the kernel trace"
+        "--epsilon-rel",
+        type=_number(strict=False),
+        default=DEFAULT_EPSILON_REL,
+        help="tolerance relative to the kernel trace",
     )
     p.add_argument("--prior", choices=["one", "zero"], default="one")
-    p.add_argument("--max-rank", type=_size_cap, default=None)
+    p.add_argument("--max-rank", type=_integer(1), default=None)
     p.add_argument("--standardize", action="store_true")
 
 
@@ -351,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, default=None, help="dependence strength (distribution default if omitted)")
     p.add_argument("--clusters", type=int, default=2, help="mixture only")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_integer(0), required=True)
     _add_out(p, "joint sample CSV")
 
     p = sub.add_parser("fit", help="fit the density-ratio model from two CSV samples")
@@ -368,7 +354,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("test", help="chi-square test of the prior ratio on a fitted model")
     p.add_argument("--model", required=True)
     p.add_argument("--truncation", choices=["relative", "explained"], default="relative")
-    p.add_argument("--t", type=_fraction, default=DEFAULT_TRUNCATION_T)
+    p.add_argument("--t", type=_number(at_most_one=True), default=DEFAULT_TRUNCATION_T)
     p.add_argument("--eta", type=float, default=None, help="also report the norm bound at this level")
     _add_out(p)
 
@@ -379,8 +365,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=SCHEMES, default="shifted")
     _add_model_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--grid-cap", type=_size_cap, default=DEFAULT_GRID_CAP)
-    p.add_argument("--seed", type=_seed, required=True, help="grid subsampling stream")
+    p.add_argument("--grid-cap", type=_integer(1), default=DEFAULT_GRID_CAP)
+    p.add_argument("--seed", type=_integer(0), required=True, help="grid subsampling stream")
     p.add_argument("--query", required=True, help="CSV of x rows to condition on")
     _add_out(p, "moments CSV")
 
@@ -392,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambdas", type=_positives, required=True, help="comma-separated ridge values > 0")
     p.add_argument("--folds", type=int, default=5)
     _add_fit_flags(p)
-    p.add_argument("--seed", type=_seed, required=True, help="fold assignment stream")
+    p.add_argument("--seed", type=_integer(0), required=True, help="fold assignment stream")
     _add_out(p)
 
     p = sub.add_parser("score", help="compare forecast files under a scoring metric")
@@ -412,24 +398,24 @@ def build_parser() -> _Parser:
     b.add_argument("--level", type=float, default=0.05)
     b.add_argument("--c", type=float, default=None)
     b.add_argument(
-        "--rho", type=_positive, default=None, help="fixed Gaussian length scale (median heuristic if omitted)"
+        "--rho", type=_number(), default=None, help="fixed Gaussian length scale (median heuristic if omitted)"
     )
-    b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
-    b.add_argument("--max-rank", type=_size_cap, default=bench.DEFAULT_MAX_RANK)
+    b.add_argument("--epsilon-rel", type=_number(strict=False), default=bench.DEFAULT_EPS_REL)
+    b.add_argument("--max-rank", type=_integer(1), default=bench.DEFAULT_MAX_RANK)
     b.add_argument("--scheme", choices=SCHEMES, default="three_split")
-    b.add_argument("--t", type=_fraction, default=DEFAULT_TRUNCATION_T)
-    b.add_argument("--seed", type=_seed, required=True)
+    b.add_argument("--t", type=_number(at_most_one=True), default=DEFAULT_TRUNCATION_T)
+    b.add_argument("--seed", type=_integer(0), required=True)
     _add_out(b)
 
     b = bench_sub.add_parser("mixture", help="energy-score study on random Gaussian mixtures")
     b.add_argument("--runs", type=int, required=True)
     b.add_argument("--n-train", type=int, default=1000)
     b.add_argument("--n-test", type=int, default=200)
-    b.add_argument("--grid-cap", type=_size_cap, default=500)
-    b.add_argument("--lambda", dest="lam", type=_positive, default=1e-3)
-    b.add_argument("--epsilon-rel", type=_nonnegative, default=bench.DEFAULT_EPS_REL)
-    b.add_argument("--max-rank", type=_size_cap, default=400)
-    b.add_argument("--seed", type=_seed, required=True)
+    b.add_argument("--grid-cap", type=_integer(1), default=500)
+    b.add_argument("--lambda", dest="lam", type=_number(), default=1e-3)
+    b.add_argument("--epsilon-rel", type=_number(strict=False), default=bench.DEFAULT_EPS_REL)
+    b.add_argument("--max-rank", type=_integer(1), default=400)
+    b.add_argument("--seed", type=_integer(0), required=True)
     _add_out(b)
 
     return parser

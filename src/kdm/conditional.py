@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .estimator import DEFAULT_EPSILON_REL, KdmModel, PriorSpec, _check_lambdas, _decompose, _model, eval_density_ratio
-from .kernels import Dataset, KernelSpec, _query_points, cross_kernel_matrix
+from .kernels import Dataset, KernelSpec, Standardizer, _as_points, _query_points, cross_kernel_matrix
 
 SCHEMES = ("shifted", "three_split")
 DEFAULT_GRID_CAP = 2000
@@ -32,12 +32,7 @@ class JointDataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if y.ndim == 1:
-            y = y[:, None]
+        x, y = _as_points(self.x), _as_points(self.y)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
             raise ValueError("x and y must be 2-d with the same number of rows")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -163,15 +158,14 @@ def fit_conditional(
 
 def _ratio_matrix(cmodel: ConditionalModel, xs: np.ndarray) -> np.ndarray:
     """Estimated ratio at every (query, grid point) pair, as a (Q, G) array."""
-    base, grid = cmodel.base, cmodel.y_grid
-    d_x = cmodel.d_x
+    base, grid, d_x = cmodel.base, cmodel.y_grid, cmodel.d_x
     if base.kernel.family == "gaussian" and base.prior.kind in ("zero", "one"):
         # k((x, y), (x', y')) = k_x(x, x') k_y(y, y') on the stacked
         # coordinates, also after the per-column input transform, so the
         # whole matrix is one product of an x block and a y block
         std = base.standardizer
-        xs = (xs - std.mean[:d_x]) / std.scale[:d_x]
-        grid = (grid - std.mean[d_x:]) / std.scale[d_x:]
+        xs = Standardizer(std.mean[:d_x], std.scale[:d_x]).apply(xs)
+        grid = Standardizer(std.mean[d_x:], std.scale[d_x:]).apply(grid)
         piv = base.pivot_points
         k_x = cross_kernel_matrix(base.kernel, xs, piv[:, :d_x])
         k_y = cross_kernel_matrix(base.kernel, grid, piv[:, d_x:])

@@ -25,6 +25,7 @@ from .kernels import (
     Dataset,
     KernelSpec,
     Standardizer,
+    _as_points,
     _json_number,
     _query_points,
     cross_kernel_matrix,
@@ -86,9 +87,7 @@ class PriorSpec:
         return cls(kind="custom", pi_inf=pi_inf, func=func)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _as_points(points)
         if self.kind == "zero":
             return np.zeros(pts.shape[0])
         if self.kind == "one":
@@ -688,11 +687,6 @@ def _check_consistency(header: dict, arrays: dict, path: str) -> None:
         shape = arrays[name].shape
         if any(axis == "m" and size != m for size, axis in zip(shape, axes)):
             raise ValueError(f"{path}: array {name!r} has shape {list(shape)}, but the rank is {m}")
-    std, d = header.get("standardizer"), arrays["pivot_points"].shape[1]
-    if std is not None and (
-        not isinstance(std, dict) or [np.shape(std.get("mean")), np.shape(std.get("scale"))] != [(d,), (d,)]
-    ):
-        raise ValueError(f"{path}: field 'standardizer' must hold a mean and a scale for each of the {d} columns")
     n = header.get("n")
     if type(n) is not int or n < 1:
         raise ValueError(f"{path}: field 'n' is {n!r}; expected an integer >= 1")
@@ -769,6 +763,8 @@ def _model_from_bundle(header: dict, arrays: dict) -> KdmModel:
     std, d = header["standardizer"], arrays["pivot_points"].shape[1]
     if std is None:
         std = {"mean": [0.0] * d, "scale": [1.0] * d}
+    if not isinstance(std, dict) or [np.shape(std.get("mean")), np.shape(std.get("scale"))] != [(d,), (d,)]:
+        raise ValueError(f"field 'standardizer' must hold a mean and a scale for each of the {d} columns")
     for key in ("mean", "scale"):
         for value in std[key]:
             _json_number(value, f"field 'standardizer' {key} entry")

@@ -97,9 +97,7 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _as_points(self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty 2-d array")
         if not np.all(np.isfinite(pts)):
