@@ -290,8 +290,11 @@ def _number(strict: bool = True, at_most_one: bool = False):
 
 
 def _positives(text: str) -> list:
-    """argparse type of --lambdas and --rhos: comma-separated finite numbers > 0, possibly none."""
-    return [_number()(v) for v in text.split(",") if v.strip()]
+    """argparse type of --lambdas and --rhos: comma-separated finite numbers > 0, at least one."""
+    values = [_number()(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"must be a non-empty list of finite numbers > 0, got {text!r}")
+    return values
 
 
 def _add_out(p: argparse.ArgumentParser, artifact: Optional[str] = None) -> None:
@@ -444,6 +447,9 @@ def _cmd_simulate(args) -> dict:
 def _cmd_fit(args) -> dict:
     ds_p = ingest_csv(args.p, parse_columns(args.p_cols))
     ds_q = ingest_csv(args.q, parse_columns(args.q_cols))
+    target = None if args.omp_target is None else ingest_csv(args.omp_target)
+    if target is not None and target.d != 1:
+        raise UsageError(f"{args.omp_target}: an OMP target holds one value per row, got {target.d} columns")
     model = fit(
         ds_p,
         ds_q,
@@ -453,7 +459,7 @@ def _cmd_fit(args) -> dict:
         epsilon_rel=args.epsilon_rel,
         prior=_prior_from_args(args),
         strategy=args.strategy,
-        omp_target=None if args.omp_target is None else ingest_csv(args.omp_target).points[:, 0],
+        omp_target=None if target is None else target.points[:, 0],
         max_rank=args.max_rank,
         standardize=args.standardize,
     )
@@ -525,8 +531,6 @@ def _cmd_condexp(args) -> dict:
 
 
 def _cmd_cv(args) -> dict:
-    if not args.rhos or not args.lambdas:
-        raise UsageError("empty --rhos or --lambdas")
     kernels = [KernelSpec(args.kernel, rho=r) for r in args.rhos]
     result = cross_validate(
         ingest_csv(args.p),

@@ -219,6 +219,8 @@ def _factor(
     standardizer that maps data to them (:func:`_input_transform`).  The
     columns of ``Lt`` follow the stacked points, so ``Lt[:, :n]`` and
     ``Lt[:, n:]`` are the P and Q column blocks that :func:`_reduce` takes.
+    A tolerance at or above the kernel trace is refused with a ValueError
+    naming it; a kernel matrix of trace zero raises ``NumericsError``.
     """
     _check_tolerances(epsilon, epsilon_rel)
     stacked = np.vstack([pts_p, pts_q])
@@ -226,8 +228,14 @@ def _factor(
     zs = standardizer.apply(stacked)
 
     oracle = KernelOracle(kernel, zs)
+    trace, given = float(oracle.diagonal().sum()), epsilon
     if epsilon is None:
-        epsilon = epsilon_rel * float(oracle.diagonal().sum())
+        epsilon = epsilon_rel * trace
+    # at or above the trace the loop selects no pivot: that is the
+    # tolerance's fault, unless the kernel matrix is zero
+    if 0 < trace <= epsilon:
+        given = f"epsilon={given!r}" if given is not None else f"epsilon_rel={epsilon_rel!r}"
+        raise ValueError(f"tolerance {given} is at or above the kernel trace {trace!r}, so no pivot would be selected")
     factors = pivoted_cholesky(oracle, epsilon, strategy, omp_target=omp_target, max_rank=max_rank)
     if factors.rank == 0:
         raise NumericsError("decomposition selected no pivots; kernel matrix is numerically zero")
@@ -398,7 +406,8 @@ def fit(
     ``strategy="omp"`` needs ``omp_target``, one finite value per input row,
     the P sample's rows first; when the sizes differ, the values of the rows
     cut from the larger sample are cut with them.  Both tolerances must be
-    finite numbers >= 0.  The fit is deterministic: no randomness enters
+    finite numbers >= 0, and the tolerance in force below the kernel trace
+    of the stacked sample, else no pivot is selected.  The fit is deterministic: no randomness enters
     anywhere.
     ``seed`` is only recorded, as ``KdmModel.seed`` and in the saved bundle;
     no computation reads it yet (a randomized test calibration or pivot rule

@@ -69,6 +69,8 @@ def sample_distribution(name: str, n: int, seed: SeedLike, c: Optional[float] = 
         raise ValueError(f"unknown distribution {name!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if c is not None and not np.isfinite(c):
+        raise ValueError(f"c must be a finite number, got {c!r}")
     if c is None:
         c = DEFAULT_C[name]
     rng = _as_rng(seed)

@@ -509,6 +509,17 @@ def test_fit_omp_strategy(capsys, tmp_path):
     assert not (tmp_path / "greedy.kdm").exists()
 
 
+def test_fit_omp_target_of_more_than_one_column_exits_1(capsys, tmp_path, cli_inputs):
+    # before: a 3-column target gave the bundle of its first column, exit 0
+    target = np.sin(0.1 * np.arange(120))
+    t_csv = write_csv(tmp_path / "t3.csv", ["t", "u", "v"], [[v, 2 * v, 0.0] for v in target])
+    out = tmp_path / "omp3.kdm"
+    argv = command("fit", cli_inputs) + ["--strategy", "omp", "--omp-target", t_csv, "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and f"{t_csv}: an OMP target holds one value per row, got 3 columns" in err, err
+    assert not out.exists()
+
+
 def test_fit_artifacts_are_deterministic(capsys, tmp_path):
     _, _, model_a = fit_two_samples(capsys, tmp_path)
     b = str(tmp_path / "model_b.kdm")
@@ -841,6 +852,89 @@ def test_length_scales_and_tolerances_must_be_finite_exit_1(capsys, tmp_path, cl
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 1 and f"argument {flag}: must be a finite number" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, flag, low",
+    [
+        ("fit", "--max-rank", 1),
+        ("bench independence", "--max-rank", 1),
+        ("bench mixture", "--max-rank", 1),
+        ("condexp", "--grid-cap", 1),
+        ("bench mixture", "--grid-cap", 1),
+        ("simulate", "--seed", 0),
+        ("condexp", "--seed", 0),
+        ("cv", "--seed", 0),
+        ("bench independence", "--seed", 0),
+        ("bench mixture", "--seed", 0),
+    ],
+)
+@pytest.mark.parametrize("value", ["abc", "1.5", "below"])
+def test_size_caps_and_seeds_must_be_integers_at_their_bound_exit_1(
+    capsys, tmp_path, cli_inputs, name, flag, low, value
+):
+    value = str(low - 1) if value == "below" else value
+    argv = command(name, cli_inputs)
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, f"{flag}={value}", "--out", str(out))
+    assert code == 1 and f"argument {flag}: must be an integer >= {low}, got {value!r}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--rhos", "--lambdas"])
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_empty_grid_list_names_its_flag_exit_1(capsys, tmp_path, cli_inputs, flag, value):
+    # before: "empty --rhos or --lambdas", which named neither flag
+    argv = command("cv", cli_inputs)
+    argv[argv.index(flag) + 1] = value
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1 and f"argument {flag}: must be a non-empty list of finite numbers > 0, got {value!r}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("fit", "--epsilon-rel", "1"),
+        ("fit", "--epsilon", "1e300"),
+        ("cv", "--epsilon-rel", "1"),
+        ("condexp", "--epsilon-rel", "2"),
+        ("bench independence", "--epsilon-rel", "5"),
+    ],
+)
+def test_tolerance_at_or_above_the_kernel_trace_exits_1(capsys, tmp_path, cli_inputs, name, flag, value):
+    # before: exit 2 and "decomposition selected no pivots; kernel matrix is
+    # numerically zero", which blamed the kernel for the tolerance
+    argv = command(name, cli_inputs)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, flag, value, "--out", str(out))
+    given = f"{flag[2:].replace('-', '_')}={float(value)!r}"
+    assert code == 1 and f"tolerance {given} is at or above the kernel trace" in err, err
+    assert "numerically zero" not in err and not out.exists()
+    # just below the trace a Gaussian fit selects one pivot
+    if name == "fit":
+        below = "0.9999999" if flag == "--epsilon-rel" else "119.99"
+        code, payload, _ = run_cli(capsys, *argv, flag, below, "--out", str(out))
+        assert code == 0 and payload["rank"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dist", "w", "--n", "30", "--seed", "1", "--c", "nan"],
+        ["bench", "independence", "--dist", "circle", "--n", "30", "--reps", "2", "--seed", "3", "--c", "inf"],
+    ],
+    ids=["simulate", "bench independence"],
+)
+def test_non_finite_dependence_strength_names_c_exit_1(capsys, tmp_path, argv):
+    # before: "joint sample contains NaN or infinite entries", naming neither c nor its value
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1 and f"c must be a finite number, got {float(argv[-1])!r}" in err, err
     assert not out.exists()
 
 

@@ -703,6 +703,32 @@ def test_tolerance_must_be_finite_and_nonnegative(name, bad):
             cross_validate(p, p, [spec], [1e-3], folds=3, epsilon_rel=bad, seed=0)
 
 
+def test_tolerance_at_or_above_the_kernel_trace_names_it():
+    # before: the loop never started, and "decomposition selected no pivots;
+    # kernel matrix is numerically zero" blamed the kernel.  A Gaussian
+    # kernel on 30 + 30 points has trace 60
+    rng = np.random.default_rng(29)
+    p, q = rng.normal(0, 1, (30, 2)), rng.normal(0.3, 1, (30, 2))
+    spec = KernelSpec("gaussian")
+    for tolerance, given in (({"epsilon_rel": 1.0}, "epsilon_rel=1.0"), ({"epsilon": 1e300}, "epsilon=1e+300")):
+        message = f"tolerance {given} is at or above the kernel trace 60.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(p, q, spec, 1e-3, **tolerance)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_conditional(JointDataset(p[:, :1], p[:, 1:]), spec, 1e-3, scheme="shifted", **tolerance)
+    with pytest.raises(ValueError, match=re.escape("tolerance epsilon=60.0 is at or above the kernel trace 60.0")):
+        fit(p, q, spec, 1e-3, epsilon=60.0)
+    # each fold of 20 + 20 training points has trace 40
+    with pytest.raises(ValueError, match=re.escape("tolerance epsilon_rel=2.0 is at or above the kernel trace 40.0")):
+        cross_validate(p, q, [spec], [1e-3], folds=3, epsilon_rel=2.0, seed=0)
+    assert fit(p, q, spec, 1e-3, epsilon_rel=0.9999999).rank == 1
+    assert fit(p, q, spec, 1e-3, epsilon=59.99).rank == 1
+    # a kernel matrix that is zero keeps its numerical failure
+    zeros = np.zeros((30, 2))
+    with pytest.raises(NumericsError, match="kernel matrix is numerically zero"):
+        fit(zeros, zeros, KernelSpec("polynomial", c=0.0), 1e-3, epsilon_rel=1.0)
+
+
 def test_omp_target_is_cut_with_unequal_samples():
     # the target holds one value per input row, P's first; when the samples
     # are cut to the smaller size, P's values of the dropped rows go with them

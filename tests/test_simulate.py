@@ -29,6 +29,15 @@ def test_sampler_guards():
         sample_distribution("diamond", 10, seed=0, c=1.5)
 
 
+@pytest.mark.parametrize("name", ["w", "circle", "independent_clouds"])
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_dependence_strength_is_named(name, c):
+    # before: "joint sample contains NaN or infinite entries" (w, circle),
+    # which named neither c nor its value
+    with pytest.raises(ValueError, match=f"c must be a finite number, got {c!r}"):
+        sample_distribution(name, 10, seed=0, c=c)
+
+
 def test_independent_clouds_moments():
     j = sample_distribution("independent_clouds", 40000, seed=1)
     # each coordinate is a symmetric two-component normal mixture at +-1
