@@ -228,13 +228,13 @@ def _factor(
     zs = standardizer.apply(stacked)
 
     oracle = KernelOracle(kernel, zs)
-    trace, given = float(oracle.diagonal().sum()), epsilon
+    trace = float(oracle.diagonal().sum())
+    given = f"epsilon={epsilon!r}" if epsilon is not None else f"epsilon_rel={epsilon_rel!r}"
     if epsilon is None:
         epsilon = epsilon_rel * trace
     # at or above the trace the loop selects no pivot: that is the
     # tolerance's fault, unless the kernel matrix is zero
     if 0 < trace <= epsilon:
-        given = f"epsilon={given!r}" if given is not None else f"epsilon_rel={epsilon_rel!r}"
         raise ValueError(f"tolerance {given} is at or above the kernel trace {trace!r}, so no pivot would be selected")
     factors = pivoted_cholesky(oracle, epsilon, strategy, omp_target=omp_target, max_rank=max_rank)
     if factors.rank == 0:
